@@ -8,8 +8,8 @@ arrival paid a full O(population) Python re-pack.  The live matrix
 O(Δ) per event instead; this benchmark measures both costs per event, at
 10k and (for the CI gate) 100k live offers, asserts the maintained matrix
 is bit-identical to a fresh pack of the survivors, and times the
-publication path (``engine.live_matrix()``: compact + zero-copy snapshot +
-cache seed) against the re-pack it replaces.
+snapshot path (``engine.live_matrix()``: compact + zero-copy frozen
+snapshot) against the re-pack it replaces.
 
 The second half measures the other bulk op this PR adds:
 ``ComputeBackend.batch_objectives``.  A whole generation of schedules (the

@@ -12,13 +12,12 @@ order.  Fingerprints are cached on the (frozen) offers themselves, so a key
 is O(population) integer reads instead of an O(slices) packing pass.
 
 Because the key derives from the population's content, a cached matrix can
-never be *stale* — a changed population simply has a different key.
-Invalidation therefore exists for memory hygiene: the bounded LRU evicts
-cold entries on its own, and mutation sources (notably
-:class:`~repro.stream.engine.StreamingEngine`) proactively
-:meth:`~MatrixCache.discard` the entry of the population they are about to
-mutate so dead matrices are released immediately instead of lingering until
-eviction.
+never be *stale* — a changed population simply has a different key — so the
+cache needs no invalidation: the bounded LRU evicts cold entries on its own.
+It serves explicit populations only (an ``evaluate_set`` call, an explicit
+request's offers, trade lots).  The streaming engine's live population never
+passes through it: the engine owns that packed state and answers from it
+directly.
 
 The cache is shared process-wide (:data:`matrix_cache`) and thread-safe: a
 lock guards the LRU structure, and :func:`~repro.backend.use_backend`
@@ -44,7 +43,6 @@ import os
 import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Sequence
-from contextlib import contextmanager
 from typing import Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -116,14 +114,8 @@ class MatrixCache:
         self.capacity = capacity
         self.cell_budget = cell_budget
         self._lock = threading.Lock()
-        self._bypass_depth = 0
         self._weight = 0
         self._entries: "OrderedDict[tuple, tuple[object, int]]" = OrderedDict()
-        #: Monotonic counter, bumped on every successful store.  Mutation
-        #: sources use it to skip the O(population) key computation when no
-        #: entry can possibly concern them (nothing was cached since their
-        #: last mutation).
-        self.generation = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -174,10 +166,7 @@ class MatrixCache:
                 self.hits += 1
                 return cached[0]
             self.misses += 1
-            bypassed = self._bypass_depth > 0
         built = builder(flex_offers)
-        if bypassed:
-            return built
         weight = int(weigher(built)) if weigher is not None else 0
         if weight > self.cell_budget:
             # Could never fit: storing it would only evict entries that do.
@@ -188,7 +177,6 @@ class MatrixCache:
                 self._weight -= previous[1]
             self._entries[key] = (built, weight)
             self._weight += weight
-            self.generation += 1
             while self._entries and (
                 len(self._entries) > self.capacity
                 or self._weight > self.cell_budget
@@ -197,81 +185,6 @@ class MatrixCache:
                 self._weight -= evicted_weight
                 self.evictions += 1
         return built
-
-    def peek(self, flex_offers: Sequence["FlexOffer"]) -> Optional[object]:
-        """The cached value for the population, or ``None`` — never builds."""
-        with self._lock:
-            entry = self._entries.get(self.key_of(flex_offers))
-            return entry[0] if entry is not None else None
-
-    def put(self, key: tuple, value: object, weight: int = 0) -> bool:
-        """Seed an externally built entry under a precomputed key.
-
-        The streaming engine's publication path: a live, incrementally
-        maintained packed matrix is stored so that subsequent bulk calls on
-        the same population hit instead of re-packing.  Obeys the same
-        bounds as :meth:`get`'s store path (capacity, cell budget, bypass
-        windows) and bumps :attr:`generation`.  Returns whether the entry
-        was retained.  Callers must hand over a value they will no longer
-        mutate — cached entries are shared.
-        """
-        if self.capacity == 0:
-            return False
-        weight = int(weight)
-        if weight > self.cell_budget:
-            return False
-        with self._lock:
-            if self._bypass_depth > 0:
-                return False
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self._weight -= previous[1]
-            self._entries[key] = (value, weight)
-            self._weight += weight
-            self.generation += 1
-            while self._entries and (
-                len(self._entries) > self.capacity
-                or self._weight > self.cell_budget
-            ):
-                _, (_, evicted_weight) = self._entries.popitem(last=False)
-                self._weight -= evicted_weight
-                self.evictions += 1
-        return True
-
-    @contextmanager
-    def bypass(self):
-        """Serve hits but store nothing for the duration (one-shot inputs).
-
-        Used by callers evaluating throwaway populations — the streaming
-        engine's arrival batches, for instance — whose packed matrices
-        would only occupy LRU capacity.  The suppression is a process-wide
-        depth counter rather than context-local state because bulk backends
-        fan work out to pool threads, where context variables would not
-        propagate; a concurrent caller on another thread during the window
-        merely loses a store (a future re-pack), never correctness.
-        """
-        with self._lock:
-            self._bypass_depth += 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._bypass_depth -= 1
-
-    # ------------------------------------------------------------------ #
-    # Invalidation
-    # ------------------------------------------------------------------ #
-    def discard(self, flex_offers: Iterable["FlexOffer"]) -> bool:
-        """Drop the entry for one population; ``True`` if one was present."""
-        return self.discard_key(self.key_of(flex_offers))
-
-    def discard_key(self, key: tuple) -> bool:
-        """Drop the entry stored under a precomputed key."""
-        with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is not None:
-                self._weight -= entry[1]
-            return entry is not None
 
     def clear(self) -> int:
         """Drop every entry; returns how many were dropped (stats survive)."""
@@ -295,7 +208,6 @@ class MatrixCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "generation": self.generation,
             }
 
     def __len__(self) -> int:
@@ -326,10 +238,10 @@ def cached_matrix(
     ``cache`` selects the store — a session-scoped :class:`MatrixCache`
     injected by the service layer, or (``None``) the process-wide
     :data:`matrix_cache`.  Imports :mod:`repro.backend.matrix` lazily so
-    this module stays importable without NumPy (the streaming engine
-    imports it for invalidation even when only the reference backend is
-    registered).  Propagates the packer's ``OverflowError`` uncached,
-    preserving the callers' fall-back-to-reference semantics.  Entries
+    this module stays importable without NumPy (the service layer builds
+    a session cache even when only the reference backend is registered).
+    Propagates the packer's ``OverflowError`` uncached, preserving the
+    callers' fall-back-to-reference semantics.  Entries
     weigh their packed slice count, so retention is bounded in bytes
     (``cell_budget``), not just entries.
     """

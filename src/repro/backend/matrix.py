@@ -36,11 +36,10 @@ instead of throwing the packed arrays away on every mutation:
   current rows (safe because rows are never mutated in place — appends
   write beyond the view, compaction replaces the backing stores);
 * :meth:`ProfileMatrix.slice` carves a contiguous sub-population out as its
-  own matrix — the sharded backend's per-shard handles — again without a
-  Python re-pack.
+  own matrix, again without a Python re-pack.
 
 Bulk consumers (the compute backends) require a matrix without live
-tombstones; the streaming engine compacts before publishing.
+tombstones; the streaming engine compacts before snapshotting.
 
 This module imports NumPy at module level and is therefore only imported by
 the NumPy backend; everything else in the library must keep working when the
@@ -468,8 +467,8 @@ class ProfileMatrix:
         the snapshot's views and :meth:`compact` replaces the backing
         stores — so the snapshot stays bit-stable while the live matrix
         keeps evolving.  Snapshots refuse further mutation (they share
-        storage with the live matrix) and are what the streaming engine
-        publishes into the :data:`~repro.backend.cache.matrix_cache`.
+        storage with the live matrix) and are what the streaming engine's
+        :meth:`~repro.stream.StreamingEngine.live_matrix` returns.
         """
         if self._dead:
             raise ValueError("compact() before snapshotting a live matrix")
@@ -496,8 +495,8 @@ class ProfileMatrix:
         """A matrix over rows ``start:stop`` without a Python re-pack.
 
         Shares the packed storage (contiguous array views; only ``offsets``
-        is rebased into a small copy), so carving a shard out of a cached
-        whole-population matrix is C-speed.  The result is frozen, like
+        is rebased into a small copy), so carving a chunk out of a packed
+        population is C-speed.  The result is frozen, like
         :meth:`snapshot`, and requires a tombstone-free source.
         """
         if self._dead:

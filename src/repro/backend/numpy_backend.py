@@ -3,8 +3,10 @@
 Packs the population into a :class:`~repro.backend.matrix.ProfileMatrix`
 once per bulk call — through the fingerprint-keyed
 :data:`~repro.backend.cache.matrix_cache`, so repeated bulk calls on a
-stable population reuse the packed arrays instead of re-packing — and
-evaluates measures through their
+stable population reuse the packed arrays instead of re-packing, while
+one-shot inputs (the streaming engine's arrival batches, scheduler
+candidates) are packed directly and never enter the cache — and evaluates
+measures through their
 :meth:`~repro.measures.base.FlexibilityMeasure.batch_values` hooks — each
 registered measure vectorizes its own arithmetic over the packed arrays,
 and measures that never opted in transparently fall back to the scalar
@@ -184,7 +186,14 @@ class NumpyBackend(ComputeBackend):
         flex_offers: Union[Sequence[FlexOffer], ProfileMatrix],
     ) -> list[dict[str, float]]:
         try:
-            matrix = self._matrix(flex_offers)
+            # Packed directly, not through the cache: the streaming engine
+            # feeds this with one-shot arrival batches, which would only
+            # evict reusable whole-population entries.
+            matrix = (
+                flex_offers
+                if isinstance(flex_offers, ProfileMatrix)
+                else ProfileMatrix(flex_offers)
+            )
         except OverflowError:
             return _FALLBACK.per_offer_values(measures, flex_offers)
         results: list[dict[str, float]] = [{} for _ in range(matrix.size)]

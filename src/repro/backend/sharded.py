@@ -37,8 +37,8 @@ Executors
 ``thread`` (default)
     A shared :class:`~concurrent.futures.ThreadPoolExecutor`.  The NumPy
     kernels release the GIL, so shard evaluation overlaps on multicore
-    hosts, and the fingerprint-keyed matrix cache keeps per-shard packed
-    arrays warm across calls with zero copying.
+    hosts, and the inner backend's fingerprint-keyed matrix cache keeps
+    each shard chunk's packed arrays warm across calls.
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor` for pure-Python
     inner backends or GIL-bound measures.  Populations and measures must be
@@ -116,7 +116,6 @@ from typing import TYPE_CHECKING, ClassVar, Optional
 from ..core.errors import BackendError
 from ..core.flexoffer import FlexOffer
 from ..faults.plan import SHARD_RESULT, SHARD_SUBMIT, FaultInjected, FaultPlan
-from .cache import matrix_cache
 from .dispatch import (
     ComputeBackend,
     _env_float,
@@ -291,11 +290,6 @@ class ShardedBackend(ComputeBackend):
         a session-scoped ``NumpyBackend`` here so shard workers hit the
         session's cache.  ``None`` picks ``numpy`` when registered, else
         ``reference``.
-    cache:
-        The :class:`~repro.backend.cache.MatrixCache` consulted when carving
-        shard handles out of an already-cached whole-population matrix;
-        ``None`` (the registered default instance) uses the process-wide
-        :data:`~repro.backend.cache.matrix_cache`.
     retries:
         Per-shard retry budget for infrastructure failures.  ``None``
         reads ``REPRO_SHARD_RETRIES`` and falls back to
@@ -329,7 +323,6 @@ class ShardedBackend(ComputeBackend):
         executor: Optional[str] = None,
         min_population: Optional[int] = None,
         inner: Optional[Union[str, ComputeBackend]] = None,
-        cache=None,
         retries: Optional[int] = None,
         retry_backoff_s: float = 0.01,
         hedge_ms: Optional[float] = None,
@@ -437,7 +430,6 @@ class ShardedBackend(ComputeBackend):
         self._hedge_s = hedge_ms / 1000.0
         self._faults = faults
         self._inner_spec = inner
-        self._cache = cache
         self._pool: Optional[Executor] = None
         self._pool_lock = threading.Lock()
         self._pool_gen = 0
@@ -479,11 +471,6 @@ class ShardedBackend(ComputeBackend):
         ):
             return inner.name
         return inner
-
-    def _inner_is_numpy(self) -> bool:
-        inner = self._worker_ref()
-        name = inner.name if isinstance(inner, ComputeBackend) else inner
-        return name == "numpy"
 
     def _executor(self) -> Executor:
         """The lazily created, shared worker pool (double-checked lock)."""
@@ -541,43 +528,6 @@ class ShardedBackend(ComputeBackend):
             chunks.append(items[start : start + size])
             start += size
         return chunks
-
-    def _shard_handles(self, flex_offers: Sequence[FlexOffer]) -> list:
-        """Per-shard work units for the measure operations.
-
-        Normally the contiguous offer chunks of :meth:`_partition` — each
-        shard worker then packs (or cache-hits) its own chunk.  When the
-        whole population's packed matrix is already in the
-        :data:`~repro.backend.cache.matrix_cache` — the streaming engine
-        publishes its incrementally maintained live matrix there — the
-        chunks are carved out of it with :meth:`ProfileMatrix.slice`
-        instead, so no shard re-packs at all: after a mutation only the
-        engine's O(Δ) maintenance ran, and the fan-out ships C-speed array
-        views.  Only meaningful for the thread executor with the NumPy
-        inner backend (matrix handles are neither picklable-cheap nor
-        consumable by the reference backend's scalar loops).
-        """
-        chunks = self._partition(flex_offers)
-        if self.executor_kind != "thread" or not self._inner_is_numpy():
-            return chunks
-        try:
-            from .matrix import ProfileMatrix
-        except ImportError:  # pragma: no cover - numpy inner implies numpy
-            return chunks
-        cache = self._cache if self._cache is not None else matrix_cache
-        matrix = cache.peek(flex_offers)
-        if (
-            not isinstance(matrix, ProfileMatrix)
-            or matrix.size != len(flex_offers)
-            or matrix.dead_count
-        ):
-            return chunks
-        handles = []
-        start = 0
-        for chunk in chunks:
-            handles.append(matrix.slice(start, start + len(chunk)))
-            start += len(chunk)
-        return handles
 
     def _map(self, worker, arg_lists: Sequence[tuple]) -> list:
         """Run the worker over every shard; results in shard order.
@@ -743,7 +693,7 @@ class ShardedBackend(ComputeBackend):
         inner = self._worker_ref()
         outcomes = self._map(
             _shard_values_outcome,
-            [(inner, measure, chunk) for chunk in self._shard_handles(flex_offers)],
+            [(inner, measure, chunk) for chunk in self._partition(flex_offers)],
         )
         values: list[float] = []
         for status, payload in outcomes:
@@ -762,7 +712,7 @@ class ShardedBackend(ComputeBackend):
         verdicts: list[bool] = []
         for shard in self._map(
             _shard_support,
-            [(inner, measure, chunk) for chunk in self._shard_handles(flex_offers)],
+            [(inner, measure, chunk) for chunk in self._partition(flex_offers)],
         ):
             verdicts.extend(shard)
         return verdicts
@@ -779,7 +729,7 @@ class ShardedBackend(ComputeBackend):
                 measures, flex_offers, skip_unsupported
             )
         inner = self._worker_ref()
-        chunks = self._shard_handles(flex_offers)
+        chunks = self._partition(flex_offers)
         # One fan-out per call: each shard packs once, then reports support
         # verdicts and value outcomes for every decomposable measure.
         # Non-decomposable measures (overridden ``set_value``) get support
@@ -837,7 +787,7 @@ class ShardedBackend(ComputeBackend):
         results: list[dict[str, float]] = []
         for shard in self._map(
             _shard_per_offer,
-            [(inner, measures, chunk) for chunk in self._shard_handles(flex_offers)],
+            [(inner, measures, chunk) for chunk in self._partition(flex_offers)],
         ):
             results.extend(shard)
         return results

@@ -56,7 +56,7 @@ class EvaluateRequest:
         measures.
     offers:
         Explicit population; ``None`` evaluates the session's live
-        population (reusing its published packed matrix).
+        population (from the engine's maintained report).
     skip_unsupported:
         Exactly :func:`repro.measures.evaluate_set`'s semantics.
     """

@@ -40,13 +40,15 @@ class RequestStats:
     backend:
         Name of the compute backend that served the request.
     duration_s:
-        Wall-clock seconds spent inside the session serving it.
+        Wall-clock seconds spent inside the session serving it, including
+        its reads of the live population.
     population:
         Number of flex-offers the request operated on.
     cache_hits, cache_misses:
         The session matrix cache's hit/miss delta during the request — a
-        warm live matrix shows up as hits here, a cold explicit population
-        as misses.
+        repeated explicit population shows up as hits here, a cold one as
+        misses; a live-population evaluate is answered by the engine and
+        shows neither.
     """
 
     kind: str

@@ -120,7 +120,6 @@ class FlexSession:
             window_capacity=config.window_capacity,
             auto_expire=config.auto_expire,
             tracked_measures=config.tracked_measures,
-            cache=self.cache,
             backend=self._backend,
             compact_threshold=config.compact_threshold,
             window_kernel=config.window_kernel,
@@ -184,7 +183,6 @@ class FlexSession:
                 executor=config.shard_executor,
                 min_population=config.shard_min_population,
                 inner=inner,
-                cache=self.cache,
                 retries=config.shard_retries,
                 hedge_ms=config.shard_hedge_ms,
                 faults=config.fault_plan,
@@ -285,19 +283,28 @@ class FlexSession:
         raise ServiceError(f"not a service request: {request!r}")
 
     def evaluate(self, request: Optional[EvaluateRequest] = None) -> EvaluateResult:
-        """Set-wise flexibility of the live (or an explicit) population."""
+        """Set-wise flexibility of the live (or an explicit) population.
+
+        A live-population request over the session's own measures is
+        answered from the engine's maintained :meth:`StreamingEngine.report`
+        — bit-identical to ``evaluate_set`` over the live offers.  Only a
+        ``skip_unsupported=False`` request whose report skipped a measure
+        re-runs ``evaluate_set``, so it raises exactly what that raises.
+        """
         request = request if request is not None else EvaluateRequest()
-        if request.offers is None:
-            offers = self.engine.live_offers()
-            self.engine.live_matrix()  # publish → the backend hits the cache
-        else:
-            offers = list(request.offers)
-        measures = (
-            request.measures
-            if request.measures is not None
-            else self.engine.measures
-        )
-        with self._serve("evaluate", len(offers)) as finish:
+        live = request.offers is None
+        population = len(self.engine) if live else len(request.offers)
+        with self._serve("evaluate", population) as finish:
+            if live and request.measures is None:
+                report = self.engine.report()
+                if request.skip_unsupported or not report.skipped:
+                    return EvaluateResult(report=report, stats=finish())
+            offers = self.engine.live_offers() if live else list(request.offers)
+            measures = (
+                request.measures
+                if request.measures is not None
+                else self.engine.measures
+            )
             report = evaluate_set(offers, measures, request.skip_unsupported)
             return EvaluateResult(report=report, stats=finish())
 
@@ -345,15 +352,11 @@ class FlexSession:
         # ``objective_value`` always measures the optimised objective.
         if request.reference is not None:
             objective = ImbalanceObjective(objective.metric, request.reference)
-        scheduler = scheduler_class(**options)
-        offers = (
-            self.engine.live_offers()
-            if request.offers is None
-            else list(request.offers)
-        )
-        if request.offers is None:
-            self.engine.live_matrix()
-        with self._serve("schedule", len(offers)) as finish:
+        live = request.offers is None
+        population = len(self.engine) if live else len(request.offers)
+        with self._serve("schedule", population) as finish:
+            scheduler = scheduler_class(**options)
+            offers = self.engine.live_offers() if live else list(request.offers)
             schedule = scheduler.schedule(offers, request.reference)
             value = objective.of_schedule(schedule) if len(schedule) else 0.0
             return ScheduleResult(

@@ -14,8 +14,7 @@ incrementally,
   surviving population plus per-measure value columns
   (:class:`~repro.stream.live.LivePopulation`) — maintained in O(Δ) per
   event through append/tombstone/compact instead of being re-packed from
-  scratch, published into the
-  :data:`~repro.backend.cache.matrix_cache` via :meth:`live_matrix`, and
+  scratch, and
 * optionally a :class:`~repro.stream.window.WindowTracker` sampling the
   population-level set values of the tracked measures on every
   :class:`~repro.stream.events.Tick`, fed from the packed value columns.
@@ -27,6 +26,11 @@ the batch pipeline produces on the surviving offers in arrival order.  All
 incremental state is integer sums / cached floats combined in the same order
 the batch path would combine them, so the equality is exact, not
 approximate.
+
+The engine is the only owner of that packed state.  :meth:`report` folds
+the value columns directly and :meth:`live_matrix` hands out a frozen
+snapshot of the matrix; nothing is published into, or rediscovered
+through, the fingerprint-keyed :data:`~repro.backend.cache.matrix_cache`.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from typing import Optional, Union
 from ..aggregation.alignment import aggregate_start_aligned
 from ..aggregation.base import AggregatedFlexOffer
 from ..aggregation.grouping import GroupingParameters
-from ..backend.cache import matrix_cache
 from ..core.flexoffer import FlexOffer
 from ..measures.base import FlexibilityMeasure
 from ..measures.setwise import FlexibilitySetReport, MeasureSpec, resolve_measures
@@ -158,12 +161,6 @@ class StreamingEngine:
         Optional hooks called *after* the engine's own state change, with
         ``(offer_id, flex_offer, event)`` — the integration points for a
         scheduler re-planning on churn or a market session observing fills.
-    cache:
-        The :class:`~repro.backend.cache.MatrixCache` the engine publishes
-        its live matrix into (and invalidates on mutation); ``None`` uses
-        the process-wide :data:`~repro.backend.cache.matrix_cache`.  The
-        service layer injects the session's own cache here so interleaved
-        sessions never evict each other's packed state.
     backend:
         Backend selection (registered name or instance) for the engine's
         own bulk calls (:meth:`bulk_arrive`); ``None`` resolves the active
@@ -194,13 +191,11 @@ class StreamingEngine:
         on_assigned: Optional[EngineHook] = None,
         on_expired: Optional[EngineHook] = None,
         tracked_measures: Optional[Iterable[str]] = None,
-        cache=None,
         backend=None,
         compact_threshold: Optional[float] = None,
         window_kernel: Optional[str] = None,
     ) -> None:
         self.parameters = parameters
-        self._cache = cache if cache is not None else matrix_cache
         self._backend_spec = backend
         self._compact_threshold = compact_threshold
         self.measures: list[FlexibilityMeasure] = resolve_measures(measures)
@@ -247,18 +242,13 @@ class StreamingEngine:
         #: (latest_start, offer_id) min-heap driving auto-expiry; entries for
         #: offers that already left are invalidated lazily.
         self._deadlines: list[tuple[int, str]] = []
-        #: Matrix-cache generation last synchronised with: lets a mutation
-        #: skip the O(live) cache-invalidation scan when nothing was packed
-        #: since the previous mutation (the common streaming case).
-        self._cache_generation_seen = self._cache.generation
         #: Incrementally maintained packed state (matrix + value columns);
         #: ``None`` without NumPy or after an unpackable offer arrived, in
         #: which case every read path falls back to the per-offer dicts.
         self._live = self._new_live()
-        #: The published frozen snapshot of the live matrix and the cache
-        #: key it was seeded under (discarded O(1) on the next mutation).
-        self._published = None
-        self._published_key: Optional[tuple] = None
+        #: The memoised frozen snapshot :meth:`live_matrix` hands out;
+        #: dropped on every population mutation.
+        self._frozen = None
 
     def _new_live(self):
         """A fresh columnar live state, or ``None`` when NumPy is absent."""
@@ -344,8 +334,10 @@ class StreamingEngine:
         compute backend (one vectorized pass under the NumPy backend) before
         the offers are inserted one by one, so the resulting engine state is
         exactly what the same arrivals applied individually would produce.
-        Accepts :class:`OfferArrived` events or ``(offer_id, flex_offer)``
-        pairs; returns ``self`` for chaining.
+        The batch is all-or-nothing: an id that is already live, or repeats
+        within the batch, raises :class:`StreamError` before anything is
+        evaluated or mutated.  Accepts :class:`OfferArrived` events or
+        ``(offer_id, flex_offer)`` pairs; returns ``self`` for chaining.
         """
         from ..backend.dispatch import get_backend
 
@@ -355,21 +347,19 @@ class StreamingEngine:
             else OfferArrived(arrival[0], arrival[1])
             for arrival in arrivals
         ]
-        arriving = [event.flex_offer for event in events]
-        # The arrival batch is one-shot, so nothing it packs (whole-batch or
-        # per-shard chunk matrices under the sharded backend) may take up
-        # matrix-cache capacity or bump the generation counter.
-        with self._cache.bypass():
-            batched = get_backend(self._backend_spec).per_offer_values(
-                self.measures, arriving
-            )
-        # One invalidation for the whole batch: the per-insert scan would be
-        # O(live) each.
-        self._note_mutation()
+        seen: set[str] = set()
+        for event in events:
+            if event.offer_id in self._index or event.offer_id in seen:
+                raise StreamError(
+                    f"offer {event.offer_id!r} is already in the index"
+                )
+            seen.add(event.offer_id)
+        batched = get_backend(self._backend_spec).per_offer_values(
+            self.measures, [event.flex_offer for event in events]
+        )
         for event, cached in zip(events, batched):
-            self._apply_arrival(event, cached=cached, sync_cache=False)
+            self._apply_arrival(event, cached=cached)
             self.stats.events += 1
-        self._cache_generation_seen = self._cache.generation
         return self
 
     # ------------------------------------------------------------------ #
@@ -446,7 +436,6 @@ class StreamingEngine:
         configured = {measure.key for measure in self.measures}
         arrival_hook = self.on_arrived
         self.on_arrived = None
-        self._note_mutation()
         try:
             for entry in payload.get("live", ()):
                 values = {
@@ -464,11 +453,9 @@ class StreamingEngine:
                         entry["id"], flexoffer_from_dict(entry["offer"])
                     ),
                     cached=values,
-                    sync_cache=False,
                 )
         finally:
             self.on_arrived = arrival_hook
-        self._cache_generation_seen = self._cache.generation
         self.stats = EngineStats(
             **{
                 key: float_from_wire(value)
@@ -493,39 +480,14 @@ class StreamingEngine:
                     window.record(sample_time, float_from_wire(value))
         return self
 
-    def _note_mutation(self) -> None:
-        """Release stale cache entries for the about-to-mutate population.
-
-        The engine's own published snapshot is dropped under its remembered
-        key — O(1), no scan.  Entries some *external* caller packed for the
-        live population (``evaluate_set(engine.live_offers())``) are keyed
-        on content and can never serve a wrong result, so dropping them is
-        memory hygiene; the generation check keeps that O(1) unless
-        something was actually cached since the previous mutation.  The
-        packed state itself is no longer discarded at all — the live matrix
-        is maintained through the mutation in O(Δ).
-        """
-        # The memoised snapshot describes the pre-mutation population even
-        # when it was never cache-seeded (cache disabled, bypass window, or
-        # over the cell budget), so it is dropped unconditionally.
-        self._published = None
-        if self._published_key is not None:
-            self._cache.discard_key(self._published_key)
-            self._published_key = None
-        if self._cache.generation != self._cache_generation_seen:
-            self._cache.discard(self.live_offers())
-            self._cache_generation_seen = self._cache.generation
-
     def _apply_arrival(
         self,
         event: OfferArrived,
         cached: Optional[dict[str, float]] = None,
-        sync_cache: bool = True,
     ) -> None:
-        if sync_cache:
-            self._note_mutation()
         flex_offer = event.flex_offer
         cell = self._index.insert(event.offer_id, flex_offer)
+        self._frozen = None
         aggregate = self._aggregates.get(cell)
         if aggregate is None:
             aggregate = self._aggregates[cell] = IncrementalAggregate()
@@ -560,8 +522,8 @@ class StreamingEngine:
 
     def _evict(self, offer_id: str) -> FlexOffer:
         """Shared removal path of expiry and assignment."""
-        self._note_mutation()
         cell, flex_offer = self._index.evict(offer_id)
+        self._frozen = None
         aggregate = self._aggregates[cell]
         aggregate.remove(offer_id)
         if not len(aggregate):
@@ -728,30 +690,20 @@ class StreamingEngine:
         return FlexibilitySetReport(self.size, values, tuple(skipped))
 
     def live_matrix(self):
-        """The packed matrix of the live population, published to the cache.
+        """The packed matrix of the live population, as a frozen snapshot.
 
         Returns the incrementally maintained
-        :class:`~repro.backend.matrix.ProfileMatrix` as a frozen snapshot —
-        bit-identical to a fresh pack of :meth:`live_offers` — and seeds it
-        into the :data:`~repro.backend.cache.matrix_cache`, so any
-        subsequent backend bulk call on the live population (an external
-        ``evaluate_set``, the sharded backend's per-shard slicing) hits the
-        cache instead of re-packing.  The snapshot stays valid until the
-        next population mutation, which drops the seeded entry in O(1).
-        Returns ``None`` when the packed fast path is unavailable (NumPy
-        missing or an unpackable offer arrived).
+        :class:`~repro.backend.matrix.ProfileMatrix` compacted and frozen —
+        bit-identical to a fresh pack of :meth:`live_offers` — memoised
+        until the next population mutation.  Returns ``None`` when the
+        packed fast path is unavailable (NumPy missing or an unpackable
+        offer arrived).
         """
         if self._live is None:
             return None
-        if self._published is None:
-            snapshot = self._live.population_matrix().snapshot()
-            key = self._cache.key_of(snapshot.offers)
-            weight = int(snapshot.offsets[-1]) if snapshot.size else 0
-            if self._cache.put(key, snapshot, weight=weight):
-                self._published_key = key
-                self._cache_generation_seen = self._cache.generation
-            self._published = snapshot
-        return self._published
+        if self._frozen is None:
+            self._frozen = self._live.population_matrix().snapshot()
+        return self._frozen
 
     def aggregates(self, prefix: str = "aggregate") -> list[AggregatedFlexOffer]:
         """One aggregate per live group, equal to the batch ``aggregate_all``.
@@ -779,13 +731,7 @@ class StreamingEngine:
         return aggregates
 
     def snapshot(self, prefix: str = "aggregate") -> EngineSnapshot:
-        """A consistent batch-equivalent view of the current state.
-
-        Publishes the live packed matrix to the matrix cache first (when
-        available), so batch analyses run on ``snapshot.live`` afterwards
-        skip the packing pass entirely.
-        """
-        self.live_matrix()
+        """A consistent batch-equivalent view of the current state."""
         groups = tuple(tuple(group) for group in self._index.groups())
         return EngineSnapshot(
             time=self.time,

@@ -3,11 +3,11 @@
 The tentpole contract of the incremental-matrix PR: after *any* interleaving
 of arrivals, evictions, expiries and assignments — including runs that cross
 the tombstone-ratio compaction threshold — the engine's live matrix (and
-every shard matrix sliced out of it) is bit-identical to a fresh pack of the
+every contiguous slice of it) is bit-identical to a fresh pack of the
 surviving population.  Also covered: the matrix mutation primitives
 themselves (append / tombstone / compact / slice / snapshot), the
-``REPRO_MATRIX_COMPACT`` knob, cache seeding via :meth:`MatrixCache.put`,
-and the engine's columnar fold against its dictionary path.
+``REPRO_MATRIX_COMPACT`` knob, the engine's memoised snapshot, and the
+engine's columnar fold against its dictionary path.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from strategies import stream_flexoffers
 
 from repro.backend import NUMPY_AVAILABLE
-from repro.backend.cache import MatrixCache, matrix_cache
+from repro.backend.cache import matrix_cache
 from repro.core import FlexOffer
 from repro.stream import (
     OfferArrived,
@@ -165,57 +165,24 @@ def test_snapshot_is_frozen_and_stable_across_mutations():
 
 
 # --------------------------------------------------------------------- #
-# Cache seeding
+# The engine's memoised snapshot
 # --------------------------------------------------------------------- #
 
 
-def test_matrix_cache_put_seeds_and_respects_bounds():
-    cache = MatrixCache(capacity=2, cell_budget=100)
-    assert cache.put(("a",), "entry-a", weight=10) is True
-    assert cache.put(("b",), "entry-b", weight=10) is True
-    assert cache.put(("c",), "entry-c", weight=10) is True  # evicts "a" (LRU)
-    assert cache.stats()["size"] == 2 and cache.evictions == 1
-    assert cache.put(("d",), "too-heavy", weight=101) is False
-    with cache.bypass():
-        assert cache.put(("e",), "bypassed", weight=1) is False
-    assert MatrixCache(capacity=0).put(("f",), "disabled") is False
-
-
-def test_engine_publishes_live_matrix_and_discards_on_mutation():
-    rng = random.Random(5)
-    engine = StreamingEngine(measures=MEASURES)
-    for index in range(8):
-        engine.apply(OfferArrived(f"f{index}", make_offer(rng, index)))
-    published = engine.live_matrix()
-    assert published is not None
-    assert matrix_cache.peek(engine.live_offers()) is published
-    assert engine.live_matrix() is published  # memoised until mutation
-    stale = list(engine.live_offers())
-    engine.apply(OfferExpired("f3"))
-    assert matrix_cache.peek(stale) is None
-    refreshed = engine.live_matrix()
-    assert refreshed is not published
-    assert matrix_cache.peek(engine.live_offers()) is refreshed
-
-
 def test_live_matrix_refreshes_after_mutation_even_without_cache():
-    """Regression: with the cache unable to retain the snapshot (capacity
-    0), the memoised snapshot must still be dropped on mutation — it
-    describes the pre-mutation population regardless of cache seeding."""
+    """The engine hands out one frozen snapshot per population state: the
+    same object until a mutation, a fresh one after it — no cache involved."""
     rng = random.Random(11)
     engine = StreamingEngine(measures=["time", "energy"])
     for index in range(3):
         engine.apply(OfferArrived(f"f{index}", make_offer(rng, index)))
-    original_capacity = matrix_cache.capacity
-    matrix_cache.capacity = 0  # every put() is refused
-    try:
-        first = engine.live_matrix()
-        assert len(first) == 3
-        engine.apply(OfferArrived("f3", make_offer(rng, 3)))
-        refreshed = engine.live_matrix()
-        assert refreshed is not first and len(refreshed) == engine.size == 4
-    finally:
-        matrix_cache.capacity = original_capacity
+    first = engine.live_matrix()
+    assert len(first) == 3
+    assert engine.live_matrix() is first  # memoised until mutation
+    engine.apply(OfferArrived("f3", make_offer(rng, 3)))
+    refreshed = engine.live_matrix()
+    assert refreshed is not first and len(refreshed) == engine.size == 4
+    assert len(first) == 3  # the handed-out snapshot stays frozen
 
 
 def test_engine_degrades_on_unpackable_offer_and_rearms_when_empty():

@@ -1,10 +1,11 @@
 """Behaviour of the fingerprint-keyed ProfileMatrix cache.
 
-Covers the satellite contract of the sharding PR: hit/miss accounting on
-stable vs. mutated populations, proactive invalidation from every
-population-mutating :class:`StreamingEngine` event type, survival across
-non-mutating events, LRU bounds, the disable knob, and thread-safety of
-``use_backend`` interleavings around the shared cache.
+Covers hit/miss accounting on stable vs. mutated populations, LRU and
+cell-budget bounds, the disable knob, thread-safety of ``use_backend``
+interleavings around the shared cache — and that the streaming engine
+keeps its live population out of the cache: every population-mutating
+event invalidates the engine's own memoised live matrix, never a cache
+entry.
 """
 
 from __future__ import annotations
@@ -97,9 +98,11 @@ def test_lru_eviction_and_capacity_bound():
     cache.get(POPULATION[:1], builder)  # refresh entry 1
     cache.get(POPULATION[:3], builder)  # evicts the stale entry 2
     assert cache.evictions == 1
-    assert cache.peek(POPULATION[:1]) is not None
-    assert cache.peek(POPULATION[:2]) is None
     assert len(cache) == 2
+    cache.get(POPULATION[:1], builder)  # survived: a hit
+    assert len(calls) == 3
+    cache.get(POPULATION[:2], builder)  # evicted: rebuilt
+    assert len(calls) == 4
 
 
 def test_capacity_zero_disables_storage():
@@ -175,49 +178,25 @@ def test_cell_budget_bounds_retained_weight():
     cache.get(POPULATION[:3], builder, weigher)  # weight 3 -> total 5
     assert cache.stats()["weight"] == 5 and len(cache) == 2
     cache.get(POPULATION[:1], builder, weigher)  # over budget: evicts LRU
-    assert cache.stats()["weight"] <= 5
-    assert cache.peek(POPULATION[:2]) is None
-    assert cache.peek(POPULATION[:1]) is not None
+    assert cache.stats()["weight"] == 4 and len(cache) == 2
+    assert cache.evictions == 1
     # An entry heavier than the whole budget is simply not retained — and
     # must not evict the entries that do fit.
-    survivors = len(cache)
     oversized = POPULATION + POPULATION[:2]  # weight 6 > 5
     cache.get(oversized, builder, weigher)
-    assert cache.peek(oversized) is None
-    assert len(cache) == survivors
-    # Discarding restores the weight accounting.
-    retained = cache.stats()["weight"]
-    assert cache.discard(POPULATION[:1]) is True
-    assert cache.stats()["weight"] == retained - 1
+    assert cache.stats()["weight"] == 4 and len(cache) == 2
+    assert cache.evictions == 1
 
 
-def test_bypass_serves_hits_but_stores_nothing():
-    """One-shot evaluations (streaming arrival batches) must not occupy
-    LRU capacity or bump the generation counter."""
+def test_clear_drops_every_entry():
     cache = MatrixCache(capacity=4)
     builder, calls = build_counter()
-    first = cache.get(POPULATION, builder)
-    generation = cache.generation
-    with cache.bypass():
-        assert cache.get(POPULATION, builder) is first  # hits still served
-        cache.get(POPULATION[:2], builder)  # miss: built but not stored
-        with cache.bypass():  # nests
-            cache.get(POPULATION[:3], builder)
-    assert len(cache) == 1
+    cache.get(POPULATION, builder)
+    cache.get(POPULATION[:2], builder)
+    assert cache.clear() == 2 and len(cache) == 0
+    assert cache.stats()["misses"] == 2  # counters survive
+    cache.get(POPULATION, builder)
     assert len(calls) == 3
-    assert cache.generation == generation
-    cache.get(POPULATION[:2], builder)  # stores again once outside
-    assert len(cache) == 2
-
-
-def test_discard_and_clear():
-    cache = MatrixCache(capacity=4)
-    builder, _ = build_counter()
-    cache.get(POPULATION, builder)
-    assert cache.discard(POPULATION) is True
-    assert cache.discard(POPULATION) is False
-    cache.get(POPULATION, builder)
-    assert cache.clear() == 1 and len(cache) == 0
 
 
 # --------------------------------------------------------------------- #
@@ -249,7 +228,7 @@ def test_unpackable_population_falls_back_uncached():
 
 
 # --------------------------------------------------------------------- #
-# Wiring: StreamingEngine mutations invalidate proactively
+# Wiring: StreamingEngine mutations invalidate its own live matrix
 # --------------------------------------------------------------------- #
 
 
@@ -258,6 +237,18 @@ def make_engine(**kwargs):
     for index, offer in enumerate(POPULATION):
         engine.apply(OfferArrived(f"f{index}", offer))
     return engine
+
+
+def assert_refreshed_without_the_cache(engine, mutate, refreshed=True):
+    """Run ``mutate``; the memoised live matrix must follow the population
+    while the process-wide cache sees no traffic at all."""
+    before = matrix_cache.stats()
+    stale = engine.live_matrix()
+    mutate()
+    fresh = engine.live_matrix()
+    assert (fresh is not stale) is refreshed
+    assert fresh.offers == tuple(engine.live_offers())
+    assert matrix_cache.stats() == before
 
 
 @requires_numpy
@@ -272,47 +263,37 @@ def make_engine(**kwargs):
 )
 def test_population_mutating_events_invalidate(event):
     engine = make_engine()
-    with use_backend("numpy"):
-        evaluate_set(engine.live_offers())
-    assert matrix_cache.peek(engine.live_offers()) is not None
-    stale = list(engine.live_offers())
-    engine.apply(event)
-    assert matrix_cache.peek(stale) is None
+    assert_refreshed_without_the_cache(engine, lambda: engine.apply(event))
 
 
 @requires_numpy
 def test_auto_expiry_tick_invalidates():
     engine = make_engine(auto_expire=True)
-    with use_backend("numpy"):
-        evaluate_set(engine.live_offers())
-    stale = list(engine.live_offers())
-    engine.apply(Tick(100))  # every latest_start < 100 -> all expire
-    assert engine.size == 0
-    assert matrix_cache.peek(stale) is None
+    assert_refreshed_without_the_cache(engine, lambda: engine.apply(Tick(100)))
+    assert engine.size == 0  # every latest_start < 100 -> all expired
 
 
 @requires_numpy
 def test_non_mutating_tick_keeps_the_entry():
-    engine = make_engine()
-    with use_backend("numpy"):
-        evaluate_set(engine.live_offers())
-    engine.apply(Tick(1))  # no auto-expiry configured: population unchanged
-    assert matrix_cache.peek(engine.live_offers()) is not None
+    engine = make_engine()  # no auto-expiry: a tick leaves the population
+    assert_refreshed_without_the_cache(
+        engine, lambda: engine.apply(Tick(1)), refreshed=False
+    )
 
 
 @requires_numpy
 def test_bulk_arrive_invalidates_once():
     engine = make_engine()
-    with use_backend("numpy"):
-        evaluate_set(engine.live_offers())
-    stale = list(engine.live_offers())
     arrivals = [
         (f"bulk{index}", FlexOffer(index, index + 2, [(1, 2)], name=f"bulk{index}"))
         for index in range(5)
     ]
-    with use_backend("numpy"):
-        engine.bulk_arrive(arrivals)
-    assert matrix_cache.peek(stale) is None
+
+    def arrive():
+        with use_backend("numpy"):
+            engine.bulk_arrive(arrivals)
+
+    assert_refreshed_without_the_cache(engine, arrive)
     assert engine.size == len(POPULATION) + 5
 
 

@@ -3,7 +3,10 @@
 The session is a façade, never a reinterpretation: after *any* interleaving
 of stream mutations and read requests, every response payload equals what
 the hand-wired ``StreamingEngine`` + batch pipeline + scheduler + market
-calls produce on the same state — bit-for-bit, not approximately.
+calls produce on the same state — bit-for-bit, not approximately.  Offers
+are consumption, production or mixed, so the area measure is skipped on
+some populations; a strict (``skip_unsupported=False``) evaluate must then
+raise exactly what ``evaluate_set`` raises.
 """
 
 from __future__ import annotations
@@ -19,15 +22,24 @@ from repro.market import FlexibilityPricer, TradingSession
 from repro.measures import evaluate_set
 from repro.scheduling import EarliestStartScheduler, HillClimbingScheduler, ImbalanceObjective
 from repro.service import (
+    EvaluateRequest,
     FlexSession,
     ScheduleRequest,
     SessionConfig,
     StreamRequest,
     TradeRequest,
 )
-from repro.stream import OfferArrived, OfferExpired, StreamingEngine, Tick
+from repro.stream import (
+    OfferArrived,
+    OfferExpired,
+    StreamError,
+    StreamingEngine,
+    Tick,
+)
 
-MEASURES = ("time", "energy", "product", "vector")
+#: ``absolute_area`` does not support mixed offers, so mixed populations
+#: exercise the skipped-measure paths.
+MEASURES = ("time", "energy", "product", "vector", "absolute_area")
 GROUPING = GroupingParameters(4, 2)
 SEED = 13
 
@@ -39,9 +51,9 @@ def flex_offers(draw):
     slices = draw(
         st.lists(
             st.tuples(
-                st.integers(min_value=0, max_value=3),
-                st.integers(min_value=0, max_value=3),
-            ).map(lambda pair: (min(pair), min(pair) + abs(pair[1] - pair[0]))),
+                st.integers(min_value=-3, max_value=3),
+                st.integers(min_value=-3, max_value=3),
+            ).map(lambda pair: (min(pair), max(pair))),
             min_size=1,
             max_size=3,
         )
@@ -49,16 +61,21 @@ def flex_offers(draw):
     return FlexOffer(earliest, earliest + width, slices)
 
 
-#: One step of the interleaving: ("arrive", offers) | ("expire",) | ("tick",)
-#: | ("evaluate",) | ("aggregate",) | ("schedule",) | ("trade",)
+#: One step of the interleaving: ("arrive", offers, bulk) | ("reject", offers)
+#: | ("expire",) | ("tick",) | ("evaluate",) | ("evaluate-strict",)
+#: | ("aggregate",) | ("schedule",) | ("trade",)
 steps = st.lists(
     st.one_of(
         st.tuples(
-            st.just("arrive"), st.lists(flex_offers(), min_size=1, max_size=4)
+            st.just("arrive"),
+            st.lists(flex_offers(), min_size=1, max_size=4),
+            st.booleans(),
         ),
+        st.tuples(st.just("reject"), st.lists(flex_offers(), max_size=3)),
         st.tuples(st.just("expire")),
         st.tuples(st.just("tick")),
         st.tuples(st.just("evaluate")),
+        st.tuples(st.just("evaluate-strict")),
         st.tuples(st.just("aggregate")),
         st.tuples(st.just("schedule")),
         st.tuples(st.just("trade")),
@@ -68,9 +85,9 @@ steps = st.lists(
 )
 
 
-def _run_interleaving(backend: str, script) -> None:
+def _run_interleaving(backend: str, script, **overrides) -> None:
     config = SessionConfig(
-        backend=backend, measures=MEASURES, grouping=GROUPING, seed=SEED
+        backend=backend, measures=MEASURES, grouping=GROUPING, seed=SEED, **overrides
     )
     session = FlexSession(config)
     shadow = StreamingEngine(parameters=GROUPING, measures=MEASURES)
@@ -85,10 +102,24 @@ def _run_interleaving(backend: str, script) -> None:
                     for index, offer in enumerate(step[1])
                 ]
                 arrivals += len(batch)
-                result = session.stream(StreamRequest(events=tuple(batch)))
+                result = session.stream(
+                    StreamRequest(events=tuple(batch), bulk=step[2])
+                )
                 for event in batch:
                     shadow.apply(event)
                 assert result.live == len(shadow)
+            elif kind == "reject":
+                # A bulk batch re-sending a live id is refused whole.
+                victims = shadow.live_ids()
+                if not victims:
+                    continue
+                batch = [
+                    OfferArrived(f"rejected-{arrivals + index}", offer)
+                    for index, offer in enumerate(step[1])
+                ] + [OfferArrived(victims[0], shadow.live_offers()[0])]
+                with pytest.raises(StreamError):
+                    session.stream(StreamRequest(events=tuple(batch), bulk=True))
+                assert session.engine.live_ids() == shadow.live_ids()
             elif kind == "expire":
                 victims = shadow.live_ids()
                 if not victims:
@@ -105,6 +136,19 @@ def _run_interleaving(backend: str, script) -> None:
                 with use_backend(backend):
                     expected = evaluate_set(shadow.live_offers(), MEASURES)
                 assert served == expected
+            elif kind == "evaluate-strict":
+                request = EvaluateRequest(skip_unsupported=False)
+                with use_backend(backend):
+                    try:
+                        expected = evaluate_set(shadow.live_offers(), MEASURES, False)
+                    except Exception as error:  # noqa: BLE001 - compared below
+                        expected = error
+                if isinstance(expected, Exception):
+                    with pytest.raises(Exception) as raised:
+                        session.evaluate(request)
+                    assert type(raised.value) is type(expected)
+                else:
+                    assert session.evaluate(request).report == expected
             elif kind == "aggregate":
                 served = session.aggregate()
                 with use_backend(backend):
@@ -168,11 +212,16 @@ def test_session_interleavings_match_hand_wiring_numpy(script):
 def test_fixed_interleaving_smoke_on_every_backend():
     """A deterministic fast-tier companion of the hypothesis properties."""
     script = [
-        ("arrive", [FlexOffer(0, 3, [(1, 2)]), FlexOffer(2, 4, [(0, 2), (1, 3)])]),
+        ("arrive", [FlexOffer(0, 3, [(1, 2)]), FlexOffer(2, 4, [(0, 2), (1, 3)])], True),
         ("evaluate",),
-        ("arrive", [FlexOffer(1, 1, [(2, 2)])]),
+        ("evaluate-strict",),
+        ("arrive", [FlexOffer(1, 1, [(2, 2)])], False),
+        ("reject", [FlexOffer(0, 2, [(1, 1)])]),
         ("aggregate",),
         ("schedule",),
+        ("arrive", [FlexOffer(0, 2, [(-2, 1)]), FlexOffer(1, 2, [(-3, -1)])], True),
+        ("evaluate",),
+        ("evaluate-strict",),
         ("expire",),
         ("tick",),
         ("trade",),
@@ -180,6 +229,9 @@ def test_fixed_interleaving_smoke_on_every_backend():
     ]
     for backend in available_backends():
         _run_interleaving(backend, script)
+    if "sharded" in available_backends():
+        # Past the shard threshold, so every bulk call fans out.
+        _run_interleaving("sharded", script, shards=2, shard_min_population=1)
 
 
 def test_earliest_schedule_equivalence_after_churn():

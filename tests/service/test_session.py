@@ -524,15 +524,17 @@ def test_interleaved_sessions_do_not_share_cache_entries():
     small = FlexSession(backend="numpy", cache_entries=1, cache_cells=50)
     large = FlexSession(backend="numpy", cache_entries=8)
     try:
+        process_wide = matrix_cache.stats()
         small.ingest(offers)
         large.ingest(offers)
-        small.evaluate()
-        large.evaluate()
+        small.evaluate(EvaluateRequest(offers=offers))
+        large.evaluate(EvaluateRequest(offers=offers))
         # The large session's budget is untouched by the small session's
-        # evictions, and neither session wrote into the process-wide cache.
+        # evictions, and neither session touched the process-wide cache.
         assert small.cache.stats()["size"] <= 1
+        assert large.cache.stats()["size"] == 1
         assert large.cache is not small.cache
-        assert matrix_cache.peek(offers) is None
+        assert matrix_cache.stats() == process_wide
     finally:
         small.close()
         large.close()
@@ -545,10 +547,11 @@ def test_sharded_session_uses_instance_inner_backend():
     )
     offers = population(30, seed=4)
     with FlexSession(config) as session:
-        session.ingest(offers)
-        served = session.evaluate().report
-        # The session cache (not the global one) holds the packed state.
-        assert session.cache.stats()["hits"] + session.cache.stats()["misses"] > 0
+        process_wide = matrix_cache.stats()
+        served = session.evaluate(EvaluateRequest(offers=offers)).report
+        # The session cache (not the global one) holds the packed shards.
+        assert session.cache.stats()["misses"] == config.shards
+        assert matrix_cache.stats() == process_wide
     with use_backend("reference"):
         assert served == evaluate_set(offers, None)
 
@@ -563,11 +566,76 @@ def test_process_executor_session_delegates_through_the_session_cache():
     session = FlexSession(config)
     try:
         assert session.backend_name == "sharded"
-        session.ingest(offers)
-        served = session.evaluate()
+        process_wide = matrix_cache.stats()
+        served = session.evaluate(EvaluateRequest(offers=offers))
         assert served.stats.cache_hits + served.stats.cache_misses > 0
-        assert matrix_cache.peek(session.engine.live_offers()) is None
+        assert matrix_cache.stats() == process_wide
     finally:
         session.close()
     with use_backend("reference"):
         assert served.report == evaluate_set(offers, None)
+
+
+# --------------------------------------------------------------------- #
+# Bulk-stream durability and request timing
+# --------------------------------------------------------------------- #
+
+
+@requires_numpy
+def test_failed_bulk_stream_leaves_no_state_the_wal_cannot_recover(tmp_path):
+    """A bulk request with a duplicate id is rejected whole: whatever the
+    session still serves after the failure is exactly what a fresh session
+    recovers from the same persist_dir."""
+    from repro.stream import StreamError
+
+    offers = population(3, seed=21)
+    config = SessionConfig(backend="numpy", persist_dir=str(tmp_path / "tenant"))
+    events = tuple(
+        OfferArrived(f"o{index}", offer) for index, offer in enumerate(offers)
+    ) + (OfferArrived("o1", offers[0]),)
+    session = FlexSession(config)
+    try:
+        with pytest.raises(StreamError):
+            session.stream(StreamRequest(events=events, bulk=True))
+        served = len(session.engine)
+    finally:
+        session.close()
+    with FlexSession(config) as recovered:
+        assert served == len(recovered.engine)
+
+
+def test_bulk_arrive_is_all_or_nothing():
+    from repro.stream import StreamError
+
+    offers = population(4, seed=22)
+    engine = StreamingEngine(measures=["time", "energy"])
+    engine.apply(OfferArrived("live", offers[0]))
+    before = engine.snapshot()
+    for batch in (
+        [("a", offers[1]), ("live", offers[2])],  # clashes with the live set
+        [("a", offers[1]), ("b", offers[2]), ("a", offers[3])],  # within batch
+    ):
+        with pytest.raises(StreamError):
+            engine.bulk_arrive(batch)
+        assert engine.snapshot() == before
+
+
+@pytest.mark.parametrize("kind", ["evaluate", "schedule"])
+def test_request_duration_covers_live_population_reads(kind, monkeypatch):
+    import time as time_module
+
+    with FlexSession(backend="reference") as session:
+        session.ingest(population(5, seed=23))
+        for name in ("report", "live_offers"):
+            original = getattr(session.engine, name)
+
+            def slow(*args, _original=original, **kwargs):
+                time_module.sleep(0.05)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(session.engine, name, slow)
+        if kind == "evaluate":
+            stats = session.evaluate().stats
+        else:
+            stats = session.schedule(ScheduleRequest("earliest")).stats
+        assert stats.duration_s >= 0.05

@@ -257,35 +257,15 @@ class TestIdentifiers:
 
 
 class TestInjectableState:
-    """PR 5: the engine's cache, backend and compaction are per instance."""
-
-    def test_engine_publishes_into_an_injected_cache(self):
-        pytest.importorskip("numpy")
-        from repro.backend import MatrixCache, matrix_cache
-
-        private = MatrixCache(capacity=4, cell_budget=10_000)
-        engine = StreamingEngine(measures=["time"], cache=private)
-        offers = [FlexOffer(i, i + 2, [(1, 3)]) for i in range(5)]
-        for index, offer in enumerate(offers):
-            engine.apply(OfferArrived(f"o{index}", offer))
-        published = engine.live_matrix()
-        assert published is not None
-        assert private.peek(engine.live_offers()) is published
-        assert matrix_cache.peek(engine.live_offers()) is None
-        # Mutation drops the entry from the *injected* cache, O(1).
-        engine.apply(OfferExpired("o0"))
-        assert private.peek(offers) is None
+    """The engine's backend and compaction are per instance."""
 
     def test_engine_backend_spec_routes_bulk_arrive(self):
         pytest.importorskip("numpy")
-        from repro.backend import MatrixCache
         from repro.backend.numpy_backend import NumpyBackend
 
-        cache = MatrixCache(capacity=4)
-        backend = NumpyBackend(cache=cache)
         offers = [FlexOffer(i % 3, i % 3 + 1, [(1, 2), (0, 2)]) for i in range(6)]
         engine = StreamingEngine(
-            measures=["time", "vector"], cache=cache, backend=backend
+            measures=["time", "vector"], backend=NumpyBackend()
         )
         engine.bulk_arrive((f"o{i}", offer) for i, offer in enumerate(offers))
         baseline = StreamingEngine(measures=["time", "vector"])
