@@ -34,9 +34,7 @@ instead of throwing the packed arrays away on every mutation:
   per-event cost stays amortized O(Δ);
 * :meth:`ProfileMatrix.snapshot` publishes a zero-copy frozen view of the
   current rows (safe because rows are never mutated in place — appends
-  write beyond the view, compaction replaces the backing stores);
-* :meth:`ProfileMatrix.slice` carves a contiguous sub-population out as its
-  own matrix, again without a Python re-pack.
+  write beyond the view, compaction replaces the backing stores).
 
 Bulk consumers (the compute backends) require a matrix without live
 tombstones; the streaming engine compacts before snapshotting.
@@ -488,43 +486,6 @@ class ProfileMatrix:
         clone._amax = self.amax
         clone._alive = self.alive
         clone.size = self.size
-        clone._refresh_views()
-        return clone
-
-    def slice(self, start: int, stop: int) -> "ProfileMatrix":
-        """A matrix over rows ``start:stop`` without a Python re-pack.
-
-        Shares the packed storage (contiguous array views; only ``offsets``
-        is rebased into a small copy), so carving a chunk out of a packed
-        population is C-speed.  The result is frozen, like
-        :meth:`snapshot`, and requires a tombstone-free source.
-        """
-        if self._dead:
-            raise ValueError("compact() before slicing a live matrix")
-        if not 0 <= start <= stop <= self.size:
-            raise IndexError(
-                f"slice [{start}:{stop}] outside 0..{self.size}"
-            )
-        clone = object.__new__(ProfileMatrix)
-        clone._offers = self._offers[start:stop]
-        clone._offers_tuple = None
-        clone._frozen = True
-        clone._dead = 0
-        clone.compact_threshold = self.compact_threshold
-        clone._tes = self.tes[start:stop]
-        clone._tls = self.tls[start:stop]
-        clone._cmin = self.cmin[start:stop]
-        clone._cmax = self.cmax[start:stop]
-        clone._durations = self.durations[start:stop]
-        clone._offsets = (
-            self.offsets[start : stop + 1] - self.offsets[start]
-        )
-        low = int(self.offsets[start])
-        high = int(self.offsets[stop])
-        clone._amin = self.amin[low:high]
-        clone._amax = self.amax[low:high]
-        clone._alive = self.alive[start:stop]
-        clone.size = stop - start
         clone._refresh_views()
         return clone
 

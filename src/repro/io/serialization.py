@@ -102,7 +102,9 @@ def wire_safe(payload: Any) -> Any:
     any nesting depth goes through :func:`float_to_wire`, so the result
     always survives ``json.dumps(..., allow_nan=False)``.  Typed payloads
     built by the ``*_to_dict`` serialisers already encode their numeric
-    fields and do not need this pass.
+    fields and do not need this pass: the gateway's ``Response.encode``
+    serialises every payload directly and falls back to this copy only
+    when strict encoding refuses a non-finite float.
     """
     if isinstance(payload, float):
         return float_to_wire(payload)
@@ -119,7 +121,7 @@ def flexoffer_to_dict(flex_offer: FlexOffer) -> dict[str, Any]:
         "name": flex_offer.name,
         "earliest_start": flex_offer.earliest_start,
         "latest_start": flex_offer.latest_start,
-        "slices": [list(energy_slice.as_tuple()) for energy_slice in flex_offer.slices],
+        "slices": [[s.amin, s.amax] for s in flex_offer.slices],
         "total_energy_min": flex_offer.cmin,
         "total_energy_max": flex_offer.cmax,
     }

@@ -93,8 +93,10 @@ class ImbalanceObjective:
         active compute backend's
         :meth:`~repro.backend.ComputeBackend.batch_objectives`, one
         vectorized pass under the NumPy backend.  This is how the
-        evolutionary scheduler scores a whole generation and the
-        hill-climbing scheduler its restart initials.
+        evolutionary scheduler scores a whole generation, the
+        hill-climbing scheduler its restart initials, and
+        ``FlexSession.schedule`` the ``objective_value`` of the schedule
+        it returns.
         """
         from ..backend.dispatch import get_backend
 

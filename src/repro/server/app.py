@@ -211,9 +211,17 @@ class Response:
         Strict JSON: non-finite floats anywhere in the payload (a window
         summary over an infinite measure value, say) leave as the
         :func:`~repro.io.float_to_wire` sentinels instead of the invalid
-        ``NaN``/``Infinity`` literals ``allow_nan=True`` would emit.
+        ``NaN``/``Infinity`` literals ``allow_nan=True`` would emit.  The
+        payload is serialised directly; only when that refuses a
+        non-finite float is it re-encoded through :func:`~repro.io.wire_safe`,
+        so typed ``*_to_dict`` bodies skip the deep copy and every body
+        stays byte-identical to encoding ``wire_safe(payload)``.
         """
-        body = json.dumps(wire_safe(self.payload), allow_nan=False).encode("utf-8")
+        try:
+            text = json.dumps(self.payload, allow_nan=False)
+        except ValueError:
+            text = json.dumps(wire_safe(self.payload), allow_nan=False)
+        body = text.encode("utf-8")
         reason = _REASONS.get(self.status, "Unknown")
         lines = [
             f"HTTP/1.1 {self.status} {reason}",

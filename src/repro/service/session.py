@@ -358,7 +358,9 @@ class FlexSession:
             scheduler = scheduler_class(**options)
             offers = self.engine.live_offers() if live else list(request.offers)
             schedule = scheduler.schedule(offers, request.reference)
-            value = objective.of_schedule(schedule) if len(schedule) else 0.0
+            # One batch_objectives pass through the session's backend:
+            # bit-identical to objective.of_schedule(schedule).
+            value = objective.of_generation([schedule])[0] if len(schedule) else 0.0
             return ScheduleResult(
                 schedule=schedule,
                 objective_value=value,

@@ -2,10 +2,10 @@
 
 The tentpole contract of the incremental-matrix PR: after *any* interleaving
 of arrivals, evictions, expiries and assignments — including runs that cross
-the tombstone-ratio compaction threshold — the engine's live matrix (and
-every contiguous slice of it) is bit-identical to a fresh pack of the
-surviving population.  Also covered: the matrix mutation primitives
-themselves (append / tombstone / compact / slice / snapshot), the
+the tombstone-ratio compaction threshold — the engine's live matrix is
+bit-identical to a fresh pack of the surviving population.  Also covered:
+the matrix mutation primitives themselves (append / tombstone / compact /
+snapshot), the
 ``REPRO_MATRIX_COMPACT`` knob, the engine's memoised snapshot, and the
 engine's columnar fold against its dictionary path.
 """
@@ -129,18 +129,6 @@ def test_append_overflow_leaves_matrix_untouched():
     assert_bit_identical(matrix, ProfileMatrix(offers))
 
 
-def test_slice_equals_fresh_pack_of_chunk():
-    from repro.backend.matrix import ProfileMatrix
-
-    rng = random.Random(3)
-    offers = [make_offer(rng, index) for index in range(20)]
-    matrix = ProfileMatrix(offers)
-    assert_bit_identical(matrix.slice(4, 17), ProfileMatrix(offers[4:17]))
-    assert_bit_identical(matrix.slice(0, 0), ProfileMatrix([]))
-    with pytest.raises(IndexError):
-        matrix.slice(5, 25)
-
-
 def test_snapshot_is_frozen_and_stable_across_mutations():
     import numpy as np
 
@@ -245,9 +233,9 @@ def test_live_matrix_matches_fresh_pack_after_any_interleaving(
     data, threshold, offers
 ):
     """Arrivals / evictions / expiries / assignments / bulk ingestion, in any
-    order and across compaction thresholds, leave the live matrix (and each
-    shard matrix sliced from it) bit-identical to a fresh pack of the
-    surviving population, and the columnar folds equal the dictionary path."""
+    order and across compaction thresholds, leave the live matrix
+    bit-identical to a fresh pack of the surviving population, and the
+    columnar folds equal the dictionary path."""
     from repro.backend.matrix import ProfileMatrix
 
     engine = StreamingEngine(measures=MEASURES)
@@ -295,23 +283,6 @@ def test_live_matrix_matches_fresh_pack_after_any_interleaving(
     assert matrix is not None
     fresh = ProfileMatrix(survivors)
     assert_bit_identical(matrix, fresh)
-    # Every shard matrix sliced out of the live matrix equals a fresh pack
-    # of the same contiguous chunk (the sharded backend's handles).
-    if survivors:
-        bounds = sorted(
-            {0, len(survivors)}
-            | {
-                data.draw(
-                    st.integers(min_value=0, max_value=len(survivors)),
-                    label="bound",
-                )
-                for _ in range(2)
-            }
-        )
-        for low, high in zip(bounds, bounds[1:]):
-            assert_bit_identical(
-                matrix.slice(low, high), ProfileMatrix(survivors[low:high])
-            )
     # Columnar folds reproduce the dictionary path exactly.
     for measure in engine.measures:
         if engine._unsupported_counts[measure.key]:

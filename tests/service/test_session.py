@@ -34,6 +34,7 @@ from repro.service import (
     StreamRequest,
     TradeRequest,
 )
+from repro.service.session import _SCHEDULERS
 from repro.stream import OfferArrived, OfferExpired, StreamingEngine, Tick
 
 requires_numpy = pytest.mark.skipif(
@@ -440,6 +441,69 @@ class TestRequestsMatchHandWiring:
                 report = evaluate_set(offers, ("time",))
         with use_backend("reference"):
             assert report == evaluate_set(offers, ("time",))
+
+
+# --------------------------------------------------------------------- #
+# objective_value: bit-identical to of_schedule on every backend
+# --------------------------------------------------------------------- #
+
+_SCORING_BACKENDS = [
+    pytest.param({"backend": "reference"}, id="reference"),
+    pytest.param({"backend": "numpy"}, id="numpy", marks=requires_numpy),
+    pytest.param(
+        {
+            "backend": "sharded",
+            "shards": 2,
+            "shard_min_population": 1,
+            "shard_executor": "thread",
+        },
+        id="sharded",
+        marks=requires_numpy,
+    ),
+]
+
+_SCHEDULER_OPTIONS = {
+    "hill-climbing": {"iterations": 10, "restarts": 1},
+    "evolutionary": {"population_size": 4, "generations": 2},
+}
+
+
+@pytest.mark.parametrize("metric", ["absolute", "squared"])
+@pytest.mark.parametrize("scheduler", sorted(_SCHEDULERS))
+@pytest.mark.parametrize("backend", _SCORING_BACKENDS)
+def test_objective_value_is_bit_identical_to_of_schedule(backend, scheduler, metric):
+    """The session scores through the backend's batch objective; the value
+    must equal the scalar ``of_schedule`` of the optimised objective bit for
+    bit — with and without a request reference, and with a caller-supplied
+    options['objective'] wherever the scheduler takes one."""
+    offers = population(24, seed=3)
+    # Float references make the fold order visible in the low bits.
+    wind = TimeSeries(1, tuple(3.1 + 0.37 * step for step in range(11)))
+    custom_reference = TimeSeries(0, tuple(4.3 - 0.11 * step for step in range(12)))
+    takes_objective = _SCHEDULERS[scheduler][2]
+    base = _SCHEDULER_OPTIONS.get(scheduler, {})
+    cases = [
+        (None, base, ImbalanceObjective(metric, None)),
+        (wind, base, ImbalanceObjective(metric, wind)),
+    ]
+    if takes_objective:
+        # The caller's objective wins over the request metric.
+        other = "squared" if metric == "absolute" else "absolute"
+        custom = ImbalanceObjective(other, custom_reference)
+        with_custom = {**base, "objective": custom}
+        cases.append((None, with_custom, custom))
+        cases.append((wind, with_custom, ImbalanceObjective(other, wind)))
+    with FlexSession(SessionConfig(seed=7, **backend)) as session:
+        session.ingest(offers)
+        for reference, options, objective in cases:
+            result = session.schedule(
+                ScheduleRequest(
+                    scheduler, metric=metric, reference=reference, options=options
+                )
+            )
+            assert len(result.schedule) == len(offers)
+            expected = objective.of_schedule(result.schedule)
+            assert result.objective_value.hex() == expected.hex()
 
 
 # --------------------------------------------------------------------- #
