@@ -3,7 +3,8 @@
 The ROADMAP's "millions of users" proof point: one gateway process serving
 1,000+ concurrent tenants, each with an isolated session, over the full
 HTTP wire path (parse → ``request_from_dict`` → worker-pool submit →
-``result_to_dict``), with mixed evaluate/schedule/trade/stream traffic
+``result_envelope`` → ``Response.encode``), with mixed
+evaluate/schedule/trade/stream traffic
 driven by :mod:`tools.loadgen` over the in-process asyncio transport.
 
 Two CI gates:

@@ -53,6 +53,8 @@ __all__ = [
     "request_from_dict",
     "result_to_dict",
     "result_from_dict",
+    "result_envelope",
+    "wire_default",
     "error_to_dict",
     "error_from_dict",
 ]
@@ -104,7 +106,11 @@ def wire_safe(payload: Any) -> Any:
     built by the ``*_to_dict`` serialisers already encode their numeric
     fields and do not need this pass: the gateway's ``Response.encode``
     serialises every payload directly and falls back to this copy only
-    when strict encoding refuses a non-finite float.
+    when strict encoding refuses a non-finite float.  Typed items left in
+    a payload (a schedule's assignments, see :func:`result_envelope`) pass
+    through the copy untouched; the encoder converts them one at a time
+    through :func:`wire_default`, whose output is already sentinel-encoded,
+    so the bytes are the same as for the fully materialised tree.
     """
     if isinstance(payload, float):
         return float_to_wire(payload)
@@ -502,6 +508,16 @@ def _bid_from_dict(payload: dict[str, Any]):
     )
 
 
+def _schedule_result_to_dict(result, schedule: dict[str, Any]) -> dict[str, Any]:
+    return {
+        "kind": "schedule",
+        "schedule": schedule,
+        "objective_value": float_to_wire(result.objective_value),
+        "scheduler": result.scheduler,
+        "stats": _stats_to_dict(result.stats),
+    }
+
+
 def result_to_dict(result) -> dict[str, Any]:
     """A JSON-ready, kind-tagged dictionary for any service result.
 
@@ -541,13 +557,7 @@ def result_to_dict(result) -> dict[str, Any]:
             "stats": _stats_to_dict(result.stats),
         }
     if isinstance(result, ScheduleResult):
-        return {
-            "kind": "schedule",
-            "schedule": schedule_to_dict(result.schedule),
-            "objective_value": float_to_wire(result.objective_value),
-            "scheduler": result.scheduler,
-            "stats": _stats_to_dict(result.stats),
-        }
+        return _schedule_result_to_dict(result, schedule_to_dict(result.schedule))
     if isinstance(result, TradeResult):
         return {
             "kind": "trade",
@@ -569,6 +579,40 @@ def result_to_dict(result) -> dict[str, Any]:
             "stats": _stats_to_dict(result.stats),
         }
     raise SerializationError(f"not a serialisable service result: {result!r}")
+
+
+def wire_default(value: Any) -> Any:
+    """The ``json.dumps(default=...)`` hook for typed items in a payload.
+
+    An :class:`~repro.core.Assignment` renders through
+    :func:`assignment_to_dict`, so the encoder converts it when it reaches
+    it and the dictionaries die right after they are written.  Any other
+    type raises the ``TypeError`` ``json.dumps`` raises without a hook.
+    """
+    if isinstance(value, Assignment):
+        return assignment_to_dict(value)
+    raise TypeError(
+        f"Object of type {value.__class__.__name__} is not JSON serializable"
+    )
+
+
+def result_envelope(result) -> dict[str, Any]:
+    """:func:`result_to_dict` without a schedule's per-assignment tree.
+
+    A schedule's ``"assignments"`` is the schedule's own assignment tuple;
+    every other field, and every other result kind, is exactly
+    :func:`result_to_dict`.  Encoded with ``default=``:func:`wire_default`
+    it gives the same JSON as :func:`result_to_dict`, but the assignments
+    are converted one at a time during encoding instead of all being held
+    as dictionaries at once.  This is the gateway's submit payload.
+    """
+    from ..service.results import ScheduleResult
+
+    if isinstance(result, ScheduleResult):
+        return _schedule_result_to_dict(
+            result, {"assignments": result.schedule.assignments}
+        )
+    return result_to_dict(result)
 
 
 def result_from_dict(payload: dict[str, Any]):

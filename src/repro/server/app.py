@@ -14,7 +14,11 @@ Request path
 ``POST /sessions/{name}/requests`` maps the body through
 :func:`~repro.io.request_from_dict` →
 :meth:`~repro.service.FlexSession.submit` →
-:func:`~repro.io.result_to_dict`.  Sessions are synchronous objects, so
+:func:`~repro.io.result_envelope`, the :func:`~repro.io.result_to_dict`
+document with a schedule's assignments left as the schedule's own
+assignment tuple: the encoder renders them one at a time through
+:func:`~repro.io.wire_default`, so a large schedule never holds its whole
+dictionary tree alive.  Sessions are synchronous objects, so
 the submit runs on a worker-thread pool via ``loop.run_in_executor`` —
 safe because backend activation is thread-local (the PR 5 dispatch fix):
 each worker thread activates only the serving session's backend.
@@ -64,7 +68,9 @@ from ..io.csv_io import RequestStatsLog
 from ..io.serialization import (
     error_to_dict,
     request_from_dict,
-    result_to_dict,
+    result_envelope,
+    result_to_dict,  # noqa: F401 - unused here; gatewaybench/tracing.py wraps it by name
+    wire_default,
     wire_safe,
 )
 from ..persist import PersistenceSuspendedError
@@ -215,12 +221,19 @@ class Response:
         payload is serialised directly; only when that refuses a
         non-finite float is it re-encoded through :func:`~repro.io.wire_safe`,
         so typed ``*_to_dict`` bodies skip the deep copy and every body
-        stays byte-identical to encoding ``wire_safe(payload)``.
+        stays byte-identical to encoding ``wire_safe(payload)``.  Typed
+        items in the payload (the assignments of a
+        :func:`~repro.io.result_envelope`) convert one at a time through
+        the :func:`~repro.io.wire_default` hook on both encodes; the bytes
+        equal those of the fully materialised :func:`~repro.io.result_to_dict`
+        tree.
         """
         try:
-            text = json.dumps(self.payload, allow_nan=False)
+            text = json.dumps(self.payload, default=wire_default, allow_nan=False)
         except ValueError:
-            text = json.dumps(wire_safe(self.payload), allow_nan=False)
+            text = json.dumps(
+                wire_safe(self.payload), default=wire_default, allow_nan=False
+            )
         body = text.encode("utf-8")
         reason = _REASONS.get(self.status, "Unknown")
         lines = [
@@ -463,7 +476,7 @@ class Gateway:
         self.served += 1
         if self.access_log is not None:
             self.access_log.append(result.stats)
-        return Response(200, result_to_dict(result))
+        return Response(200, result_envelope(result))
 
     async def _handle_checkpoint(self, name: str, body: bytes) -> Response:
         """Snapshot a durable tenant on demand (both gates held, like a
@@ -532,27 +545,34 @@ class Gateway:
                         request_line.decode("latin-1").split(None, 2)
                     )
                 except ValueError:
-                    error = BadRequestError("malformed request line")
-                    writer.write(
-                        Response(400, error_to_dict(error)).encode(close=True)
+                    await self._refuse(
+                        writer, BadRequestError("malformed request line")
                     )
-                    await writer.drain()
                     break
                 headers = await self._read_headers(reader)
                 if headers is None:
                     break
-                length = int(headers.get("content-length", "0") or "0")
+                # Refuse an unframeable or oversized body before buffering
+                # it: the body never gets read, so the connection cannot
+                # be reused afterwards.
+                declared = headers.get("content-length") or "0"
+                if not (declared.isascii() and declared.isdigit()):
+                    await self._refuse(
+                        writer,
+                        BadRequestError(
+                            f"malformed content-length header: {declared!r}"
+                        ),
+                    )
+                    break
+                length = int(declared)
                 if length > self.config.max_body_bytes:
-                    # Refuse before buffering: the body never gets read,
-                    # so the connection cannot be reused afterwards.
-                    error = PayloadTooLargeError(
-                        f"declared body of {length} bytes exceeds the "
-                        f"{self.config.max_body_bytes}-byte budget"
+                    await self._refuse(
+                        writer,
+                        PayloadTooLargeError(
+                            f"declared body of {length} bytes exceeds the "
+                            f"{self.config.max_body_bytes}-byte budget"
+                        ),
                     )
-                    writer.write(
-                        Response(413, error_to_dict(error)).encode(close=True)
-                    )
-                    await writer.drain()
                     break
                 body = await reader.readexactly(length) if length else b""
                 path = target.partition("?")[0]
@@ -574,6 +594,14 @@ class Gateway:
             with suppress(Exception, asyncio.CancelledError):
                 writer.close()
                 await writer.wait_closed()
+
+    @staticmethod
+    async def _refuse(writer, error: GatewayError) -> None:
+        """Answer a request the parser will not serve, with ``connection: close``."""
+        writer.write(
+            Response(error.status, error_to_dict(error)).encode(close=True)
+        )
+        await writer.drain()
 
     @staticmethod
     async def _read_headers(reader: asyncio.StreamReader):

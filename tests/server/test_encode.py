@@ -4,21 +4,40 @@
 allow_nan=False)`` and re-encodes ``wire_safe(payload)`` only when that
 refuses a non-finite float.  The bytes must equal encoding the
 ``wire_safe`` copy unconditionally, for every JSON-like payload.
+
+The gateway's submit payload is :func:`repro.io.result_envelope`, which
+leaves a schedule's assignments for the encoder's ``wire_default`` hook:
+its bytes must equal encoding the fully materialised ``result_to_dict``
+tree, and it must not hold a per-assignment container tree alive.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from strategies import small_flexoffers
 
-from repro.io import wire_safe
+from repro.backend import NUMPY_AVAILABLE
+from repro.core import FlexOffer, TimeSeries
+from repro.io import request_to_dict, result_envelope, result_to_dict, wire_safe
 from repro.server import Gateway, GatewayConfig, Response
 from repro.server.app import _REASONS
-from repro.service import SessionConfig
+from repro.service import (
+    AggregateRequest,
+    EvaluateRequest,
+    FlexSession,
+    ScheduleRequest,
+    SessionConfig,
+    StreamRequest,
+    TradeRequest,
+)
+from repro.stream import Tick, population_events
 
 try:
     import numpy as np
@@ -103,3 +122,155 @@ def test_circular_payload_still_fails_loudly():
     payload["self"] = payload
     with pytest.raises(RecursionError):
         Response(200, payload).encode()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"kind": "health", "stray": object()},
+        {"kind": "health", "floor": float("-inf"), "stray": object()},
+    ],
+    ids=["direct", "wire-safe-fallback"],
+)
+def test_payload_holding_an_unrelated_object_still_raises_type_error(payload):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        Response(200, payload).encode()
+
+
+# --------------------------------------------------------------------- #
+# Submit bodies: the envelope encodes like the materialised result tree
+# --------------------------------------------------------------------- #
+
+BACKENDS = {"reference": {"backend": "reference"}}
+if NUMPY_AVAILABLE:
+    BACKENDS["numpy"] = {"backend": "numpy"}
+    BACKENDS["sharded"] = {
+        "backend": "sharded",
+        "shards": 2,
+        "shard_min_population": 1,
+    }
+
+_names = st.none() | st.text(max_size=6) | st.sampled_from(["ölpumpe", "充電器"])
+
+
+@st.composite
+def named_offers(draw):
+    # The live engine computes every measure on arrival, and the relative
+    # area measure is undefined for an offer with no energy at all.
+    offer = draw(small_flexoffers().filter(lambda o: abs(o.cmin) + abs(o.cmax)))
+    return FlexOffer(
+        offer.earliest_start,
+        offer.latest_start,
+        [(s.amin, s.amax) for s in offer.slices],
+        offer.cmin,
+        offer.cmax,
+        draw(_names),
+    )
+
+
+def every_request_kind(offers):
+    """One request of each kind over the live population, plus evaluate
+    and schedule over explicit offers when there are any."""
+    wind = TimeSeries(0, (2,) * 10)
+    requests = [
+        StreamRequest(events=tuple(population_events(offers)), bulk=True),
+        EvaluateRequest(),
+        AggregateRequest(),
+        TradeRequest(budget=1e9),
+        StreamRequest(events=(Tick(3),)),
+        ScheduleRequest("earliest"),
+        ScheduleRequest("greedy", reference=wind),
+    ]
+    if offers:
+        requests += [
+            EvaluateRequest(
+                measures=("time", "energy", "vector", "absolute_area"),
+                offers=tuple(offers),
+            ),
+            ScheduleRequest("earliest", offers=tuple(offers[:3])),
+        ]
+    return requests
+
+
+class RecordingGateway(Gateway):
+    """A gateway that keeps every result it served, for comparison."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.results = []
+
+    async def _submit_on_worker(self, session, request):
+        result = await super()._submit_on_worker(session, request)
+        self.results.append(result)
+        return result
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(offers=st.lists(named_offers(), max_size=8))
+def test_submit_bodies_are_byte_identical_to_the_result_tree(offers):
+    async def run():
+        gateway = RecordingGateway(GatewayConfig())
+        try:
+            served = []
+            for name, config in BACKENDS.items():
+                created = await gateway.handle(
+                    "PUT", f"/sessions/{name}", json.dumps(config).encode()
+                )
+                assert created.status == 201
+                for request in every_request_kind(offers):
+                    body = json.dumps(request_to_dict(request)).encode()
+                    response = await gateway.handle(
+                        "POST", f"/sessions/{name}/requests", body
+                    )
+                    assert response.status == 200, response.payload
+                    served.append((response, gateway.results[-1]))
+            return served
+        finally:
+            gateway.close()
+
+    served = asyncio.run(run())
+    assert len(served) == len(BACKENDS) * len(every_request_kind(offers))
+    for response, result in served:
+        for close in (False, True):
+            expected = Response(200, result_to_dict(result)).encode(close)
+            assert response.encode(close) == expected
+
+
+def test_submit_payload_of_a_large_schedule_keeps_few_tracked_objects():
+    """The envelope holds the schedule's own assignments, not a
+    dictionary tree of ~5 containers per assignment."""
+    rng = random.Random(7)
+    offers = []
+    for index in range(2000):
+        earliest = rng.randrange(8)
+        offers.append(
+            FlexOffer(
+                earliest,
+                earliest + rng.randrange(3),
+                [(1, 1 + rng.randrange(3)), (0, 2)],
+                name=f"offer-{index}",
+            )
+        )
+    with FlexSession(SessionConfig(backend="reference")) as session:
+        session.submit(
+            StreamRequest(events=tuple(population_events(offers)), bulk=True)
+        )
+        result = session.submit(ScheduleRequest("earliest"))
+    assert len(result.schedule) == len(offers)
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        payload = result_envelope(result)
+        held = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert held < 50
+    assert Response(200, payload).encode() == Response(
+        200, result_to_dict(result)
+    ).encode()

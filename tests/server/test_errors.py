@@ -164,6 +164,31 @@ def test_oversized_payload_is_a_structured_413():
     assert_error_body(response, 413, "payload-too-large")
 
 
+@pytest.mark.parametrize("declared", ["abc", "-5"])
+def test_malformed_content_length_is_a_structured_400_and_closes(declared):
+    """A content-length that does not frame a body is answered, not
+    dropped: the connection task must not die on it."""
+
+    async def run(gateway, client):
+        client._writer.write(
+            (
+                "POST /sessions/t/requests HTTP/1.1\r\n"
+                f"content-length: {declared}\r\n\r\n"
+            ).encode()
+        )
+        await client._writer.drain()
+        response = await client._read_response()
+        # The server closed its side: the next read sees end of stream.
+        trailing = await client._reader.read()
+        return response, trailing
+
+    response, trailing = scenario(run)
+    assert_error_body(response, 400, "bad-request")
+    assert "content-length" in response.payload["detail"]
+    assert response.headers["connection"] == "close"
+    assert trailing == b""
+
+
 def test_timeout_is_a_structured_504_and_session_survives():
     """The deadline satellite: a slow request 504s; the worker hand-off is
     clean, so the very next request on the same session succeeds."""
