@@ -24,12 +24,6 @@ lock guards the LRU structure, and :func:`~repro.backend.use_backend`
 contexts on different threads can interleave freely — the packed matrix for
 a given population is identical whichever backend requested it first.
 
-Knobs
------
-``REPRO_MATRIX_CACHE``
-    Capacity (number of retained populations) of the process-wide cache.
-    ``0`` disables caching entirely; unset means :data:`DEFAULT_CAPACITY`.
-
 Caveat: a fingerprint is a 64-bit BLAKE2b digest of the offer's structure,
 so two *different* offers aliasing a cache entry would require a digest
 collision — not constructible in practice.  The library already treats
@@ -39,7 +33,6 @@ replay adapters key on it); the cache inherits that contract.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Sequence
@@ -53,27 +46,20 @@ __all__ = [
     "matrix_cache",
     "cached_matrix",
     "matrix_weight",
-    "ENV_CACHE_VAR",
     "DEFAULT_CAPACITY",
+    "DEFAULT_CELL_BUDGET",
 ]
 
-#: Environment variable holding the process-wide cache capacity.
-ENV_CACHE_VAR = "REPRO_MATRIX_CACHE"
-
-#: Retained populations when ``REPRO_MATRIX_CACHE`` is unset.  Sized for the
-#: common shapes — a handful of whole populations plus one shard set — while
-#: bounding worst-case retention (a cached matrix keeps its offers alive).
+#: Default number of retained populations.  Sized for the common shapes — a
+#: handful of whole populations plus one shard set — while bounding
+#: worst-case retention (a cached matrix keeps its offers alive).
 DEFAULT_CAPACITY = 32
 
-#: Environment variable bounding total retained *weight* (packed slices).
-ENV_CELL_VAR = "REPRO_MATRIX_CACHE_CELLS"
-
-#: Total packed slices retained across all entries when
-#: ``REPRO_MATRIX_CACHE_CELLS`` is unset.  An entry-count bound alone would
-#: let 32 million-offer populations pin gigabytes; this caps retention by
-#: size too (a matrix's arrays plus its offer tuple scale with its slice
-#: count).  At 8M cells the worst case is a few hundred MB while still
-#: holding several 1M-offer populations or a full shard set.
+#: Default total packed slices retained across all entries.  An entry-count
+#: bound alone would let 32 million-offer populations pin gigabytes; this
+#: caps retention by size too (a matrix's arrays plus its offer tuple scale
+#: with its slice count).  At 8M cells the worst case is a few hundred MB
+#: while still holding several 1M-offer populations or a full shard set.
 DEFAULT_CELL_BUDGET = 8_000_000
 
 
@@ -84,31 +70,20 @@ class MatrixCache:
     ----------
     capacity:
         Maximum number of retained entries; ``0`` disables the cache (every
-        :meth:`get` builds without storing).  ``None`` reads
-        ``REPRO_MATRIX_CACHE`` and falls back to :data:`DEFAULT_CAPACITY`.
+        :meth:`get` builds without storing).
     cell_budget:
         Maximum total entry *weight* (packed slice count, reported by the
         caller's ``weigher``); bounds retained bytes, not just entry count.
-        ``None`` reads ``REPRO_MATRIX_CACHE_CELLS`` and falls back to
-        :data:`DEFAULT_CELL_BUDGET`.  An entry heavier than the whole
-        budget is simply not retained.
+        An entry heavier than the whole budget is simply not retained.
     """
 
     def __init__(
-        self, capacity: Optional[int] = None, cell_budget: Optional[int] = None
+        self,
+        capacity: int = DEFAULT_CAPACITY,
+        cell_budget: int = DEFAULT_CELL_BUDGET,
     ) -> None:
-        from .dispatch import _env_int
-
-        if capacity is None:
-            environment = _env_int(ENV_CACHE_VAR, minimum=0)
-            capacity = DEFAULT_CAPACITY if environment is None else environment
         if capacity < 0:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
-        if cell_budget is None:
-            environment = _env_int(ENV_CELL_VAR, minimum=0)
-            cell_budget = (
-                DEFAULT_CELL_BUDGET if environment is None else environment
-            )
         if cell_budget < 0:
             raise ValueError(f"cell budget must be >= 0, got {cell_budget}")
         self.capacity = capacity

@@ -61,53 +61,13 @@ __all__ = [
 #: Environment variable naming the default backend for the process.
 ENV_VAR = "REPRO_BACKEND"
 
-
-def _warn_ignored_env(variable: str, value: str, expected: str) -> None:
-    """Report a malformed environment knob that is being ignored.
-
-    Shared by every backend-layer knob (matrix-cache capacity, shard count,
-    executor kind, …): configuration is read at import or registry-bootstrap
-    time, where raising would take down ``import repro`` or every
-    :func:`get_backend` call over an unrelated backend's typo.
-    """
-    import warnings
-
-    warnings.warn(
-        f"ignoring invalid {variable}={value!r} (expected {expected}); "
-        "using the default",
-        RuntimeWarning,
-        stacklevel=4,
-    )
-
-
-def _env_int(variable: str, minimum: int) -> Optional[int]:
-    """An integer environment knob, or ``None`` when unset/invalid (warns)."""
-    raw = os.environ.get(variable)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        value = minimum - 1
-    if value < minimum:
-        _warn_ignored_env(variable, raw, f"an integer >= {minimum}")
-        return None
-    return value
-
-
-def _env_float(variable: str, minimum: float, maximum: float) -> Optional[float]:
-    """A float environment knob in ``[minimum, maximum]``, or ``None`` (warns)."""
-    raw = os.environ.get(variable)
-    if raw is None:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        value = minimum - 1.0
-    if not minimum <= value <= maximum:
-        _warn_ignored_env(variable, raw, f"a number in [{minimum}, {maximum}]")
-        return None
-    return value
+#: Live-matrix tombstone ratio that triggers compaction: once a quarter of
+#: the rows are dead.  Low enough that the O(live) gather stays amortized
+#: O(1) per tombstone, high enough that eviction bursts do not compact on
+#: every event.  Defined here, NumPy-free, so that
+#: :class:`~repro.service.SessionConfig` can resolve it on any host;
+#: :mod:`repro.backend.matrix` re-exports it.
+DEFAULT_COMPACT_THRESHOLD = 0.25
 
 
 class ComputeBackend(abc.ABC):

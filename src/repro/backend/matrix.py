@@ -30,8 +30,8 @@ instead of throwing the packed arrays away on every mutation:
 * :meth:`ProfileMatrix.compact` drops the dead rows with one vectorized
   boolean gather, leaving arrays bit-identical to a fresh pack of the
   survivors.  Compaction triggers automatically once the tombstone ratio
-  reaches ``compact_threshold`` (the ``REPRO_MATRIX_COMPACT`` knob), so the
-  per-event cost stays amortized O(Δ);
+  reaches ``compact_threshold``, so the per-event cost stays amortized
+  O(Δ);
 * :meth:`ProfileMatrix.snapshot` publishes a zero-copy frozen view of the
   current rows (safe because rows are never mutated in place — appends
   write beyond the view, compaction replaces the backing stores).
@@ -53,13 +53,13 @@ from typing import Optional
 import numpy as np
 
 from ..core.flexoffer import FlexOffer
+from .dispatch import DEFAULT_COMPACT_THRESHOLD
 
 __all__ = [
     "ProfileMatrix",
     "VALUE_LIMIT",
     "SLICE_LIMIT",
     "DENSE_CELL_LIMIT",
-    "ENV_COMPACT_VAR",
     "DEFAULT_COMPACT_THRESHOLD",
 ]
 
@@ -84,17 +84,6 @@ SLICE_LIMIT = 1 << 20
 #: the scalar loops, which only need O(per-offer width) memory.
 DENSE_CELL_LIMIT = 10_000_000
 
-#: Environment variable holding the tombstone ratio that triggers automatic
-#: compaction of a live matrix (a float in ``[0, 1]``; ``0`` compacts on
-#: every tombstone, ``1`` only once every row is dead).
-ENV_COMPACT_VAR = "REPRO_MATRIX_COMPACT"
-
-#: Tombstone ratio when ``REPRO_MATRIX_COMPACT`` is unset: compact once a
-#: quarter of the rows are dead.  Low enough that the O(live) gather stays
-#: amortized O(1) per tombstone, high enough that eviction bursts do not
-#: compact on every event.
-DEFAULT_COMPACT_THRESHOLD = 0.25
-
 #: Per-offer int64 store names, gathered/grown together.
 _OFFER_STORES = ("_tes", "_tls", "_cmin", "_cmax", "_durations")
 
@@ -116,20 +105,6 @@ _DERIVED_CACHES = (
 )
 
 
-def _compact_threshold(value: Optional[float]) -> float:
-    """Resolve the compaction threshold (argument > env knob > default)."""
-    if value is not None:
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(
-                f"compact_threshold must lie in [0, 1], got {value}"
-            )
-        return float(value)
-    from .dispatch import _env_float
-
-    environment = _env_float(ENV_COMPACT_VAR, 0.0, 1.0)
-    return DEFAULT_COMPACT_THRESHOLD if environment is None else environment
-
-
 class ProfileMatrix:
     """A flex-offer population as packed ``(amin, amax)`` arrays.
 
@@ -139,10 +114,9 @@ class ProfileMatrix:
         The population, in evaluation order.  Order is preserved everywhere:
         row ``i`` of every per-offer array describes ``offers[i]``.
     compact_threshold:
-        Tombstone ratio at which :meth:`tombstone` compacts automatically;
-        ``None`` reads ``REPRO_MATRIX_COMPACT`` and falls back to
-        :data:`DEFAULT_COMPACT_THRESHOLD`.  Only relevant for matrices
-        maintained live.
+        Tombstone ratio in ``[0, 1]`` at which :meth:`tombstone` compacts
+        automatically (``0`` compacts on every tombstone, ``1`` only once
+        every row is dead).  Only relevant for matrices maintained live.
 
     Raises
     ------
@@ -155,7 +129,7 @@ class ProfileMatrix:
     def __init__(
         self,
         flex_offers: Iterable[FlexOffer],
-        compact_threshold: Optional[float] = None,
+        compact_threshold: float = DEFAULT_COMPACT_THRESHOLD,
     ) -> None:
         offers = list(flex_offers)
         arrays = self._sweep(offers)
@@ -164,7 +138,11 @@ class ProfileMatrix:
         self._offers_tuple: Optional[tuple[FlexOffer, ...]] = None
         self._frozen = False
         self._dead = 0
-        self.compact_threshold = _compact_threshold(compact_threshold)
+        if not 0.0 <= compact_threshold <= 1.0:
+            raise ValueError(
+                f"compact_threshold must lie in [0, 1], got {compact_threshold}"
+            )
+        self.compact_threshold = float(compact_threshold)
         tes, tls, cmin, cmax, durations, amin, amax = arrays
         self._tes = tes
         self._tls = tls

@@ -47,47 +47,25 @@ Executors
 ``remote``
     A :class:`~repro.cluster.RemoteShardExecutor` dispatching shards to
     :mod:`repro.cluster` worker processes over framed TCP — the multi-host
-    tier.  Requires a cluster (the ``cluster`` argument or
-    ``REPRO_CLUSTER``); shard chunks are interned per connection by
-    fingerprint, so steady-state calls reference offers by key instead of
-    re-shipping them.  A dead host is evicted and its shards redispatched
-    to surviving hosts (a *partial* recovery — no pool rebuild) within the
-    same retry budget below.
-
-Knobs (read once, at construction)
-----------------------------------
-``REPRO_SHARDS``
-    Shard count; defaults to ``os.cpu_count()``.
-``REPRO_SHARD_EXECUTOR``
-    ``thread``, ``process`` or ``remote``.
-``REPRO_CLUSTER``
-    Worker hosts for the remote executor (``host:port,host:port`` or a
-    JSON :meth:`~repro.cluster.ClusterSpec.spec` document).
-``REPRO_SHARD_MIN``
-    Populations smaller than this are delegated whole to the inner backend
-    (fan-out overhead would dominate); defaults to
-    :data:`DEFAULT_MIN_POPULATION`.
-``REPRO_SHARD_RETRIES``
-    Per-shard retry budget for infrastructure failures (a broken worker
-    pool, an injected :class:`~repro.faults.FaultInjected`); defaults to
-    :data:`DEFAULT_RETRIES`.  Application errors — an offer a measure
-    rejects — are never retried.
-``REPRO_SHARD_HEDGE_MS``
-    Straggler hedging: when a shard's result is this many milliseconds
-    late, an identical duplicate is submitted to a spare pool slot and the
-    first result wins (the primary wins ties).  ``0`` (the default)
-    disables hedging.  Shard workers are pure functions of their inputs,
-    so the duplicate's result is bit-identical and first-result-wins
-    cannot change any merged output.
+    tier.  Requires the ``cluster`` argument; shard chunks are interned
+    per connection by fingerprint, so steady-state calls reference offers
+    by key instead of re-shipping them.  A dead host is evicted and its
+    shards redispatched to surviving hosts (a *partial* recovery — no pool
+    rebuild) within the same retry budget below.
 
 Self-healing
 ------------
 ``_map`` — the one fan-out/merge primitive every operation funnels
 through — retries each shard independently on *infrastructure* errors
-(bounded by the retry budget, with linear backoff), detects a broken
-executor, rebuilds the pool once and re-dispatches only the shards whose
-futures were lost (completed shards keep their results), and hedges
-stragglers as described above.  Shard results are still consumed in
+(a broken worker pool, an injected :class:`~repro.faults.FaultInjected`;
+bounded by ``retries``, with linear backoff), detects a broken executor,
+rebuilds the pool once and re-dispatches only the shards whose futures
+were lost (completed shards keep their results).  Application errors — an
+offer a measure rejects — are never retried.  With ``hedge_ms`` set, a
+shard whose result is that many milliseconds late gets an identical
+duplicate on a spare pool slot and the first result wins (the primary
+wins ties); shard workers are pure functions of their inputs, so this
+cannot change any merged output.  Shard results are still consumed in
 submission order, so the first-offending-offer error-parity contract
 above survives every recovery path.
 
@@ -118,9 +96,6 @@ from ..core.flexoffer import FlexOffer
 from ..faults.plan import SHARD_RESULT, SHARD_SUBMIT, FaultInjected, FaultPlan
 from .dispatch import (
     ComputeBackend,
-    _env_float,
-    _env_int,
-    _warn_ignored_env,
     get_backend,
     register_backend,
 )
@@ -130,25 +105,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "ShardedBackend",
-    "ENV_SHARDS",
-    "ENV_EXECUTOR",
-    "ENV_MIN_POPULATION",
-    "ENV_RETRIES",
-    "ENV_HEDGE_MS",
     "DEFAULT_MIN_POPULATION",
     "DEFAULT_RETRIES",
 ]
-
-#: Environment variable overriding the shard count.
-ENV_SHARDS = "REPRO_SHARDS"
-#: Environment variable selecting the executor kind (``thread``/``process``).
-ENV_EXECUTOR = "REPRO_SHARD_EXECUTOR"
-#: Environment variable overriding the delegation threshold.
-ENV_MIN_POPULATION = "REPRO_SHARD_MIN"
-#: Environment variable overriding the per-shard retry budget.
-ENV_RETRIES = "REPRO_SHARD_RETRIES"
-#: Environment variable enabling straggler hedging (milliseconds, 0 = off).
-ENV_HEDGE_MS = "REPRO_SHARD_HEDGE_MS"
 
 #: Below this population size the whole operation runs on the inner backend:
 #: pool dispatch plus per-shard packing costs more than it saves.
@@ -275,15 +234,13 @@ class ShardedBackend(ComputeBackend):
     Parameters
     ----------
     shards:
-        Number of shards (and pool workers).  ``None`` reads
-        ``REPRO_SHARDS`` and falls back to ``os.cpu_count()``.
+        Number of shards (and pool workers).  ``None`` means
+        ``os.cpu_count()``.
     executor:
         ``"thread"`` (default), ``"process"`` or ``"remote"`` (dispatch to
-        a :mod:`repro.cluster` worker pool); ``None`` reads
-        ``REPRO_SHARD_EXECUTOR``.
+        a :mod:`repro.cluster` worker pool).
     min_population:
         Populations smaller than this run whole on the inner backend.
-        ``None`` reads ``REPRO_SHARD_MIN``.
     inner:
         The inner backend: a registered name, or (thread executor only) an
         explicit :class:`ComputeBackend` instance — the service layer hands
@@ -291,16 +248,14 @@ class ShardedBackend(ComputeBackend):
         session's cache.  ``None`` picks ``numpy`` when registered, else
         ``reference``.
     retries:
-        Per-shard retry budget for infrastructure failures.  ``None``
-        reads ``REPRO_SHARD_RETRIES`` and falls back to
-        :data:`DEFAULT_RETRIES`; ``0`` fails fast with a typed
-        :class:`~repro.core.errors.BackendError`.
+        Per-shard retry budget for infrastructure failures; ``0`` fails
+        fast with a typed :class:`~repro.core.errors.BackendError`.
     retry_backoff_s:
         Base sleep before a retry (multiplied by the attempt number).
     hedge_ms:
-        Straggler-hedging latency threshold in milliseconds.  ``None``
-        reads ``REPRO_SHARD_HEDGE_MS``; ``0`` disables hedging.  When
-        enabled the pool gets one spare slot for the duplicates.
+        Straggler-hedging latency threshold in milliseconds; ``0`` (the
+        default) disables hedging.  When enabled the pool gets one spare
+        slot for the duplicates.
     faults:
         Optional :class:`repro.faults.FaultPlan`; when set the fan-out
         fires the ``shard.submit`` / ``shard.result`` injection sites
@@ -310,9 +265,8 @@ class ShardedBackend(ComputeBackend):
     cluster:
         Worker hosts for the ``"remote"`` executor — a
         :class:`~repro.cluster.ClusterSpec` (or anything its
-        :meth:`~repro.cluster.ClusterSpec.from_spec` accepts).  ``None``
-        reads ``REPRO_CLUSTER``; required (one way or the other) when
-        ``executor="remote"`` and rejected for local executors.
+        :meth:`~repro.cluster.ClusterSpec.from_spec` accepts).  Required
+        when ``executor="remote"`` and rejected for local executors.
     """
 
     name: ClassVar[str] = "sharded"
@@ -320,32 +274,20 @@ class ShardedBackend(ComputeBackend):
     def __init__(
         self,
         shards: Optional[int] = None,
-        executor: Optional[str] = None,
-        min_population: Optional[int] = None,
+        executor: str = "thread",
+        min_population: int = DEFAULT_MIN_POPULATION,
         inner: Optional[Union[str, ComputeBackend]] = None,
-        retries: Optional[int] = None,
+        retries: int = DEFAULT_RETRIES,
         retry_backoff_s: float = 0.01,
-        hedge_ms: Optional[float] = None,
+        hedge_ms: float = 0.0,
         faults: Optional[FaultPlan] = None,
         cluster=None,
     ) -> None:
-        # Explicit arguments fail fast; environment values degrade to the
-        # documented defaults with a warning instead — the default instance
-        # is constructed during registry bootstrap, and a typo in an unused
-        # backend's knob must not break every get_backend() call.
         if shards is None:
-            shards = _env_int(ENV_SHARDS, minimum=1) or (os.cpu_count() or 1)
+            shards = os.cpu_count() or 1
         elif shards < 1:
             raise BackendError(f"shard count must be >= 1, got {shards}")
-        explicit_executor = executor is not None
-        if executor is None:
-            executor = os.environ.get(ENV_EXECUTOR, "thread")
-            if executor not in _EXECUTOR_KINDS:
-                _warn_ignored_env(
-                    ENV_EXECUTOR, executor, "'thread', 'process' or 'remote'"
-                )
-                executor = "thread"
-        elif executor not in _EXECUTOR_KINDS:
+        if executor not in _EXECUTOR_KINDS:
             raise BackendError(
                 f"unknown shard executor {executor!r}; "
                 f"use one of {_EXECUTOR_KINDS}"
@@ -354,37 +296,19 @@ class ShardedBackend(ComputeBackend):
             from ..cluster import ClusterError, ClusterSpec
 
             if cluster is None:
-                cluster = ClusterSpec.from_env()
-            else:
-                try:
-                    cluster = ClusterSpec.from_spec(cluster)
-                except ClusterError as error:
-                    raise BackendError(f"invalid cluster spec: {error}") from error
-            if cluster is None:
-                # The remote executor is useless without hosts.  An explicit
-                # choice fails fast; an environment-driven one degrades like
-                # every other malformed REPRO_* knob.
-                if explicit_executor:
-                    raise BackendError(
-                        "executor='remote' needs a cluster "
-                        "(pass cluster=... or set REPRO_CLUSTER)"
-                    )
-                _warn_ignored_env(
-                    ENV_EXECUTOR,
-                    executor,
-                    "'remote' with REPRO_CLUSTER set",
+                raise BackendError(
+                    "executor='remote' needs a cluster (pass cluster=...)"
                 )
-                executor = "thread"
+            try:
+                cluster = ClusterSpec.from_spec(cluster)
+            except ClusterError as error:
+                raise BackendError(f"invalid cluster spec: {error}") from error
         elif cluster is not None:
             raise BackendError(
                 f"cluster= only applies to executor='remote', "
                 f"not {executor!r}"
             )
-        if min_population is None:
-            min_population = _env_int(ENV_MIN_POPULATION, minimum=0)
-            if min_population is None:
-                min_population = DEFAULT_MIN_POPULATION
-        elif min_population < 0:
+        if min_population < 0:
             raise BackendError(
                 f"min_population must be >= 0, got {min_population}"
             )
@@ -406,15 +330,9 @@ class ShardedBackend(ComputeBackend):
                     "the sharded backend cannot be its own inner backend"
                 )
             get_backend(inner)  # unknown names fail here, not at first use
-        if retries is None:
-            retries = _env_int(ENV_RETRIES, minimum=0)
-            if retries is None:
-                retries = DEFAULT_RETRIES
-        elif retries < 0:
+        if retries < 0:
             raise BackendError(f"retries must be >= 0, got {retries}")
-        if hedge_ms is None:
-            hedge_ms = _env_float(ENV_HEDGE_MS, minimum=0.0, maximum=3.6e6) or 0.0
-        elif hedge_ms < 0:
+        if hedge_ms < 0:
             raise BackendError(f"hedge_ms must be >= 0, got {hedge_ms}")
         if retry_backoff_s < 0:
             raise BackendError(

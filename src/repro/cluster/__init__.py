@@ -21,7 +21,7 @@ existing bounded-retry budget.
 ('127.0.0.1:7001', '127.0.0.1:7002')
 """
 
-from .cluster import ClusterError, ClusterSpec, ENV_CLUSTER, LocalCluster
+from .cluster import ClusterError, ClusterSpec, LocalCluster
 from .executor import HostUnavailable, RemoteShardExecutor
 from .framing import ShardRef, WireError, recv_frame, send_frame, shard_key
 
@@ -38,7 +38,6 @@ def __getattr__(name):  # pragma: no cover - trivial lazy import
 __all__ = [
     "ClusterError",
     "ClusterSpec",
-    "ENV_CLUSTER",
     "HostUnavailable",
     "LocalCluster",
     "RemoteShardExecutor",

@@ -4,9 +4,9 @@
 execution — an ordered host list plus connection-management knobs.  It
 follows the same conventions every other config object in the library
 does: frozen, JSON :meth:`spec` round-trip (like
-:meth:`repro.faults.FaultPlan.spec`), an environment entry point
-(``REPRO_CLUSTER``) that degrades with a warning on malformed values
-while explicit constructor arguments fail fast.
+:meth:`repro.faults.FaultPlan.spec`), explicit constructor arguments that
+fail fast.  Only :class:`~repro.service.SessionConfig` reads the
+``REPRO_CLUSTER`` environment variable into one.
 
 :class:`LocalCluster` is the test/bench harness: it spawns real
 ``python -m repro.cluster.worker`` subprocesses bound to ephemeral
@@ -34,11 +34,7 @@ from typing import List, Optional, Tuple, Union
 
 from ..core.errors import FlexError
 
-__all__ = ["ClusterError", "ClusterSpec", "ENV_CLUSTER", "LocalCluster"]
-
-#: Environment variable holding a :meth:`ClusterSpec.spec` document (or the
-#: ``host:port,host:port`` shorthand).
-ENV_CLUSTER = "REPRO_CLUSTER"
+__all__ = ["ClusterError", "ClusterSpec", "LocalCluster"]
 
 
 class ClusterError(FlexError):
@@ -169,26 +165,6 @@ class ClusterSpec:
             probe_interval_s=float(payload.get("probe_interval_s", 1.0)),
         )
 
-    @classmethod
-    def from_env(cls, variable: str = ENV_CLUSTER) -> Optional["ClusterSpec"]:
-        """The spec described by the environment, or ``None`` when unset.
-
-        Malformed values are ignored with a warning, like every other
-        ``REPRO_*`` knob read at construction time.
-        """
-        raw = os.environ.get(variable)
-        if raw is None or not raw.strip():
-            return None
-        try:
-            return cls.from_spec(raw)
-        except ClusterError:
-            from ..backend.dispatch import _warn_ignored_env
-
-            _warn_ignored_env(
-                variable, raw, "a JSON cluster spec or 'host:port,...' list"
-            )
-            return None
-
 
 def _drain(stream, sink: List[str]) -> None:
     """Mirror a worker's output into a list (and keep the pipe from filling)."""
@@ -244,7 +220,7 @@ class LocalCluster:
             source_root + os.pathsep + existing if existing else source_root
         )
         environment.pop("REPRO_FAULTS", None)
-        environment.pop(ENV_CLUSTER, None)
+        environment.pop("REPRO_CLUSTER", None)
         return environment
 
     def _spawn(self) -> None:

@@ -13,10 +13,11 @@ worker dispatch (``gateway.dispatch``).
 Activate a plan per session with ``SessionConfig(fault_plan=...)``, per
 gateway with ``GatewayConfig(fault_plan=...)``, or process-wide through
 the ``REPRO_FAULTS`` environment variable (a JSON :meth:`FaultPlan.spec`
-document).  The acceptance contract the chaos suite (``tests/faults/``)
-pins: under any single-site plan, every request either returns a result
-bit-identical to the fault-free run or a typed error — never corrupt
-state, never a wedged session.
+document), which both configs read as their default.  The acceptance
+contract the chaos suite (``tests/faults/``) pins: under any single-site
+plan, every request either returns a result bit-identical to the
+fault-free run or a typed error — never corrupt state, never a wedged
+session.
 
 >>> from repro.faults import FaultPlan, FaultRule
 >>> plan = FaultPlan([FaultRule("wal.fsync", error=OSError)])
@@ -33,7 +34,6 @@ from .plan import (
     CLUSTER_CONNECT,
     CLUSTER_RECV,
     CLUSTER_SEND,
-    ENV_FAULTS,
     FaultInjected,
     FaultPlan,
     FaultRule,
@@ -52,7 +52,6 @@ __all__ = [
     "CLUSTER_CONNECT",
     "CLUSTER_RECV",
     "CLUSTER_SEND",
-    "ENV_FAULTS",
     "FaultInjected",
     "FaultPlan",
     "FaultRule",

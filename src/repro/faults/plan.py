@@ -22,7 +22,6 @@ from __future__ import annotations
 import builtins
 import importlib
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -34,7 +33,6 @@ __all__ = [
     "CLUSTER_CONNECT",
     "CLUSTER_RECV",
     "CLUSTER_SEND",
-    "ENV_FAULTS",
     "FaultInjected",
     "FaultPlan",
     "FaultRule",
@@ -47,9 +45,6 @@ __all__ = [
     "WAL_COMMIT",
     "WAL_FSYNC",
 ]
-
-#: Environment variable holding a JSON :meth:`FaultPlan.spec` document.
-ENV_FAULTS = "REPRO_FAULTS"
 
 # The named injection sites threaded through the library.  A site string
 # is just a convention between a component and its tests, so the set is
@@ -297,25 +292,6 @@ class FaultPlan:
             raise ValueError(f"unknown fault-plan fields: {unknown}")
         rules = [FaultRule.from_spec(rule) for rule in payload.get("rules", [])]
         return cls(rules=rules, seed=int(payload.get("seed", 0)))
-
-    @classmethod
-    def from_env(cls, variable: str = ENV_FAULTS) -> Optional["FaultPlan"]:
-        """The plan described by the environment, or ``None`` when unset.
-
-        A malformed value is ignored with a warning (like every other
-        ``REPRO_*`` knob read at construction time) rather than taking
-        the session down.
-        """
-        raw = os.environ.get(variable)
-        if raw is None or not raw.strip():
-            return None
-        try:
-            return cls.from_spec(raw)
-        except ValueError:
-            from ..backend.dispatch import _warn_ignored_env
-
-            _warn_ignored_env(variable, raw, "a JSON fault-plan spec")
-            return None
 
     def stats(self) -> dict:
         """Hit/fired counters for health blocks and test assertions."""

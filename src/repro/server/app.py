@@ -74,7 +74,7 @@ from ..io.serialization import (
     wire_safe,
 )
 from ..persist import PersistenceSuspendedError
-from ..service.config import ServiceError, SessionConfig
+from ..service.config import ServiceError, SessionConfig, fault_plan_from_env
 from .limits import (
     BadRequestError,
     ConcurrencyGate,
@@ -193,7 +193,7 @@ class GatewayConfig:
         ):
             object.__setattr__(self, "persist_root", str(self.persist_root))
         if self.fault_plan is None:
-            object.__setattr__(self, "fault_plan", FaultPlan.from_env())
+            object.__setattr__(self, "fault_plan", fault_plan_from_env())
         elif not isinstance(self.fault_plan, FaultPlan):
             try:
                 object.__setattr__(

@@ -1,4 +1,4 @@
-"""Session configuration: the typed replacement for the env-knob sprawl.
+"""Session configuration: the one place the ``REPRO_*`` environment is read.
 
 Four PRs of organic growth configured the library through process-global
 environment variables (``REPRO_BACKEND``, ``REPRO_SHARDS``,
@@ -10,6 +10,14 @@ read **once, at construction**: the environment variables survive only as
 defaults for fields left at ``None``, so existing deployment recipes keep
 working, while two configs in one process are completely independent.
 
+This module is the only one that turns ``REPRO_*`` variables into values
+(:class:`~repro.server.GatewayConfig` takes its ``REPRO_FAULTS`` default
+from :func:`fault_plan_from_env` here).  Every backend, matrix, cache and
+engine constructor below it takes explicit arguments with plain defaults
+and never looks at the environment.  The one exception is
+:func:`~repro.backend.get_backend`'s documented ``REPRO_BACKEND`` fallback
+for calls made outside any session.
+
 >>> config = SessionConfig(backend="reference", cache_entries=4)
 >>> config.backend
 'reference'
@@ -20,36 +28,61 @@ working, while two configs in one process are completely independent.
 from __future__ import annotations
 
 import os
+import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from ..aggregation.grouping import GroupingParameters
-from ..backend.cache import (
-    DEFAULT_CAPACITY,
-    DEFAULT_CELL_BUDGET,
-    ENV_CACHE_VAR,
-    ENV_CELL_VAR,
-)
-from ..backend.dispatch import ENV_VAR, _env_float, _env_int
-from ..backend.sharded import (
-    DEFAULT_MIN_POPULATION,
-    DEFAULT_RETRIES,
-    ENV_EXECUTOR,
-    ENV_HEDGE_MS,
-    ENV_MIN_POPULATION,
-    ENV_RETRIES,
-    ENV_SHARDS,
-)
+from ..backend.cache import DEFAULT_CAPACITY, DEFAULT_CELL_BUDGET
+from ..backend.dispatch import DEFAULT_COMPACT_THRESHOLD, ENV_VAR
+from ..backend.sharded import DEFAULT_MIN_POPULATION, DEFAULT_RETRIES
 from ..core.errors import FlexError
 from ..faults.plan import FaultPlan
 
-#: Compaction-ratio knob name.  Mirrored from :mod:`repro.backend.matrix`
-#: (which imports NumPy at module level and therefore cannot be imported
-#: here unconditionally — the config must build on NumPy-free hosts too).
-ENV_COMPACT_VAR = "REPRO_MATRIX_COMPACT"
+__all__ = [
+    "ENV_CACHE_VAR",
+    "ENV_CELL_VAR",
+    "ENV_CLUSTER",
+    "ENV_COMPACT_VAR",
+    "ENV_EXECUTOR",
+    "ENV_FAULTS",
+    "ENV_HEDGE_MS",
+    "ENV_MIN_POPULATION",
+    "ENV_RETRIES",
+    "ENV_SHARDS",
+    "ENV_WINDOW_KERNEL",
+    "ServiceError",
+    "SessionConfig",
+    "fault_plan_from_env",
+]
 
-__all__ = ["ServiceError", "SessionConfig"]
+#: Shard count (defaults to ``os.cpu_count()``).
+ENV_SHARDS = "REPRO_SHARDS"
+#: Shard executor kind: ``thread``, ``process`` or ``remote``.
+ENV_EXECUTOR = "REPRO_SHARD_EXECUTOR"
+#: Populations below this run whole on the sharded backend's inner backend.
+ENV_MIN_POPULATION = "REPRO_SHARD_MIN"
+#: Per-shard retry budget for infrastructure failures.
+ENV_RETRIES = "REPRO_SHARD_RETRIES"
+#: Straggler-hedging delay in milliseconds (``0`` = off).
+ENV_HEDGE_MS = "REPRO_SHARD_HEDGE_MS"
+#: Worker hosts for the remote executor: a :meth:`ClusterSpec.spec` JSON
+#: document or the ``host:port,host:port`` shorthand.
+ENV_CLUSTER = "REPRO_CLUSTER"
+#: A JSON :meth:`FaultPlan.spec` document.
+ENV_FAULTS = "REPRO_FAULTS"
+#: Session matrix-cache capacity (entries; ``0`` disables it).
+ENV_CACHE_VAR = "REPRO_MATRIX_CACHE"
+#: Session matrix-cache budget (total retained packed slices).
+ENV_CELL_VAR = "REPRO_MATRIX_CACHE_CELLS"
+#: Live-matrix tombstone ratio that triggers compaction (in ``[0, 1]``).
+ENV_COMPACT_VAR = "REPRO_MATRIX_COMPACT"
+#: Sliding-window kernel: ``scalar`` or ``array``.
+ENV_WINDOW_KERNEL = "REPRO_WINDOW_KERNEL"
+
+_EXECUTORS = ("thread", "process", "remote")
+_WINDOW_KERNELS = ("scalar", "array")
 
 
 class ServiceError(FlexError):
@@ -58,6 +91,85 @@ class ServiceError(FlexError):
 
 def _frozen_set(config: "SessionConfig", name: str, value) -> None:
     object.__setattr__(config, name, value)
+
+
+# --------------------------------------------------------------------- #
+# Environment parsing.  A malformed value warns and is ignored instead of
+# raising: a typo in one knob must not take down every session built in
+# the process.  Explicit arguments, by contrast, fail fast.
+# --------------------------------------------------------------------- #
+def _warn_ignored_env(variable: str, value: str, expected: str) -> None:
+    """Report a malformed environment knob that is being ignored."""
+    warnings.warn(
+        f"ignoring invalid {variable}={value!r} (expected {expected}); "
+        "using the default",
+        RuntimeWarning,
+        stacklevel=4,
+    )
+
+
+def _env_int(variable: str, minimum: int, default: int) -> int:
+    """An integer environment knob, or ``default`` when unset/invalid (warns)."""
+    raw = os.environ.get(variable)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = minimum - 1
+    if value < minimum:
+        _warn_ignored_env(variable, raw, f"an integer >= {minimum}")
+        return default
+    return value
+
+
+def _env_float(
+    variable: str, minimum: float, maximum: float, default: float
+) -> float:
+    """A float knob in ``[minimum, maximum]``, or ``default`` (warns)."""
+    raw = os.environ.get(variable)
+    if raw is None:
+        return default
+    try:
+        value = float(raw)
+    except ValueError:
+        value = minimum - 1.0
+    if not minimum <= value <= maximum:
+        _warn_ignored_env(variable, raw, f"a number in [{minimum}, {maximum}]")
+        return default
+    return value
+
+
+def _env_choice(variable: str, choices: tuple[str, ...]) -> Optional[str]:
+    """One of ``choices`` from the environment, or ``None`` (warns)."""
+    raw = os.environ.get(variable)
+    if raw is None or raw in choices:
+        return raw
+    _warn_ignored_env(variable, raw, f"one of {choices}")
+    return None
+
+
+def _env_spec(variable: str, parse, error: type, expected: str):
+    """A spec document parsed from the environment, or ``None`` (warns)."""
+    raw = os.environ.get(variable)
+    if raw is None or not raw.strip():
+        return None
+    try:
+        return parse(raw)
+    except error:
+        _warn_ignored_env(variable, raw, expected)
+        return None
+
+
+def fault_plan_from_env() -> Optional[FaultPlan]:
+    """The :class:`FaultPlan` in ``REPRO_FAULTS``, or ``None`` when unset.
+
+    The default of both :class:`SessionConfig` and
+    :class:`~repro.server.GatewayConfig`; a malformed value warns.
+    """
+    return _env_spec(
+        ENV_FAULTS, FaultPlan.from_spec, ValueError, "a JSON fault-plan spec"
+    )
 
 
 @dataclass(frozen=True)
@@ -105,8 +217,8 @@ class SessionConfig:
         ``REPRO_MATRIX_CACHE_CELLS`` and then the library defaults.
     compact_threshold:
         Live-matrix tombstone ratio triggering compaction.  Default:
-        ``REPRO_MATRIX_COMPACT``, else the matrix default (resolved by the
-        matrix layer; ``None`` is preserved here when neither is set).
+        ``REPRO_MATRIX_COMPACT``, else 0.25.  Always resolved to a number,
+        so a persisted config pins it across restarts.
     measures:
         Measure keys the session engine maintains (``None`` = every
         registered measure, like ``evaluate_set``).
@@ -170,9 +282,8 @@ class SessionConfig:
         self._resolve_sharding()
         self._resolve_cache()
         if self.compact_threshold is None:
-            _frozen_set(
-                self, "compact_threshold", _env_float(ENV_COMPACT_VAR, 0.0, 1.0)
-            )
+            value = _env_float(ENV_COMPACT_VAR, 0.0, 1.0, DEFAULT_COMPACT_THRESHOLD)
+            _frozen_set(self, "compact_threshold", value)
         elif not 0.0 <= self.compact_threshold <= 1.0:
             raise ServiceError(
                 f"compact_threshold must lie in [0, 1], got {self.compact_threshold}"
@@ -219,50 +330,38 @@ class SessionConfig:
 
     def _resolve_sharding(self) -> None:
         if self.shards is None:
-            _frozen_set(
-                self, "shards", _env_int(ENV_SHARDS, minimum=1) or (os.cpu_count() or 1)
-            )
+            value = _env_int(ENV_SHARDS, 1, os.cpu_count() or 1)
+            _frozen_set(self, "shards", value)
         elif self.shards < 1:
             raise ServiceError(f"shards must be >= 1, got {self.shards}")
         explicit_executor = self.shard_executor is not None
         if self.shard_executor is None:
-            executor = os.environ.get(ENV_EXECUTOR, "thread")
-            if executor not in ("thread", "process", "remote"):
-                executor = "thread"
+            executor = _env_choice(ENV_EXECUTOR, _EXECUTORS) or "thread"
             _frozen_set(self, "shard_executor", executor)
-        elif self.shard_executor not in ("thread", "process", "remote"):
+        elif self.shard_executor not in _EXECUTORS:
             raise ServiceError(
                 f"shard_executor must be 'thread', 'process' or 'remote', "
                 f"got {self.shard_executor!r}"
             )
         self._resolve_cluster(explicit_executor)
         if self.shard_min_population is None:
-            value = _env_int(ENV_MIN_POPULATION, minimum=0)
-            _frozen_set(
-                self,
-                "shard_min_population",
-                DEFAULT_MIN_POPULATION if value is None else value,
-            )
+            value = _env_int(ENV_MIN_POPULATION, 0, DEFAULT_MIN_POPULATION)
+            _frozen_set(self, "shard_min_population", value)
         elif self.shard_min_population < 0:
             raise ServiceError(
                 f"shard_min_population must be >= 0, "
                 f"got {self.shard_min_population}"
             )
         if self.shard_retries is None:
-            value = _env_int(ENV_RETRIES, minimum=0)
-            _frozen_set(
-                self, "shard_retries", DEFAULT_RETRIES if value is None else value
-            )
+            value = _env_int(ENV_RETRIES, 0, DEFAULT_RETRIES)
+            _frozen_set(self, "shard_retries", value)
         elif self.shard_retries < 0:
             raise ServiceError(
                 f"shard_retries must be >= 0, got {self.shard_retries}"
             )
         if self.shard_hedge_ms is None:
-            _frozen_set(
-                self,
-                "shard_hedge_ms",
-                _env_float(ENV_HEDGE_MS, 0.0, 3.6e6) or 0.0,
-            )
+            value = _env_float(ENV_HEDGE_MS, 0.0, 3.6e6, 0.0)
+            _frozen_set(self, "shard_hedge_ms", value)
         elif self.shard_hedge_ms < 0:
             raise ServiceError(
                 f"shard_hedge_ms must be >= 0, got {self.shard_hedge_ms}"
@@ -294,7 +393,12 @@ class SessionConfig:
                     )
                 _frozen_set(self, "shard_executor", "remote")
         elif self.shard_executor == "remote":
-            cluster = ClusterSpec.from_env()
+            cluster = _env_spec(
+                ENV_CLUSTER,
+                ClusterSpec.from_spec,
+                ClusterError,
+                "a JSON cluster spec or 'host:port,...' list",
+            )
             if cluster is not None:
                 _frozen_set(self, "cluster", cluster)
             elif explicit_executor:
@@ -303,9 +407,6 @@ class SessionConfig:
                     "(pass cluster=... or set REPRO_CLUSTER)"
                 )
             else:
-                from ..backend.dispatch import _warn_ignored_env
-                from ..backend.sharded import ENV_EXECUTOR
-
                 _warn_ignored_env(
                     ENV_EXECUTOR, "remote", "'remote' with REPRO_CLUSTER set"
                 )
@@ -314,7 +415,7 @@ class SessionConfig:
     def _resolve_fault_plan(self) -> None:
         plan = self.fault_plan
         if plan is None:
-            _frozen_set(self, "fault_plan", FaultPlan.from_env())
+            _frozen_set(self, "fault_plan", fault_plan_from_env())
             return
         if isinstance(plan, FaultPlan):
             return
@@ -324,19 +425,10 @@ class SessionConfig:
             raise ServiceError(f"invalid fault_plan: {error}") from error
 
     def _resolve_window_kernel(self) -> None:
-        from ..backend.dispatch import _warn_ignored_env
-        from ..stream.engine import ENV_WINDOW_KERNEL
-
         if self.window_kernel is None:
-            value = os.environ.get(ENV_WINDOW_KERNEL)
-            if value is not None:
-                if value in ("scalar", "array"):
-                    _frozen_set(self, "window_kernel", value)
-                else:
-                    _warn_ignored_env(
-                        ENV_WINDOW_KERNEL, value, "'scalar' or 'array'"
-                    )
-        elif self.window_kernel not in ("scalar", "array"):
+            value = _env_choice(ENV_WINDOW_KERNEL, _WINDOW_KERNELS)
+            _frozen_set(self, "window_kernel", value)
+        elif self.window_kernel not in _WINDOW_KERNELS:
             raise ServiceError(
                 f"window_kernel must be 'scalar' or 'array', "
                 f"got {self.window_kernel!r}"
@@ -344,19 +436,15 @@ class SessionConfig:
 
     def _resolve_cache(self) -> None:
         if self.cache_entries is None:
-            value = _env_int(ENV_CACHE_VAR, minimum=0)
-            _frozen_set(
-                self, "cache_entries", DEFAULT_CAPACITY if value is None else value
-            )
+            value = _env_int(ENV_CACHE_VAR, 0, DEFAULT_CAPACITY)
+            _frozen_set(self, "cache_entries", value)
         elif self.cache_entries < 0:
             raise ServiceError(
                 f"cache_entries must be >= 0, got {self.cache_entries}"
             )
         if self.cache_cells is None:
-            value = _env_int(ENV_CELL_VAR, minimum=0)
-            _frozen_set(
-                self, "cache_cells", DEFAULT_CELL_BUDGET if value is None else value
-            )
+            value = _env_int(ENV_CELL_VAR, 0, DEFAULT_CELL_BUDGET)
+            _frozen_set(self, "cache_cells", value)
         elif self.cache_cells < 0:
             raise ServiceError(f"cache_cells must be >= 0, got {self.cache_cells}")
 
@@ -397,4 +485,8 @@ class SessionConfig:
         for name in ("measures", "tracked_measures"):
             if isinstance(arguments.get(name), list):
                 arguments[name] = tuple(arguments[name])
+        if "compact_threshold" in arguments and arguments["compact_threshold"] is None:
+            # Configs saved before the threshold was always resolved hold
+            # null where the variable was unset, i.e. the default.
+            arguments["compact_threshold"] = DEFAULT_COMPACT_THRESHOLD
         return cls(**arguments)

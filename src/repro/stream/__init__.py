@@ -26,8 +26,8 @@ O(1)-sized change.  This subsystem maintains the same state incrementally:
 ``windowkernels``
     :class:`ArrayMeasureWindow` — the NumPy ring-buffer window kernel,
     conformance-pinned to the scalar :class:`MeasureWindow` and selected
-    per session through the compute-backend contract (or the
-    ``REPRO_WINDOW_KERNEL`` knob).  Imported lazily: ``repro.stream``
+    per session through the compute-backend contract (or the session's
+    ``window_kernel`` setting).  Imported lazily: ``repro.stream``
     itself stays importable without NumPy.
 ``engine``
     :class:`StreamingEngine` — the orchestrator consuming events and

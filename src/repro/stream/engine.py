@@ -36,7 +36,6 @@ through, the fingerprint-keyed :data:`~repro.backend.cache.matrix_cache`.
 from __future__ import annotations
 
 import heapq
-import os
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -44,6 +43,7 @@ from typing import Optional, Union
 from ..aggregation.alignment import aggregate_start_aligned
 from ..aggregation.base import AggregatedFlexOffer
 from ..aggregation.grouping import GroupingParameters
+from ..backend.dispatch import DEFAULT_COMPACT_THRESHOLD
 from ..core.flexoffer import FlexOffer
 from ..measures.base import FlexibilityMeasure
 from ..measures.setwise import FlexibilitySetReport, MeasureSpec, resolve_measures
@@ -63,12 +63,7 @@ __all__ = [
     "EngineStats",
     "EngineSnapshot",
     "StreamingEngine",
-    "ENV_WINDOW_KERNEL",
 ]
-
-#: Environment variable forcing the window kernel (``scalar`` / ``array``)
-#: for engines that were not given an explicit ``window_kernel``.
-ENV_WINDOW_KERNEL = "REPRO_WINDOW_KERNEL"
 
 #: Hook signature: ``hook(offer_id, flex_offer, event)``.
 EngineHook = Callable[[str, FlexOffer, StreamEvent], None]
@@ -166,15 +161,14 @@ class StreamingEngine:
         own bulk calls (:meth:`bulk_arrive`); ``None`` resolves the active
         backend per call, exactly as before.
     compact_threshold:
-        Tombstone ratio at which the live matrix auto-compacts; ``None``
-        reads ``REPRO_MATRIX_COMPACT`` and falls back to the default.
+        Tombstone ratio at which the live matrix auto-compacts.
     window_kernel:
         Which sliding-window kernel backs the tracker's measure windows:
         ``"scalar"`` (the pure-Python :class:`MeasureWindow`), ``"array"``
         (the NumPy ring-buffer
         :class:`~repro.stream.windowkernels.ArrayMeasureWindow`), or
-        ``None`` to consult ``REPRO_WINDOW_KERNEL`` and then the engine
-        backend's :meth:`~repro.backend.dispatch.ComputeBackend.measure_window`
+        ``None`` to ask the engine backend's
+        :meth:`~repro.backend.dispatch.ComputeBackend.measure_window`
         hook — reference sessions keep the scalar kernel, the NumPy and
         sharded tiers get the array kernel.  Both kernels are
         conformance-pinned to each other, so the choice never changes a
@@ -192,7 +186,7 @@ class StreamingEngine:
         on_expired: Optional[EngineHook] = None,
         tracked_measures: Optional[Iterable[str]] = None,
         backend=None,
-        compact_threshold: Optional[float] = None,
+        compact_threshold: float = DEFAULT_COMPACT_THRESHOLD,
         window_kernel: Optional[str] = None,
     ) -> None:
         self.parameters = parameters
@@ -264,26 +258,15 @@ class StreamingEngine:
     def _window_factory(self, requested: Optional[str]):
         """Resolve the window kernel into a ``capacity -> window`` factory.
 
-        Resolution order: the explicit ``window_kernel`` argument, then the
-        ``REPRO_WINDOW_KERNEL`` environment variable, then the engine
-        backend's
+        The explicit ``window_kernel`` argument wins; ``None`` asks the
+        engine backend's
         :meth:`~repro.backend.dispatch.ComputeBackend.measure_window` hook.
-        An invalid explicit name raises; an invalid environment value warns
-        and is ignored (matching the backend env knobs); ``"array"`` without
-        NumPy raises only when requested explicitly — the backend hook
-        already degrades to the scalar kernel on its own.
+        An invalid name raises; ``"array"`` without NumPy raises only when
+        requested explicitly — the backend hook already degrades to the
+        scalar kernel on its own.
         """
-        from ..backend.dispatch import _warn_ignored_env, get_backend
+        from ..backend.dispatch import get_backend
 
-        if requested is None:
-            env_value = os.environ.get(ENV_WINDOW_KERNEL)
-            if env_value is not None:
-                if env_value in ("scalar", "array"):
-                    requested = env_value
-                else:
-                    _warn_ignored_env(
-                        ENV_WINDOW_KERNEL, env_value, "'scalar' or 'array'"
-                    )
         if requested is None:
             return get_backend(self._backend_spec).measure_window
         if requested == "scalar":

@@ -5,7 +5,7 @@ per-offer dictionaries: one live
 :class:`~repro.backend.matrix.ProfileMatrix` over the surviving offers plus
 a row-aligned ``float64`` column per configured measure.  Arrivals append
 in amortized O(Δ), evictions tombstone in O(1), and compaction (triggered
-by the matrix's tombstone-ratio threshold, ``REPRO_MATRIX_COMPACT``) keeps
+by the matrix's tombstone-ratio threshold, ``compact_threshold``) keeps
 both structures aligned through the same surviving-row gather — so after
 any event interleaving the packed matrix is bit-identical to a fresh pack
 of the survivors, without the O(population) re-pack the engine used to pay
@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..backend.matrix import ProfileMatrix
+from ..backend.matrix import DEFAULT_COMPACT_THRESHOLD, ProfileMatrix
 from ..core.flexoffer import FlexOffer
 
 __all__ = ["LivePopulation"]
@@ -49,7 +49,7 @@ class LivePopulation:
     def __init__(
         self,
         measure_keys: list[str],
-        compact_threshold: Optional[float] = None,
+        compact_threshold: float = DEFAULT_COMPACT_THRESHOLD,
     ) -> None:
         self.matrix = ProfileMatrix([], compact_threshold=compact_threshold)
         self._keys = list(measure_keys)

@@ -30,8 +30,8 @@ ring evictions and queries — the differential window-conformance suite in
 Selection is per session, through the compute-backend contract
 (:meth:`~repro.backend.dispatch.ComputeBackend.measure_window`): reference
 sessions keep the scalar kernel, the NumPy and sharded tiers get this one.
-The ``REPRO_WINDOW_KERNEL`` environment variable (or
-``SessionConfig(window_kernel=...)``) overrides the automatic choice.
+``SessionConfig(window_kernel=...)`` (environment default
+``REPRO_WINDOW_KERNEL``) overrides the automatic choice.
 
 This module imports NumPy at module level, mirroring
 :mod:`repro.stream.live`; the engine imports it lazily and falls back to

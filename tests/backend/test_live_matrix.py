@@ -5,9 +5,9 @@ of arrivals, evictions, expiries and assignments — including runs that cross
 the tombstone-ratio compaction threshold — the engine's live matrix is
 bit-identical to a fresh pack of the surviving population.  Also covered:
 the matrix mutation primitives themselves (append / tombstone / compact /
-snapshot), the
-``REPRO_MATRIX_COMPACT`` knob, the engine's memoised snapshot, and the
-engine's columnar fold against its dictionary path.
+snapshot), the compaction threshold (and that only the session config reads
+``REPRO_MATRIX_COMPACT``), the engine's memoised snapshot, and the engine's
+columnar fold against its dictionary path.
 """
 
 from __future__ import annotations
@@ -106,13 +106,15 @@ def test_compact_threshold_knob(monkeypatch):
         DEFAULT_COMPACT_THRESHOLD,
         ProfileMatrix,
     )
+    from repro.service import SessionConfig
 
     assert ProfileMatrix([]).compact_threshold == DEFAULT_COMPACT_THRESHOLD
     monkeypatch.setenv("REPRO_MATRIX_COMPACT", "0.75")
-    assert ProfileMatrix([]).compact_threshold == 0.75
+    assert SessionConfig().compact_threshold == 0.75
+    assert ProfileMatrix([]).compact_threshold == DEFAULT_COMPACT_THRESHOLD
     monkeypatch.setenv("REPRO_MATRIX_COMPACT", "nonsense")
     with pytest.warns(RuntimeWarning):
-        assert ProfileMatrix([]).compact_threshold == DEFAULT_COMPACT_THRESHOLD
+        assert SessionConfig().compact_threshold == DEFAULT_COMPACT_THRESHOLD
     with pytest.raises(ValueError):
         ProfileMatrix([], compact_threshold=1.5)
 

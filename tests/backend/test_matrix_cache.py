@@ -116,15 +116,21 @@ def test_capacity_zero_disables_storage():
 
 
 def test_environment_capacity(monkeypatch):
+    from repro.backend.cache import DEFAULT_CAPACITY
+    from repro.service import FlexSession
+
+    # The capacity knob sizes a session's cache through its config; a bare
+    # MatrixCache (like the process-wide one) keeps the plain default.
     monkeypatch.setenv("REPRO_MATRIX_CACHE", "3")
-    assert MatrixCache().capacity == 3
-    # Malformed values warn and fall back — the process-wide cache is built
-    # at import time, so they must never make `import repro` raise.
+    with FlexSession(backend="reference") as session:
+        assert session.cache.capacity == 3
+    assert MatrixCache().capacity == DEFAULT_CAPACITY
+    # Malformed values warn once, in the config, and fall back.
     monkeypatch.setenv("REPRO_MATRIX_CACHE", "off")
     with pytest.warns(RuntimeWarning):
-        from repro.backend.cache import DEFAULT_CAPACITY
-
-        assert MatrixCache().capacity == DEFAULT_CAPACITY
+        session = FlexSession(backend="reference")
+    with session:
+        assert session.cache.capacity == DEFAULT_CAPACITY
 
 
 def test_renamed_population_does_not_alias():

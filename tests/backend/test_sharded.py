@@ -18,12 +18,7 @@ from repro.backend import (
     get_backend,
     use_backend,
 )
-from repro.backend.sharded import (
-    DEFAULT_MIN_POPULATION,
-    ENV_EXECUTOR,
-    ENV_MIN_POPULATION,
-    ENV_SHARDS,
-)
+from repro.backend.sharded import DEFAULT_MIN_POPULATION, DEFAULT_RETRIES
 from repro.core import FlexOffer, MeasureError
 from repro.core.errors import BackendError
 from repro.measures import evaluate_set, get_measure
@@ -32,6 +27,8 @@ from repro.measures.base import (
     MeasureCharacteristics,
 )
 from repro.measures.setwise import resolve_measures
+from repro.service import SessionConfig
+from repro.service.config import ENV_EXECUTOR, ENV_MIN_POPULATION, ENV_SHARDS
 
 #: A ragged population crossing shard boundaries however it is chunked.
 OFFERS = [
@@ -269,26 +266,32 @@ def test_dispatch_through_use_backend(sharded):
 
 
 def test_environment_knobs(monkeypatch):
+    """The shard knobs reach a session's backend through SessionConfig;
+    the backend constructor itself keeps its plain defaults."""
     monkeypatch.setenv(ENV_SHARDS, "5")
-    monkeypatch.setenv(ENV_EXECUTOR, "thread")
+    monkeypatch.setenv(ENV_EXECUTOR, "process")
     monkeypatch.setenv(ENV_MIN_POPULATION, "17")
+    config = SessionConfig(backend="sharded")
+    assert (config.shards, config.shard_executor) == (5, "process")
+    assert config.shard_min_population == 17
     backend = ShardedBackend()
-    assert backend.shards == 5
     assert backend.executor_kind == "thread"
-    assert backend.min_population == 17
+    assert backend.min_population == DEFAULT_MIN_POPULATION
+    assert backend.retries == DEFAULT_RETRIES and backend.hedge_ms == 0.0
 
 
 def test_malformed_environment_warns_and_defaults(monkeypatch):
-    """Bad env knobs must not break registry bootstrap: the default
-    instance is constructed there, so they warn and fall back instead."""
+    """Bad env knobs warn once, in SessionConfig, and fall back; the
+    backend constructor never sees them."""
     monkeypatch.setenv(ENV_SHARDS, "four")
     monkeypatch.setenv(ENV_EXECUTOR, "rocket")
     monkeypatch.setenv(ENV_MIN_POPULATION, "-3")
-    with pytest.warns(RuntimeWarning):
-        backend = ShardedBackend()
-    assert backend.shards >= 1
-    assert backend.executor_kind == "thread"
-    assert backend.min_population == DEFAULT_MIN_POPULATION
+    with pytest.warns(RuntimeWarning) as caught:
+        config = SessionConfig(backend="sharded")
+    assert len(caught) == 3
+    assert config.shards >= 1
+    assert config.shard_executor == "thread"
+    assert config.shard_min_population == DEFAULT_MIN_POPULATION
 
 
 def test_explicit_arguments_fail_fast():

@@ -1,5 +1,6 @@
 """ClusterSpec validation/round-trip and its coupling into SessionConfig
-and ShardedBackend (explicit arguments fail fast, env knobs degrade)."""
+and ShardedBackend (explicit arguments fail fast, env knobs degrade, and
+only SessionConfig reads the environment)."""
 
 from __future__ import annotations
 
@@ -10,8 +11,9 @@ import pytest
 from repro.backend import ShardedBackend
 from repro.core.errors import BackendError
 from repro.cluster import ClusterSpec
-from repro.cluster.cluster import ClusterError, ENV_CLUSTER
-from repro.service import ServiceError, SessionConfig
+from repro.cluster.cluster import ClusterError
+from repro.service import FlexSession, ServiceError, SessionConfig
+from repro.service.config import ENV_CLUSTER, ENV_EXECUTOR
 
 
 class TestClusterSpec:
@@ -89,21 +91,32 @@ class TestClusterSpec:
             ClusterSpec.from_spec(payload)
 
     def test_from_env(self, monkeypatch):
-        monkeypatch.delenv(ENV_CLUSTER, raising=False)
-        assert ClusterSpec.from_env() is None
-        monkeypatch.setenv(ENV_CLUSTER, "   ")
-        assert ClusterSpec.from_env() is None
+        # REPRO_CLUSTER is read by SessionConfig, for remote executors only.
+        def remote():
+            return SessionConfig(backend="sharded", shard_executor="remote")
+
+        for unset in (None, "   "):
+            if unset is None:
+                monkeypatch.delenv(ENV_CLUSTER, raising=False)
+            else:
+                monkeypatch.setenv(ENV_CLUSTER, unset)
+            with pytest.raises(ServiceError, match="needs a cluster"):
+                remote()
         monkeypatch.setenv(ENV_CLUSTER, "127.0.0.1:7001,127.0.0.1:7002")
-        assert ClusterSpec.from_env() == ClusterSpec(
+        assert remote().cluster == ClusterSpec(
             hosts=("127.0.0.1:7001", "127.0.0.1:7002")
         )
+        assert SessionConfig(backend="sharded").cluster is None
         monkeypatch.setenv(ENV_CLUSTER, json.dumps({"hosts": ["h:1"], "connections_per_host": 3}))
-        assert ClusterSpec.from_env().connections_per_host == 3
+        assert remote().cluster.connections_per_host == 3
 
     def test_from_env_degrades_on_malformed_values(self, monkeypatch):
         monkeypatch.setenv(ENV_CLUSTER, "not-a-cluster")
+        monkeypatch.setenv(ENV_EXECUTOR, "remote")
         with pytest.warns(RuntimeWarning, match=ENV_CLUSTER):
-            assert ClusterSpec.from_env() is None
+            config = SessionConfig(backend="sharded")
+        assert config.cluster is None
+        assert config.shard_executor == "thread"
 
 
 class TestSessionConfigCoupling:
@@ -171,14 +184,17 @@ class TestShardedBackendCoupling:
             ShardedBackend(executor="remote")
 
     def test_env_remote_without_a_cluster_degrades_to_thread(self, monkeypatch):
+        # The degrade happens once, in SessionConfig; the backend built
+        # from that config is a thread backend, and a bare constructor
+        # never looks at the environment at all.
         monkeypatch.delenv(ENV_CLUSTER, raising=False)
-        monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "remote")
-        with pytest.warns(RuntimeWarning):
-            backend = ShardedBackend()
-        try:
-            assert backend.executor_kind == "thread"
-        finally:
-            backend.close()
+        monkeypatch.setenv(ENV_EXECUTOR, "remote")
+        with pytest.warns(RuntimeWarning, match=ENV_EXECUTOR):
+            session = FlexSession(backend="sharded", shards=2)
+        with session:
+            assert session._backend.executor_kind == "thread"
+        backend = ShardedBackend()
+        assert backend.executor_kind == "thread"
 
     def test_cluster_with_a_local_executor_contradicts(self):
         with pytest.raises(BackendError, match="executor='remote'"):
@@ -191,12 +207,16 @@ class TestShardedBackendCoupling:
     def test_remote_backend_reads_the_cluster_from_the_environment(
         self, monkeypatch
     ):
+        # Through its session's config; the constructor still needs cluster=.
         monkeypatch.setenv(ENV_CLUSTER, "127.0.0.1:7001")
-        backend = ShardedBackend(shards=2, executor="remote")
-        try:
-            assert backend.cluster == ClusterSpec(hosts=("127.0.0.1:7001",))
-        finally:
-            backend.close()
+        with FlexSession(
+            backend="sharded", shards=2, shard_executor="remote"
+        ) as session:
+            assert session._backend.cluster == ClusterSpec(
+                hosts=("127.0.0.1:7001",)
+            )
+        with pytest.raises(BackendError, match="needs a cluster"):
+            ShardedBackend(shards=2, executor="remote")
 
     def test_cluster_health_is_none_for_local_executors(self):
         backend = ShardedBackend(shards=2)

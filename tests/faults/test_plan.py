@@ -8,13 +8,15 @@ import pytest
 
 from repro.faults import (
     ALL_SITES,
-    ENV_FAULTS,
     FaultInjected,
     FaultPlan,
     FaultRule,
     WAL_FSYNC,
 )
 from repro.faults.plan import _error_name, _resolve_error
+from repro.server import GatewayConfig
+from repro.service import SessionConfig
+from repro.service.config import ENV_FAULTS, fault_plan_from_env
 
 
 class TestFaultRule:
@@ -167,19 +169,27 @@ class TestFaultPlan:
             FaultPlan.from_spec(payload)
 
     def test_from_env_round_trip(self, monkeypatch):
+        # REPRO_FAULTS is parsed by the configuration layer, the default of
+        # both SessionConfig and GatewayConfig.
         monkeypatch.delenv(ENV_FAULTS, raising=False)
-        assert FaultPlan.from_env() is None
+        assert fault_plan_from_env() is None
         monkeypatch.setenv(ENV_FAULTS, "   ")
-        assert FaultPlan.from_env() is None
+        assert fault_plan_from_env() is None
         spec = {"seed": 5, "rules": [{"site": WAL_FSYNC, "after": 2}]}
         monkeypatch.setenv(ENV_FAULTS, json.dumps(spec))
-        plan = FaultPlan.from_env()
-        assert plan is not None and plan.spec() == FaultPlan.from_spec(spec).spec()
+        expected = FaultPlan.from_spec(spec).spec()
+        assert fault_plan_from_env().spec() == expected
+        assert SessionConfig(backend="reference").fault_plan.spec() == expected
+        assert GatewayConfig().fault_plan.spec() == expected
 
     def test_from_env_warns_and_ignores_malformed_values(self, monkeypatch):
         monkeypatch.setenv(ENV_FAULTS, "{broken")
         with pytest.warns(RuntimeWarning, match=ENV_FAULTS):
-            assert FaultPlan.from_env() is None
+            assert fault_plan_from_env() is None
+        with pytest.warns(RuntimeWarning, match=ENV_FAULTS):
+            assert SessionConfig(backend="reference").fault_plan is None
+        with pytest.warns(RuntimeWarning, match=ENV_FAULTS):
+            assert GatewayConfig().fault_plan is None
 
     def test_injected_error_is_an_oserror(self):
         # The persistence layer suspends on OSError and the sharded

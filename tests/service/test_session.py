@@ -134,7 +134,9 @@ class TestSessionConfig:
 
     def test_malformed_executor_env_degrades_to_thread(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "fiber")
-        assert SessionConfig(backend="reference").shard_executor == "thread"
+        with pytest.warns(RuntimeWarning, match="REPRO_SHARD_EXECUTOR"):
+            config = SessionConfig(backend="reference")
+        assert config.shard_executor == "thread"
 
 
 class TestRequestValidation:

@@ -19,7 +19,8 @@ both kernels side by side and asserts, after every operation:
 The deterministic tests pin the named edge cases — capacity 1, all-equal
 values, negative values, non-finite rejection — plus the per-backend kernel
 selection: the reference backend keeps the scalar kernel, the NumPy and
-sharded tiers hand out the array kernel, and ``REPRO_WINDOW_KERNEL`` /
+sharded tiers hand out the array kernel, and ``REPRO_WINDOW_KERNEL`` (read
+by :class:`~repro.service.SessionConfig`) /
 ``StreamingEngine(window_kernel=...)`` override either way.
 """
 
@@ -34,7 +35,8 @@ from hypothesis import strategies as st
 
 from repro.backend import NUMPY_AVAILABLE, ShardedBackend, get_backend
 from repro.stream import MeasureWindow, StreamError, StreamingEngine
-from repro.stream.engine import ENV_WINDOW_KERNEL
+from repro.service import FlexSession
+from repro.service.config import ENV_WINDOW_KERNEL
 
 if NUMPY_AVAILABLE:
     from repro.stream.windowkernels import ArrayMeasureWindow
@@ -226,24 +228,24 @@ class TestKernelSelection:
         assert engine.window_kernel == "array"
 
     def test_env_knob_is_consulted_when_no_explicit_kernel(self, monkeypatch):
-        monkeypatch.setenv(ENV_WINDOW_KERNEL, "array")
-        assert (
-            StreamingEngine(
-                window_capacity=4, backend="reference"
-            ).window_kernel
-            == "array"
-        )
-        monkeypatch.setenv(ENV_WINDOW_KERNEL, "scalar")
-        assert (
-            StreamingEngine(window_capacity=4, backend="numpy").window_kernel
-            == "scalar"
-        )
+        # By the session's config; a bare engine keeps its backend's kernel.
+        for kernel, backend, bare in (
+            ("array", "reference", "scalar"),
+            ("scalar", "numpy", "array"),
+        ):
+            monkeypatch.setenv(ENV_WINDOW_KERNEL, kernel)
+            with FlexSession(backend=backend, window_capacity=4) as session:
+                assert session.engine.window_kernel == kernel
+            engine = StreamingEngine(window_capacity=4, backend=backend)
+            assert engine.window_kernel == bare
 
     def test_invalid_env_value_warns_and_falls_back(self, monkeypatch):
         monkeypatch.setenv(ENV_WINDOW_KERNEL, "gpu")
         with pytest.warns(RuntimeWarning, match="REPRO_WINDOW_KERNEL"):
-            engine = StreamingEngine(window_capacity=4, backend="reference")
-        assert engine.window_kernel == "scalar"
+            session = FlexSession(backend="reference", window_capacity=4)
+        with session:
+            assert session.config.window_kernel is None
+            assert session.engine.window_kernel == "scalar"
 
     def test_invalid_explicit_kernel_raises(self):
         with pytest.raises(StreamError):
