@@ -51,7 +51,6 @@ __all__ = [
     "ENV_MIN_POPULATION",
     "ENV_RETRIES",
     "ENV_SHARDS",
-    "ENV_WINDOW_KERNEL",
     "ServiceError",
     "SessionConfig",
     "fault_plan_from_env",
@@ -78,11 +77,8 @@ ENV_CACHE_VAR = "REPRO_MATRIX_CACHE"
 ENV_CELL_VAR = "REPRO_MATRIX_CACHE_CELLS"
 #: Live-matrix tombstone ratio that triggers compaction (in ``[0, 1]``).
 ENV_COMPACT_VAR = "REPRO_MATRIX_COMPACT"
-#: Sliding-window kernel: ``scalar`` or ``array``.
-ENV_WINDOW_KERNEL = "REPRO_WINDOW_KERNEL"
 
 _EXECUTORS = ("thread", "process", "remote")
-_WINDOW_KERNELS = ("scalar", "array")
 
 
 class ServiceError(FlexError):
@@ -210,7 +206,10 @@ class SessionConfig:
         Optional :class:`repro.faults.FaultPlan` (or its ``spec()``
         dict/JSON) injected into the session's backend and persister for
         chaos testing.  Default: the ``REPRO_FAULTS`` environment
-        variable, else ``None`` — no injection, zero overhead.
+        variable, else ``None`` — no injection, zero overhead.  A spec
+        without rules (``{"seed": 0, "rules": []}``) resolves to ``None``
+        without reading the environment; :meth:`as_dict` writes "no plan"
+        that way, so a persisted config pins it across restarts.
     cache_entries, cache_cells:
         The session matrix cache's entry capacity and total packed-slice
         budget.  Defaults: ``REPRO_MATRIX_CACHE`` /
@@ -224,14 +223,6 @@ class SessionConfig:
         registered measure, like ``evaluate_set``).
     tracked_measures, window_capacity, auto_expire, grouping:
         Forwarded to the session's :class:`~repro.stream.StreamingEngine`.
-    window_kernel:
-        Which sliding-window kernel backs the tracker's measure windows:
-        ``"scalar"`` (pure Python) or ``"array"`` (the NumPy ring buffer).
-        Default: ``REPRO_WINDOW_KERNEL``, else ``None`` — the engine then
-        asks the session backend's ``measure_window`` hook, so numpy and
-        sharded sessions get the array kernel, reference sessions the
-        scalar one.  Kernels are conformance-pinned; the knob changes
-        cost, never a statistic.
     seed:
         Seed for the session's stochastic defaults (seeded schedulers that
         were not given an explicit seed draw this one).
@@ -266,7 +257,6 @@ class SessionConfig:
     measures: Optional[tuple[str, ...]] = None
     tracked_measures: Optional[tuple[str, ...]] = None
     window_capacity: int = 0
-    window_kernel: Optional[str] = None
     auto_expire: bool = False
     grouping: GroupingParameters = field(default_factory=GroupingParameters)
     seed: int = 0
@@ -300,7 +290,6 @@ class SessionConfig:
             raise ServiceError(
                 f"window_capacity must be >= 0, got {self.window_capacity}"
             )
-        self._resolve_window_kernel()
         if self.persist_dir is not None and not isinstance(self.persist_dir, str):
             _frozen_set(self, "persist_dir", str(self.persist_dir))
         if self.checkpoint_events < 1:
@@ -420,19 +409,10 @@ class SessionConfig:
         if isinstance(plan, FaultPlan):
             return
         try:
-            _frozen_set(self, "fault_plan", FaultPlan.from_spec(plan))
+            plan = FaultPlan.from_spec(plan)
         except ValueError as error:
             raise ServiceError(f"invalid fault_plan: {error}") from error
-
-    def _resolve_window_kernel(self) -> None:
-        if self.window_kernel is None:
-            value = _env_choice(ENV_WINDOW_KERNEL, _WINDOW_KERNELS)
-            _frozen_set(self, "window_kernel", value)
-        elif self.window_kernel not in _WINDOW_KERNELS:
-            raise ServiceError(
-                f"window_kernel must be 'scalar' or 'array', "
-                f"got {self.window_kernel!r}"
-            )
+        _frozen_set(self, "fault_plan", plan if plan.rules else None)
 
     def _resolve_cache(self) -> None:
         if self.cache_entries is None:
@@ -463,7 +443,7 @@ class SessionConfig:
                     "max_group_size": self.grouping.max_group_size,
                 }
             elif spec.name == "fault_plan":
-                value = value.spec() if isinstance(value, FaultPlan) else None
+                value = (value or FaultPlan()).spec()
             elif spec.name == "cluster" and value is not None:
                 value = value.spec()
             elif isinstance(value, tuple):
@@ -474,11 +454,14 @@ class SessionConfig:
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> "SessionConfig":
         """Rebuild a config from :meth:`as_dict` output."""
+        arguments = dict(payload)
+        # Configs saved before the window kernel became the backend's
+        # choice carry the retired field; the backend picks it now.
+        arguments.pop("window_kernel", None)
         known = {spec.name for spec in fields(cls)}
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(arguments) - known)
         if unknown:
             raise ServiceError(f"unknown SessionConfig fields: {unknown}")
-        arguments = dict(payload)
         grouping = arguments.get("grouping")
         if isinstance(grouping, dict):
             arguments["grouping"] = GroupingParameters(**grouping)
@@ -489,4 +472,8 @@ class SessionConfig:
             # Configs saved before the threshold was always resolved hold
             # null where the variable was unset, i.e. the default.
             arguments["compact_threshold"] = DEFAULT_COMPACT_THRESHOLD
+        if "fault_plan" in arguments and arguments["fault_plan"] is None:
+            # Likewise for the fault plan: null was saved when no plan was
+            # in effect, which the empty spec now pins.
+            arguments["fault_plan"] = FaultPlan().spec()
         return cls(**arguments)

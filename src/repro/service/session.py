@@ -122,7 +122,6 @@ class FlexSession:
             tracked_measures=config.tracked_measures,
             backend=self._backend,
             compact_threshold=config.compact_threshold,
-            window_kernel=config.window_kernel,
         )
         self.requests_served = 0
         self._closed = False

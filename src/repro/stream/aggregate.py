@@ -10,17 +10,10 @@ both add and remove.
 
 :class:`IncrementalAggregate` therefore keeps
 
-* a packed, offset-indexed column store ``absolute time → (Σ amin, Σ amax,
-  cover count)`` over the members' *effective* slice bounds (the same
-  bounds the batch path sums), updated in O(duration) per membership
-  change.  With NumPy present the columns are contiguous ``int64`` arrays
-  indexed by ``time - base`` — adds and removes are vectorized slice
-  updates, and materialisation gathers whole ranges instead of probing a
-  dict per time unit.  The store degrades to the original sparse dict —
-  with identical integer results — when NumPy is missing, when a member
-  carries bounds beyond ``±2^31`` (headroom for exact ``int64`` sums), or
-  when the members' time span would need an unreasonable array
-  (:data:`_SPAN_LIMIT` columns);
+* a sparse column store ``{absolute time: [Σ amin, Σ amax, cover count]}``
+  over the members' *effective* slice bounds (the same bounds the batch
+  path sums), updated in O(duration) per membership change.  Its entries
+  are plain Python ints, so the sums are exact for any bound magnitude;
 * running totals of ``cmin``/``cmax`` (O(1) per change);
 * running extremes for ``min tes``, ``min tf`` and ``max end``.  Adding a
   member can only tighten these monotonically (O(1)); removing the member
@@ -46,199 +39,14 @@ from .events import StreamError
 
 __all__ = ["IncrementalAggregate"]
 
-#: Per-member bound magnitude the packed store accepts: ``int64`` column
-#: sums stay exact for up to 2^31 members of bounds within ±2^31.
-_BOUND_LIMIT = 1 << 31
-#: Maximum columns (time units) the packed arrays may span; a cell whose
-#: members are scattered further apart falls back to the sparse dict.
-_SPAN_LIMIT = 1 << 20
-
-#: Lazily probed NumPy module (``import repro`` must stay NumPy-free —
-#: this module is imported eagerly by ``repro.stream``).
-np = None
-_numpy_probed = False
-
-
-def _numpy():
-    """NumPy, imported on the first :class:`_ColumnStore` construction."""
-    global np, _numpy_probed
-    if not _numpy_probed:
-        _numpy_probed = True
-        try:
-            import numpy
-
-            np = numpy
-        except ImportError:  # pragma: no cover - exercised only without numpy
-            np = None
-    return np
-
-
-class _ColumnStore:
-    """Offset-indexed ``(Σ amin, Σ amax, cover)`` sums under add/remove.
-
-    Two interchangeable representations with bit-identical integer
-    results: packed ``int64`` arrays indexed by ``time - base`` (the
-    default when NumPy is importable) and the original sparse
-    ``{time: [Σ amin, Σ amax, cover]}`` dict.  The packed mode migrates to
-    the dict — once, irreversibly for this store instance — when a member
-    would violate the exactness guard (:data:`_BOUND_LIMIT`) or blow the
-    span budget (:data:`_SPAN_LIMIT`); the aggregate builds a fresh store
-    whenever it empties, re-arming the packed path.
-    """
-
-    __slots__ = ("_dict", "_base", "_amin", "_amax", "_cover")
-
-    def __init__(self) -> None:
-        self._dict: Optional[dict[int, list[int]]] = (
-            {} if _numpy() is None else None
-        )
-        self._base = 0
-        self._amin = self._amax = self._cover = None
-
-    # -------------------------------------------------------------- #
-    # Mode management
-    # -------------------------------------------------------------- #
-    def _to_dict(self) -> None:
-        """Migrate the packed state into the sparse dict (one way)."""
-        data: dict[int, list[int]] = {}
-        if self._cover is not None:
-            for index in np.flatnonzero(self._cover).tolist():
-                data[self._base + index] = [
-                    int(self._amin[index]),
-                    int(self._amax[index]),
-                    int(self._cover[index]),
-                ]
-        self._dict = data
-        self._amin = self._amax = self._cover = None
-
-    def _ensure_span(self, lo: int, hi: int) -> bool:
-        """Grow the packed arrays to cover ``[lo, hi)``; ``False`` when the
-        span budget forces the dict fallback instead."""
-        if self._amin is None:
-            span = hi - lo
-            capacity = max(span, 16)
-            self._base = lo
-            self._amin = np.zeros(capacity, dtype=np.int64)
-            self._amax = np.zeros(capacity, dtype=np.int64)
-            self._cover = np.zeros(capacity, dtype=np.int64)
-            return True
-        current_lo = self._base
-        current_hi = self._base + len(self._amin)
-        if lo >= current_lo and hi <= current_hi:
-            return True
-        new_lo = min(lo, current_lo)
-        new_hi = max(hi, current_hi)
-        if new_hi - new_lo > _SPAN_LIMIT:
-            self._to_dict()
-            return False
-        # Geometric growth with the slack split around the covered range,
-        # so alternating left/right extensions stay amortized O(1).
-        capacity = max(new_hi - new_lo, 2 * len(self._amin))
-        slack = capacity - (new_hi - new_lo)
-        base = new_lo - (slack // 2 if lo < current_lo else 0)
-        offset = current_lo - base
-        for name in ("_amin", "_amax", "_cover"):
-            grown = np.zeros(capacity, dtype=np.int64)
-            old = getattr(self, name)
-            grown[offset : offset + len(old)] = old
-            setattr(self, name, grown)
-        self._base = base
-        return True
-
-    # -------------------------------------------------------------- #
-    # Mutation
-    # -------------------------------------------------------------- #
-    def add(self, start: int, bounds) -> None:
-        """Fold one member's effective slice bounds in, O(duration)."""
-        amins = [bound.amin for bound in bounds]
-        amaxs = [bound.amax for bound in bounds]
-        if self._dict is None:
-            if amins and (
-                max(max(amins), max(amaxs), -min(amins), -min(amaxs))
-                > _BOUND_LIMIT
-            ):
-                self._to_dict()
-            elif not self._ensure_span(start, start + len(amins)):
-                pass  # _ensure_span migrated to the dict
-        if self._dict is not None:
-            for index, (amin, amax) in enumerate(zip(amins, amaxs)):
-                column = self._dict.setdefault(start + index, [0, 0, 0])
-                column[0] += amin
-                column[1] += amax
-                column[2] += 1
-            return
-        lo = start - self._base
-        hi = lo + len(amins)
-        self._amin[lo:hi] += amins
-        self._amax[lo:hi] += amaxs
-        self._cover[lo:hi] += 1
-
-    def remove(self, start: int, bounds) -> None:
-        """Fold one member's effective slice bounds out, O(duration)."""
-        amins = [bound.amin for bound in bounds]
-        amaxs = [bound.amax for bound in bounds]
-        if self._dict is not None:
-            for index, (amin, amax) in enumerate(zip(amins, amaxs)):
-                column = self._dict[start + index]
-                column[0] -= amin
-                column[1] -= amax
-                column[2] -= 1
-                if column[2] == 0:
-                    del self._dict[start + index]
-            return
-        lo = start - self._base
-        hi = lo + len(amins)
-        self._amin[lo:hi] -= amins
-        self._amax[lo:hi] -= amaxs
-        self._cover[lo:hi] -= 1
-
-    # -------------------------------------------------------------- #
-    # Materialisation
-    # -------------------------------------------------------------- #
-    def materialise(self, anchor: int, horizon: int) -> list[EnergySlice]:
-        """The summed slices over ``[anchor, horizon)``, uncovered = (0, 0)."""
-        count = horizon - anchor
-        if self._dict is not None:
-            slices = []
-            for time in range(anchor, horizon):
-                column = self._dict.get(time)
-                if column is None:
-                    slices.append(EnergySlice(0, 0))
-                else:
-                    slices.append(EnergySlice(column[0], column[1]))
-            return slices
-        amins = [0] * count
-        amaxs = [0] * count
-        if self._amin is not None:
-            lo = max(anchor, self._base)
-            hi = min(horizon, self._base + len(self._amin))
-            if hi > lo:
-                source_lo = lo - self._base
-                source_hi = hi - self._base
-                out_lo = lo - anchor
-                # ``.tolist()`` yields Python ints, keeping EnergySlice
-                # construction identical to the dict path.
-                amins[out_lo : out_lo + (hi - lo)] = self._amin[
-                    source_lo:source_hi
-                ].tolist()
-                amaxs[out_lo : out_lo + (hi - lo)] = self._amax[
-                    source_lo:source_hi
-                ].tolist()
-        return [EnergySlice(amin, amax) for amin, amax in zip(amins, amaxs)]
-
-    @property
-    def packed(self) -> bool:
-        """Whether the store is still in packed-array mode (observability)."""
-        return self._dict is None
-
 
 class IncrementalAggregate:
     """A start-aligned aggregate maintained under member add/remove."""
 
     def __init__(self) -> None:
         self._members: dict[str, FlexOffer] = {}
-        #: Packed (Σ amin, Σ amax, cover) column sums over absolute time.
-        self._columns = _ColumnStore()
+        #: Absolute time -> [Σ amin, Σ amax, cover] over covered columns.
+        self._columns: dict[int, list[int]] = {}
         self._total_min = 0
         self._total_max = 0
         self._min_tes: Optional[int] = None
@@ -256,9 +64,17 @@ class IncrementalAggregate:
         if offer_id in self._members:
             raise StreamError(f"offer {offer_id!r} is already aggregated")
         self._members[offer_id] = flex_offer
-        self._columns.add(
-            flex_offer.earliest_start, flex_offer.effective_slice_bounds()
-        )
+        columns = self._columns
+        for time, bound in enumerate(
+            flex_offer.effective_slice_bounds(), flex_offer.earliest_start
+        ):
+            column = columns.get(time)
+            if column is None:
+                columns[time] = [bound.amin, bound.amax, 1]
+            else:
+                column[0] += bound.amin
+                column[1] += bound.amax
+                column[2] += 1
         self._total_min += flex_offer.cmin
         self._total_max += flex_offer.cmax
         if not self._extremes_dirty:
@@ -279,17 +95,22 @@ class IncrementalAggregate:
             flex_offer = self._members.pop(offer_id)
         except KeyError:
             raise StreamError(f"offer {offer_id!r} is not aggregated here") from None
-        self._columns.remove(
-            flex_offer.earliest_start, flex_offer.effective_slice_bounds()
-        )
+        columns = self._columns
+        for time, bound in enumerate(
+            flex_offer.effective_slice_bounds(), flex_offer.earliest_start
+        ):
+            column = columns[time]
+            if column[2] == 1:
+                del columns[time]
+            else:
+                column[0] -= bound.amin
+                column[1] -= bound.amax
+                column[2] -= 1
         self._total_min -= flex_offer.cmin
         self._total_max -= flex_offer.cmax
         if not self._members:
             self._min_tes = self._min_tf = self._max_end = None
             self._extremes_dirty = False
-            # A fresh store releases the packed arrays and re-arms the
-            # packed mode after a dict fallback.
-            self._columns = _ColumnStore()
         elif not self._extremes_dirty and (
             flex_offer.earliest_start == self._min_tes
             or flex_offer.time_flexibility == self._min_tf
@@ -372,7 +193,13 @@ class IncrementalAggregate:
         self._refresh_extremes()
         anchor: int = self._min_tes  # type: ignore[assignment]
         horizon: int = self._max_end  # type: ignore[assignment]
-        slices = self._columns.materialise(anchor, horizon)
+        slices = []
+        for time in range(anchor, horizon):
+            column = self._columns.get(time)
+            if column is None:
+                slices.append(EnergySlice(0, 0))
+            else:
+                slices.append(EnergySlice(column[0], column[1]))
         label = name or "agg(" + ",".join(
             member.name or f"member{index}"
             for index, member in enumerate(self._members.values())

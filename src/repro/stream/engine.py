@@ -43,7 +43,7 @@ from typing import Optional, Union
 from ..aggregation.alignment import aggregate_start_aligned
 from ..aggregation.base import AggregatedFlexOffer
 from ..aggregation.grouping import GroupingParameters
-from ..backend.dispatch import DEFAULT_COMPACT_THRESHOLD
+from ..backend.dispatch import DEFAULT_COMPACT_THRESHOLD, get_backend
 from ..core.flexoffer import FlexOffer
 from ..measures.base import FlexibilityMeasure
 from ..measures.setwise import FlexibilitySetReport, MeasureSpec, resolve_measures
@@ -57,7 +57,7 @@ from .events import (
     Tick,
 )
 from .grouping import CellKey, OnlineGridIndex
-from .window import MeasureWindow, WindowTracker
+from .window import WindowTracker
 
 __all__ = [
     "EngineStats",
@@ -159,20 +159,16 @@ class StreamingEngine:
     backend:
         Backend selection (registered name or instance) for the engine's
         own bulk calls (:meth:`bulk_arrive`); ``None`` resolves the active
-        backend per call, exactly as before.
+        backend per call, exactly as before.  Its
+        :meth:`~repro.backend.dispatch.ComputeBackend.measure_window` hook
+        also picks the tracker's sliding-window kernel: reference engines
+        keep the scalar :class:`~repro.stream.window.MeasureWindow`, the
+        NumPy and sharded tiers get the array
+        :class:`~repro.stream.windowkernels.ArrayMeasureWindow`.  Both
+        kernels are conformance-pinned to each other, so the choice never
+        changes a statistic, only its cost.
     compact_threshold:
         Tombstone ratio at which the live matrix auto-compacts.
-    window_kernel:
-        Which sliding-window kernel backs the tracker's measure windows:
-        ``"scalar"`` (the pure-Python :class:`MeasureWindow`), ``"array"``
-        (the NumPy ring-buffer
-        :class:`~repro.stream.windowkernels.ArrayMeasureWindow`), or
-        ``None`` to ask the engine backend's
-        :meth:`~repro.backend.dispatch.ComputeBackend.measure_window`
-        hook — reference sessions keep the scalar kernel, the NumPy and
-        sharded tiers get the array kernel.  Both kernels are
-        conformance-pinned to each other, so the choice never changes a
-        statistic, only its cost.
     """
 
     def __init__(
@@ -187,7 +183,6 @@ class StreamingEngine:
         tracked_measures: Optional[Iterable[str]] = None,
         backend=None,
         compact_threshold: float = DEFAULT_COMPACT_THRESHOLD,
-        window_kernel: Optional[str] = None,
     ) -> None:
         self.parameters = parameters
         self._backend_spec = backend
@@ -214,12 +209,12 @@ class StreamingEngine:
             WindowTracker(
                 tracked,
                 window_capacity,
-                window_factory=self._window_factory(window_kernel),
+                window_factory=get_backend(backend).measure_window,
             )
             if window_capacity
             else None
         )
-        #: The resolved window kernel name (``None`` without a tracker).
+        #: The window kernel the backend picked (``None`` without a tracker).
         self.window_kernel: Optional[str] = (
             self.tracker.kernel if self.tracker is not None else None
         )
@@ -253,34 +248,6 @@ class StreamingEngine:
         return LivePopulation(
             [measure.key for measure in self.measures],
             compact_threshold=self._compact_threshold,
-        )
-
-    def _window_factory(self, requested: Optional[str]):
-        """Resolve the window kernel into a ``capacity -> window`` factory.
-
-        The explicit ``window_kernel`` argument wins; ``None`` asks the
-        engine backend's
-        :meth:`~repro.backend.dispatch.ComputeBackend.measure_window` hook.
-        An invalid name raises; ``"array"`` without NumPy raises only when
-        requested explicitly — the backend hook already degrades to the
-        scalar kernel on its own.
-        """
-        from ..backend.dispatch import get_backend
-
-        if requested is None:
-            return get_backend(self._backend_spec).measure_window
-        if requested == "scalar":
-            return MeasureWindow
-        if requested == "array":
-            try:
-                from .windowkernels import ArrayMeasureWindow
-            except ImportError:
-                raise StreamError(
-                    "window_kernel 'array' needs NumPy, which is not installed"
-                ) from None
-            return ArrayMeasureWindow
-        raise StreamError(
-            f"unknown window kernel {requested!r}; expected 'scalar' or 'array'"
         )
 
     # ------------------------------------------------------------------ #
@@ -322,8 +289,6 @@ class StreamingEngine:
         evaluated or mutated.  Accepts :class:`OfferArrived` events or
         ``(offer_id, flex_offer)`` pairs; returns ``self`` for chaining.
         """
-        from ..backend.dispatch import get_backend
-
         events = [
             arrival
             if isinstance(arrival, OfferArrived)

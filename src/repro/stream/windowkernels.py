@@ -30,8 +30,7 @@ ring evictions and queries — the differential window-conformance suite in
 Selection is per session, through the compute-backend contract
 (:meth:`~repro.backend.dispatch.ComputeBackend.measure_window`): reference
 sessions keep the scalar kernel, the NumPy and sharded tiers get this one.
-``SessionConfig(window_kernel=...)`` (environment default
-``REPRO_WINDOW_KERNEL``) overrides the automatic choice.
+There is no option to override the backend's choice.
 
 This module imports NumPy at module level, mirroring
 :mod:`repro.stream.live`; the engine imports it lazily and falls back to

@@ -186,6 +186,35 @@ def test_recovery_honours_the_persisted_config(tmp_path):
         registry.close()
 
 
+def test_config_with_the_retired_window_kernel_key_recovers(tmp_path):
+    """``config.json`` files written while ``SessionConfig`` still had a
+    ``window_kernel`` field carry that key; recovery drops it and the
+    backend picks the kernel, with the same answers as before."""
+    config = SessionConfig(window_capacity=4, **DURABLE)
+    registry = SessionRegistry(persist_root=str(tmp_path))
+    try:
+        session = registry.create("tenant", config)
+        session.stream(StreamRequest(events=arrival_events()))
+        evaluated = session.evaluate().values
+        aggregates = session.aggregate().aggregates
+    finally:
+        registry.close()
+    path = tmp_path / "tenant" / "config.json"
+    payload = json.loads(path.read_text())
+    payload["window_kernel"] = "array"
+    path.write_text(json.dumps(payload))
+
+    restarted = SessionRegistry(persist_root=str(tmp_path))
+    try:
+        recovered = restarted.get("tenant")
+        assert restarted.recovered == 1
+        assert recovered.engine.window_kernel == "scalar"
+        assert recovered.evaluate().values == evaluated
+        assert recovered.aggregate().aggregates == aggregates
+    finally:
+        restarted.close()
+
+
 # --------------------------------------------------------------------- #
 # Evicted-then-recovered bit-identity (satellite #3)
 # --------------------------------------------------------------------- #

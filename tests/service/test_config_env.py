@@ -49,7 +49,6 @@ VALID = {
     "REPRO_MATRIX_CACHE": "7",
     "REPRO_MATRIX_CACHE_CELLS": "1000",
     "REPRO_MATRIX_COMPACT": "0.75",
-    "REPRO_WINDOW_KERNEL": "array",
 }
 
 #: A malformed value for every variable that degrades with a warning.
@@ -66,7 +65,6 @@ MALFORMED = {
     "REPRO_MATRIX_CACHE": "off",
     "REPRO_MATRIX_CACHE_CELLS": "lots",
     "REPRO_MATRIX_COMPACT": "nonsense",
-    "REPRO_WINDOW_KERNEL": "gpu",
 }
 
 
@@ -137,7 +135,6 @@ def test_session_config_picks_up_every_valid_variable(monkeypatch):
     assert config.fault_plan.spec() == FaultPlan.from_spec(FAULTS).spec()
     assert (config.cache_entries, config.cache_cells) == (7, 1000)
     assert config.compact_threshold == 0.75
-    assert config.window_kernel == "array"
 
 
 def test_session_config_warns_on_every_malformed_variable(monkeypatch):
@@ -157,7 +154,6 @@ def test_session_config_warns_on_every_malformed_variable(monkeypatch):
     assert config.cache_entries == DEFAULT_CAPACITY
     assert config.cache_cells == DEFAULT_CELL_BUDGET
     assert config.compact_threshold == DEFAULT_COMPACT_THRESHOLD
-    assert config.window_kernel is None
     clear_environment(monkeypatch)
     monkeypatch.setenv("REPRO_CLUSTER", MALFORMED["REPRO_CLUSTER"])
     with pytest.warns(RuntimeWarning, match="REPRO_CLUSTER"):
@@ -221,6 +217,39 @@ def test_payload_with_a_null_threshold_loads_as_the_default(monkeypatch):
     payload["compact_threshold"] = None
     config = SessionConfig.from_dict(payload)
     assert config.compact_threshold == DEFAULT_COMPACT_THRESHOLD
+
+
+def test_durable_config_pins_no_fault_plan_across_a_restart(
+    monkeypatch, tmp_path
+):
+    from repro.server.registry import SessionRegistry
+
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    registry = SessionRegistry(persist_root=str(tmp_path))
+    registry.create("tenant", SessionConfig(backend="reference"))
+    registry.close()
+    assert load_config(tmp_path / "tenant")["fault_plan"] == FaultPlan().spec()
+
+    monkeypatch.setenv("REPRO_FAULTS", json.dumps(FAULTS))
+    restarted = SessionRegistry(persist_root=str(tmp_path))
+    try:
+        session = restarted.get("tenant")
+        assert session.config.fault_plan is None
+        assert "faults" not in session.stats()
+    finally:
+        restarted.close()
+
+
+def test_payload_with_a_null_fault_plan_loads_as_no_plan(monkeypatch):
+    """Configs persisted before "no plan" was saved as the empty spec hold
+    ``null``; no plan was in effect, whatever the environment says now."""
+    monkeypatch.setenv("REPRO_FAULTS", json.dumps(FAULTS))
+    payload = SessionConfig(backend="reference").as_dict()
+    assert payload["fault_plan"] == FaultPlan.from_spec(FAULTS).spec()
+    payload["fault_plan"] = None
+    assert SessionConfig.from_dict(payload).fault_plan is None
+    payload["fault_plan"] = FaultPlan().spec()
+    assert SessionConfig.from_dict(payload).fault_plan is None
 
 
 @requires_numpy

@@ -104,7 +104,7 @@ def remote_backend_registered():
             _REGISTRY.pop(backend.name, None)
 
 
-def run_streaming(backend: str, window_kernel=None) -> list[dict]:
+def run_streaming(backend: str) -> list[dict]:
     """Replay the fixture protocol; one record per tick."""
     population = generate_population(SPEC)
     assert len(population) == 1000
@@ -113,8 +113,10 @@ def run_streaming(backend: str, window_kernel=None) -> list[dict]:
         window_capacity=WINDOW_CAPACITY,
         auto_expire=True,
         backend=backend,
-        window_kernel=window_kernel,
     )
+    if backend == "reference":
+        # The fixture records the scalar kernel, the reference backend's pick.
+        assert engine.window_kernel == "scalar"
     ticks: list[dict] = []
     time = 0
     for start in range(0, len(population), CHUNK):
@@ -149,7 +151,7 @@ def build_fixture() -> dict:
             "window_capacity": WINDOW_CAPACITY,
             "measures": list(MEASURES),
         },
-        "ticks": run_streaming("reference", window_kernel="scalar"),
+        "ticks": run_streaming("reference"),
     }
 
 

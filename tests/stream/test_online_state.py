@@ -231,54 +231,37 @@ class TestIncrementalAggregate:
 
 
 class TestColumnStore:
-    """The packed/dict column store behind IncrementalAggregate."""
+    """The sparse column sums behind IncrementalAggregate."""
 
     def batch_equal(self, aggregate, members):
         assert aggregate.aggregated() == aggregate_start_aligned(members)
 
-    def test_packed_mode_is_active_with_numpy(self):
-        pytest.importorskip("numpy")
-        aggregate = IncrementalAggregate()
-        aggregate.add("a", OFFERS["a"])
-        assert aggregate._columns.packed
-
-    def test_huge_bounds_migrate_to_dict_with_identical_results(self):
-        pytest.importorskip("numpy")
+    def test_huge_bounds_sum_exactly(self):
+        # Bounds past 2^31 and past int64 stay exact Python-int sums.
         big = offer(0, 2, [(0, 1 << 33)], "big")
+        huge = offer(1, 3, [(1 << 70, (1 << 70) + 5), (-(1 << 70), 0)], "huge")
         aggregate = IncrementalAggregate()
         aggregate.add("a", OFFERS["a"])
-        assert aggregate._columns.packed
         aggregate.add("big", big)
-        assert not aggregate._columns.packed
-        self.batch_equal(aggregate, [OFFERS["a"], big])
-        # Membership changes keep working in dict mode.
+        aggregate.add("huge", huge)
+        self.batch_equal(aggregate, [OFFERS["a"], big, huge])
         aggregate.remove("a")
+        self.batch_equal(aggregate, [big, huge])
+        aggregate.remove("huge")
         self.batch_equal(aggregate, [big])
 
-    def test_huge_span_migrates_to_dict_with_identical_results(self):
-        pytest.importorskip("numpy")
+    def test_far_span_sums_exactly(self):
         far = offer(1 << 21, (1 << 21) + 2, [(1, 2)], "far")
         aggregate = IncrementalAggregate()
         aggregate.add("a", OFFERS["a"])
         aggregate.add("far", far)
-        assert not aggregate._columns.packed
         self.batch_equal(aggregate, [OFFERS["a"], far])
-
-    def test_emptying_re_arms_the_packed_mode(self):
-        pytest.importorskip("numpy")
-        aggregate = IncrementalAggregate()
-        aggregate.add("far", offer(1 << 21, (1 << 21) + 2, [(1, 2)], "far"))
-        aggregate.add("a", OFFERS["a"])
-        assert not aggregate._columns.packed
         aggregate.remove("far")
-        aggregate.remove("a")
-        aggregate.add("b", OFFERS["b"])
-        assert aggregate._columns.packed
-        self.batch_equal(aggregate, [OFFERS["b"]])
+        self.batch_equal(aggregate, [OFFERS["a"]])
 
     def test_span_growth_in_both_directions(self):
-        # Left and right extensions of the packed arrays, interleaved with
-        # removals, stay batch-identical throughout.
+        # Members extending the covered span left and right, interleaved
+        # with removals, stay batch-identical throughout.
         members = {
             "mid": offer(100, 102, [(1, 2), (2, 3)], "mid"),
             "left": offer(40, 44, [(0, 1)], "left"),

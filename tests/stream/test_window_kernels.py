@@ -18,10 +18,8 @@ both kernels side by side and asserts, after every operation:
 
 The deterministic tests pin the named edge cases — capacity 1, all-equal
 values, negative values, non-finite rejection — plus the per-backend kernel
-selection: the reference backend keeps the scalar kernel, the NumPy and
-sharded tiers hand out the array kernel, and ``REPRO_WINDOW_KERNEL`` (read
-by :class:`~repro.service.SessionConfig`) /
-``StreamingEngine(window_kernel=...)`` override either way.
+selection: the reference backend keeps the scalar kernel, and the NumPy and
+sharded tiers hand out the array kernel.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from hypothesis import strategies as st
 from repro.backend import NUMPY_AVAILABLE, ShardedBackend, get_backend
 from repro.stream import MeasureWindow, StreamError, StreamingEngine
 from repro.service import FlexSession
-from repro.service.config import ENV_WINDOW_KERNEL
 
 if NUMPY_AVAILABLE:
     from repro.stream.windowkernels import ArrayMeasureWindow
@@ -193,7 +190,7 @@ class TestDifferentialConformance:
 
 
 class TestKernelSelection:
-    """Backend hook, env knob and explicit override resolution."""
+    """The engine's backend is the one thing that picks the kernel."""
 
     def test_backend_hooks_pick_the_expected_kernel(self):
         assert get_backend("reference").measure_window(4).kernel == "scalar"
@@ -217,39 +214,11 @@ class TestKernelSelection:
         )
         assert StreamingEngine().window_kernel is None
 
-    def test_explicit_kernel_beats_the_backend(self):
-        engine = StreamingEngine(
-            window_capacity=4, backend="numpy", window_kernel="scalar"
-        )
-        assert engine.window_kernel == "scalar"
-        engine = StreamingEngine(
-            window_capacity=4, backend="reference", window_kernel="array"
-        )
-        assert engine.window_kernel == "array"
-
-    def test_env_knob_is_consulted_when_no_explicit_kernel(self, monkeypatch):
-        # By the session's config; a bare engine keeps its backend's kernel.
-        for kernel, backend, bare in (
-            ("array", "reference", "scalar"),
-            ("scalar", "numpy", "array"),
-        ):
-            monkeypatch.setenv(ENV_WINDOW_KERNEL, kernel)
+    def test_session_reports_its_backend_kernel(self):
+        for backend, kernel in (("reference", "scalar"), ("numpy", "array")):
             with FlexSession(backend=backend, window_capacity=4) as session:
                 assert session.engine.window_kernel == kernel
-            engine = StreamingEngine(window_capacity=4, backend=backend)
-            assert engine.window_kernel == bare
-
-    def test_invalid_env_value_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv(ENV_WINDOW_KERNEL, "gpu")
-        with pytest.warns(RuntimeWarning, match="REPRO_WINDOW_KERNEL"):
-            session = FlexSession(backend="reference", window_capacity=4)
-        with session:
-            assert session.config.window_kernel is None
-            assert session.engine.window_kernel == "scalar"
-
-    def test_invalid_explicit_kernel_raises(self):
-        with pytest.raises(StreamError):
-            StreamingEngine(window_capacity=4, window_kernel="gpu")
+                assert session.stats()["window_kernel"] == kernel
 
     def test_lazy_package_export(self):
         import repro.stream
@@ -262,7 +231,7 @@ class TestKernelSelection:
 class TestEngineConformance:
     """Identical event streams give matching window summaries per backend."""
 
-    def run_engine(self, backend, window_kernel=None):
+    def run_engine(self, backend):
         from repro.stream import OfferArrived, Tick
         from repro.workloads import neighbourhood_scenario
 
@@ -270,7 +239,6 @@ class TestEngineConformance:
         engine = StreamingEngine(
             window_capacity=8,
             backend=backend,
-            window_kernel=window_kernel,
             auto_expire=True,
         )
         for index, offer in enumerate(scenario.flex_offers):
@@ -284,8 +252,9 @@ class TestEngineConformance:
     def test_tick_summaries_match_the_scalar_reference(self, backend):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResourceWarning)
-            reference = self.run_engine("reference", window_kernel="scalar")
+            reference = self.run_engine("reference")
             candidate = self.run_engine(backend)
+        assert reference.window_kernel == "scalar"
         expected = reference.tracker.summary()
         actual = candidate.tracker.summary()
         assert set(actual) == set(expected)
