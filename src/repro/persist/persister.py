@@ -11,9 +11,13 @@ The write path is *log-after-apply*: the session applies an event to the
 engine, appends its :func:`repro.io.event_to_dict` record, and commits
 (flush + fsync) once per request — so the WAL only ever contains events
 that actually mutated the engine, and a mid-batch failure cannot make the
-log diverge from the state.  The read path is *snapshot + tail replay*:
-recovery restores the newest valid snapshot and replays only the WAL
-records past its watermark, O(snapshot + tail) instead of O(history).
+log diverge from the state.  A bulk request, which lands all-or-nothing,
+is logged as one *batch record* holding all of its events; it spans one
+sequence number per event, so sequence numbers, the checkpoint policy and
+:attr:`RecoveryStats.replayed` all count events.  The read path is
+*snapshot + tail replay*: recovery restores the newest valid snapshot and
+replays only the WAL records past its watermark — a batch record through
+the engine's bulk path — O(snapshot + tail) instead of O(history).
 
 **Degraded mode.**  Durability failures must not take serving down: an
 ``OSError`` (disk full, injected fault, dead volume) on the append,
@@ -132,8 +136,9 @@ class SessionPersister:
     fsync:
         Whether WAL commits and snapshot writes fsync.
     checkpoint_events:
-        WAL records accumulated since the last snapshot that trigger an
-        automatic checkpoint at the next :meth:`maybe_checkpoint`.
+        Events logged since the last snapshot that trigger an automatic
+        checkpoint at the next :meth:`maybe_checkpoint` (a batch record
+        counts each of its events).
     checkpoint_age_s:
         Optional wall-clock age of the last snapshot that triggers one,
         for quiet sessions trickling single events.
@@ -192,15 +197,27 @@ class SessionPersister:
     def log_event(self, event) -> Optional[int]:
         """Append one *applied* event; durable at the next :meth:`commit`.
 
-        Returns the record's sequence number — or ``None`` when the write
-        failed (or persistence was already suspended): the event stays
-        applied and un-durable, and the snapshot a successful resume
-        forces will cover it.
+        ``event`` may also be a non-empty list or tuple of applied
+        :class:`~repro.stream.OfferArrived` events — one bulk request,
+        which the engine applied all-or-nothing.  It is logged as one batch
+        record spanning one sequence number per event, and recovery
+        replays it through :meth:`~repro.stream.StreamingEngine.bulk_arrive`.
+
+        Returns the last sequence number the record covers — or ``None``
+        when the write failed (or persistence was already suspended): the
+        events stay applied and un-durable, and the snapshot a successful
+        resume forces will cover them.
         """
         if self.degraded:
             return None
+        if isinstance(event, (list, tuple)):
+            payload = {"events": [event_to_dict(item) for item in event]}
+            span = len(event)
+        else:
+            payload = {"event": event_to_dict(event)}
+            span = 1
         try:
-            return self.wal.append({"event": event_to_dict(event)})
+            return self.wal.append(payload, span)
         except OSError as error:
             self._suspend(error)
             return None
@@ -346,7 +363,8 @@ class SessionPersister:
         sequence numbers (a mid-log corruption makes everything after it
         unreachable — replaying across the hole could apply events to the
         wrong state), and torn final records were already truncated when
-        the WAL opened.
+        the WAL opened.  A batch record replays through the engine's bulk
+        path and counts each of its events as replayed.
         """
         started = self._clock()
         snapshot_seq = 0
@@ -365,9 +383,15 @@ class SessionPersister:
         for record in self.wal.records(after_seq=snapshot_seq):
             if record.seq != expected:
                 break
-            engine.apply(event_from_dict(record.payload["event"]))
-            expected += 1
-            replayed += 1
+            batch = record.payload.get("events")
+            if batch is None:
+                engine.apply(event_from_dict(record.payload["event"]))
+            elif len(batch) == record.span:
+                engine.bulk_arrive([event_from_dict(item) for item in batch])
+            else:
+                break
+            expected += record.span
+            replayed += record.span
         self._snapshot_seq = snapshot_seq
         stats = RecoveryStats(
             snapshot_seq=snapshot_seq,

@@ -2,13 +2,23 @@
 
 A snapshot file (``snapshot-<wal_seq>.json``) captures a full
 :meth:`~repro.stream.StreamingEngine.export_state` document together with
-the write-ahead-log sequence number it covers, a format version and a
-CRC-32 over the canonical state encoding.  Writes go through a temp file
-+ ``fsync`` + ``os.replace`` so a crash mid-checkpoint leaves either the
-old snapshot or the new one, never a half-written file; reads walk the
-retained snapshots newest-first and silently skip any that fail the
-format, CRC or JSON checks, so one corrupted file degrades recovery to
-the previous checkpoint instead of failing it.
+the write-ahead-log sequence number it covers.  Format 2 is a one-line
+JSON header followed by the state's JSON body::
+
+    {"format":2,"seq":<wal_seq>,"crc":<crc32 of the body bytes>}\n
+    <state: UTF-8 JSON>
+
+The state is encoded once, and the CRC covers exactly the bytes written,
+so the loader checks it over the raw body before parsing anything.
+Format-1 files (one JSON document whose CRC covers a sorted re-encoding of
+its ``state``) still load.
+
+Writes go through a temp file + ``fsync`` + ``os.replace`` + a directory
+``fsync``, so a crash mid-checkpoint leaves either the old snapshot or the
+new one, never a half-written file, and a machine crash cannot undo the
+rename; reads walk the retained snapshots newest-first and silently skip
+any that fail the format, CRC or JSON checks, so one corrupted file
+degrades recovery to the previous checkpoint instead of failing it.
 """
 
 from __future__ import annotations
@@ -20,11 +30,16 @@ from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from ..faults.plan import SNAPSHOT_REPLACE, FaultInjected, FaultPlan
+from .wal import fsync_directory
 
 __all__ = ["SnapshotStore"]
 
-#: Bumped when the state document's shape changes incompatibly.
-FORMAT_VERSION = 1
+#: Bumped when the file layout or the state document's shape changes
+#: incompatibly.
+FORMAT_VERSION = 2
+
+#: The single-document layout written before format 2; still loaded.
+_LEGACY_FORMAT = 1
 
 _SNAPSHOT_FORMAT = "snapshot-{seq:012d}.json"
 _SNAPSHOT_PREFIX = "snapshot-"
@@ -32,7 +47,7 @@ _SNAPSHOT_SUFFIX = ".json"
 
 
 def _canonical(state: dict) -> bytes:
-    """The byte string the snapshot CRC is computed over."""
+    """The byte string a format-1 snapshot's CRC is computed over."""
     return json.dumps(
         state, sort_keys=True, separators=(",", ":"), allow_nan=False
     ).encode("utf-8")
@@ -51,7 +66,8 @@ class SnapshotStore:
         degradation (recover from the previous one plus a longer WAL
         tail) rather than a data loss.
     fsync:
-        Whether writes fsync the temp file before the atomic rename.
+        Whether writes fsync the temp file before the atomic rename, and
+        the directory after it.
     faults:
         Optional :class:`repro.faults.FaultPlan`; when set, the store
         fires the ``snapshot.replace`` injection site just before the
@@ -81,22 +97,26 @@ class SnapshotStore:
     def write(self, seq: int, state: dict) -> Path:
         """Durably write the snapshot covering WAL records ``<= seq``."""
         path = self.directory / _SNAPSHOT_FORMAT.format(seq=seq)
-        document = {
-            "format": FORMAT_VERSION,
-            "seq": seq,
-            "crc": zlib.crc32(_canonical(state)),
-            "state": state,
-        }
+        body = json.dumps(
+            state, separators=(",", ":"), allow_nan=False
+        ).encode("utf-8")
+        header = json.dumps(
+            {"format": FORMAT_VERSION, "seq": seq, "crc": zlib.crc32(body)},
+            separators=(",", ":"),
+        ).encode("utf-8")
         tmp = path.with_name(path.name + ".tmp")
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, allow_nan=False)
+            with open(tmp, "wb") as handle:
+                handle.write(header + b"\n")
+                handle.write(body)
                 handle.flush()
                 if self.fsync:
                     os.fsync(handle.fileno())
             if self._faults is not None and self._faults.fire(SNAPSHOT_REPLACE):
                 raise FaultInjected(f"injected fault at {SNAPSHOT_REPLACE}")
             os.replace(tmp, path)
+            if self.fsync:
+                fsync_directory(self.directory)
         except BaseException:
             try:
                 tmp.unlink()
@@ -151,17 +171,27 @@ class SnapshotStore:
         return None
 
     def _load(self, seq: int, path: Path) -> Optional[dict]:
+        """The state of one snapshot file, or ``None`` when it fails a check.
+
+        The first line is a format-2 header; a file without a newline is
+        a whole format-1 document.
+        """
         try:
-            with open(path, encoding="utf-8") as handle:
-                document = json.load(handle)
-            if document.get("format") != FORMAT_VERSION:
+            data = path.read_bytes()
+            head, newline, body = data.partition(b"\n")
+            header = json.loads(head)
+            if int(header["seq"]) != seq:
                 return None
-            if int(document["seq"]) != seq:
-                return None
-            state = document["state"]
-            if zlib.crc32(_canonical(state)) != int(document["crc"]):
-                return None
-            return state
+            if header["format"] == FORMAT_VERSION and newline:
+                if zlib.crc32(body) != int(header["crc"]):
+                    return None
+                return json.loads(body)
+            if header["format"] == _LEGACY_FORMAT and not newline:
+                state = header["state"]
+                if zlib.crc32(_canonical(state)) != int(header["crc"]):
+                    return None
+                return state
+            return None
         except (OSError, ValueError, KeyError, TypeError):
             return None
 

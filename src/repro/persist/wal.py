@@ -1,10 +1,14 @@
 """The append-only, CRC-framed event log backing durable sessions.
 
 One :class:`WriteAheadLog` per persisted session directory.  Records are
-kind-tagged :func:`repro.io.event_to_dict` documents wrapped with a
-monotonic sequence number, framed as::
+JSON documents wrapped with a monotonic sequence number, framed as::
 
     <length: uint32 LE> <crc32(payload): uint32 LE> <payload: UTF-8 JSON>
+
+A record may *span* several sequence numbers: the persister logs a whole
+bulk request as one record holding its events, and that record covers
+one sequence number per event (``seq`` is its first, ``span`` its count),
+so sequence numbers keep counting events however they were framed.
 
 The framing is what makes crashes survivable:
 
@@ -19,7 +23,8 @@ The framing is what makes crashes survivable:
 * **segment rotation** — a checkpoint rotates to a fresh segment file
   (``wal-<first_seq>.log``) and prunes segments the snapshot fully
   covers, keeping the tail short and the replay O(events since the last
-  checkpoint).
+  checkpoint).  With ``fsync`` on, the directory is fsynced after a new
+  segment is created, so the file itself survives a machine crash.
 """
 
 from __future__ import annotations
@@ -52,10 +57,28 @@ class PersistError(FlexError):
 
 @dataclass(frozen=True)
 class WalRecord:
-    """One committed log record: its sequence number and JSON payload."""
+    """One committed log record: its sequence numbers and JSON payload.
+
+    The record covers ``seq`` through :attr:`last_seq` (``span`` numbers).
+    """
 
     seq: int
     payload: dict
+    span: int = 1
+
+    @property
+    def last_seq(self) -> int:
+        """The last sequence number the record covers."""
+        return self.seq + self.span - 1
+
+
+def fsync_directory(directory: Union[str, Path]) -> None:
+    """Make a rename or file creation in ``directory`` durable."""
+    descriptor = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
 
 
 def read_wal_records(
@@ -87,9 +110,12 @@ def read_wal_records(
         try:
             payload = json.loads(body.decode("utf-8"))
             seq = int(payload["seq"])
+            span = int(payload.get("span", 1))
         except (ValueError, KeyError, TypeError, UnicodeDecodeError):
             break
-        records.append(WalRecord(seq, payload))
+        if span < 1:
+            break
+        records.append(WalRecord(seq, payload, span))
         offset += _HEADER.size + length
     if repair and offset < len(data):
         with open(path, "r+b") as handle:
@@ -159,7 +185,7 @@ class WriteAheadLog:
         for start, path in segments:
             records = read_wal_records(path, repair=True)
             if records:
-                self.last_seq = max(self.last_seq, records[-1].seq)
+                self.last_seq = max(self.last_seq, records[-1].last_seq)
             else:
                 self.last_seq = max(self.last_seq, start - 1)
         if segments:
@@ -172,21 +198,26 @@ class WriteAheadLog:
     # ------------------------------------------------------------------ #
     # Writing
     # ------------------------------------------------------------------ #
-    def append(self, payload: dict) -> int:
-        """Buffer one record; returns its sequence number.
+    def append(self, payload: dict, span: int = 1) -> int:
+        """Buffer one record covering ``span`` sequence numbers.
 
-        The record is **not** durable until :meth:`commit` runs — that is
-        the point: a request batch appends every applied event and commits
-        once, so the fsync cost is paid per request, not per event.
+        Returns the last sequence number the record covers.  The record is
+        **not** durable until :meth:`commit` runs — that is the point: a
+        request appends what it applied and commits once, so the fsync
+        cost is paid per request, not per event.
         """
         if self._file is None:
             raise PersistError("the write-ahead log is closed")
+        if span < 1:
+            raise PersistError(f"a record spans at least one event, got {span}")
         self._fire(WAL_APPEND)
         if self._dirty:
             self._rewind()
-        self.last_seq += 1
         record = dict(payload)
-        record["seq"] = self.last_seq
+        record["seq"] = self.last_seq + 1
+        if span != 1:
+            record["span"] = span
+        self.last_seq += span
         data = json.dumps(
             record, separators=(",", ":"), allow_nan=False
         ).encode("utf-8")
@@ -309,6 +340,8 @@ class WriteAheadLog:
         self._path = self.directory / _SEGMENT_FORMAT.format(seq=first_seq)
         self._file = open(self._path, "ab")
         self._mark_committed()
+        if self.fsync:
+            fsync_directory(self.directory)
 
     def _fire(self, site: str) -> None:
         """Fire an injection site; a ``kill`` rule degrades to ``raise``."""

@@ -236,8 +236,9 @@ class SessionConfig:
         Whether WAL commits and snapshot writes ``fsync``.  ``False``
         trades the machine-crash guarantee for speed.
     checkpoint_events:
-        WAL records accumulated since the last snapshot that trigger an
-        automatic checkpoint after a stream request.
+        Events logged since the last snapshot that trigger an automatic
+        checkpoint after a stream request (a bulk request's one WAL
+        record counts each of its events).
     checkpoint_age_s:
         Optional wall-clock age of the last snapshot that also triggers
         one, for quiet sessions trickling single events.

@@ -150,8 +150,9 @@ class StreamRequest:
 
     With ``bulk=True`` and an all-arrival batch, the arrivals are ingested
     through :meth:`~repro.stream.StreamingEngine.bulk_arrive` (one
-    vectorized measure pass); any other event mix is applied in order, one
-    event at a time — identical final state either way.
+    vectorized measure pass, all-or-nothing, and one WAL record on a
+    durable session); any other event mix is applied in order, one event
+    at a time — identical final state either way.
     """
 
     events: tuple[StreamEvent, ...] = ()

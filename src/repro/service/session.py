@@ -399,7 +399,9 @@ class FlexSession:
         write-ahead log (log-after-apply: a mid-batch failure logs exactly
         the prefix that mutated the engine), the log commits once per
         request, and a checkpoint follows when the configured size or age
-        policy fires.
+        policy fires.  A bulk all-arrival request lands all-or-nothing
+        through :meth:`StreamingEngine.bulk_arrive` and is logged as one
+        batch record.
         """
         request = request if request is not None else StreamRequest()
         with self._serve("stream", len(request.events)) as finish:
@@ -407,13 +409,10 @@ class FlexSession:
                 if request.bulk and request.events and all(
                     isinstance(event, OfferArrived) for event in request.events
                 ):
-                    # bulk_arrive is bit-identical to applying the
-                    # arrivals one by one, so replaying the flat WAL
-                    # reproduces the bulk path exactly.
+                    # All-or-nothing, so the whole request is one record.
                     self.engine.bulk_arrive(request.events)
                     if self._persister is not None:
-                        for event in request.events:
-                            self._persister.log_event(event)
+                        self._persister.log_event(request.events)
                 else:
                     for event in request.events:
                         self.engine.apply(event)

@@ -29,6 +29,8 @@ when the import fails.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from typing import Optional
 
 import numpy as np
@@ -41,6 +43,21 @@ __all__ = ["LivePopulation"]
 #: Ints beyond this cannot be gathered through the ``int64`` column path
 #: even when their ``float64`` image is exact (powers of two past 2^62).
 _INT64_SAFE = 1 << 62
+
+#: Every int of at most this magnitude has an exact ``float64`` image.
+_FLOAT_EXACT = 1 << 53
+
+
+def _float_or_zero(value) -> float:
+    """``float(value)``, or ``0.0`` for an int beyond the ``float64`` range.
+
+    The zero is a placeholder: such a value marks its column inexact, so
+    the column is never folded.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        return 0.0
 
 
 class LivePopulation:
@@ -77,56 +94,82 @@ class LivePopulation:
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
-    def append(
-        self, offer_id: str, flex_offer: FlexOffer, values: dict[str, float]
+    def extend(
+        self,
+        offer_ids: Sequence[str],
+        flex_offers: Sequence[FlexOffer],
+        values: Sequence[dict[str, float]],
     ) -> None:
-        """Add one arrival: a matrix row plus its measure values.
+        """Add a batch of arrivals: matrix rows plus their measure values.
 
-        ``values`` holds the measure values of the supporting measures only
-        (the engine's arrival cache).  Raises ``OverflowError`` — with no
-        state change — when the offer is not packable; the engine then
-        degrades to its dictionary-only path.
+        ``values[i]`` holds the measure values of the supporting measures
+        only (the engine's arrival cache for ``flex_offers[i]``).  The
+        matrix takes the batch in one append and every value column is
+        written as one block; the exactness bookkeeping ends up exactly as
+        if the rows had arrived one at a time.  Raises ``OverflowError`` —
+        with no state change — when an offer is not packable; the engine
+        then degrades to its dictionary-only path.
         """
-        self.matrix.append([flex_offer])  # validates before writing
-        row = len(self._ids)
-        if row == len(self._values):
+        self.matrix.append(flex_offers)  # validates before writing
+        if not offer_ids:
+            return
+        start = len(self._ids)
+        end = start + len(offer_ids)
+        if end > len(self._values):
             grown = np.zeros(
-                (max(2 * row, 8), len(self._keys)), dtype=np.float64
+                (max(end, 2 * start, 8), len(self._keys)), dtype=np.float64
             )
-            grown[:row] = self._values[:row]
+            grown[:start] = self._values[:start]
             self._values = grown
-        for key, value in values.items():
-            column = self._column_of.get(key)
-            if column is None:
-                continue
-            self._note_value(column, value)
-            try:
-                self._values[row, column] = float(value)
-            except OverflowError:  # int too large for float64
-                self._inexact[column] = True
-                self._values[row, column] = 0.0
-        self._ids.append(offer_id)
-        self._rows[offer_id] = row
+        rows = [[cached.get(key, 0.0) for key in self._keys] for cached in values]
+        try:
+            self._values[start:end] = np.array(rows, dtype=np.float64)
+        except OverflowError:  # an int too large for float64
+            self._values[start:end] = [
+                [_float_or_zero(value) for value in row] for row in rows
+            ]
+        for column, key in enumerate(self._keys):
+            present = [cached[key] for cached in values if key in cached]
+            if present:
+                self._note_column(column, present)
+        self._ids.extend(offer_ids)
+        self._rows.update(zip(offer_ids, range(start, end)))
 
-    def _note_value(self, column: int, value) -> None:
-        """Track whether the column still reproduces the Python values."""
-        if type(value) is int:
+    def _note_column(self, column: int, values: list) -> None:
+        """Fold one column's new values into its exactness flags.
+
+        The flags track whether the column still reproduces the Python
+        values: ints must lie within ``±2^62`` and round-trip through
+        ``float64``, floats must not be NaN, and any other type makes the
+        column inexact.
+        """
+        kinds = set(map(type, values))
+        if int in kinds:
             self._saw_int[column] = True
-            # Bounds first: float() on an unbounded int could itself
-            # overflow, while anything within ±2^62 converts safely.
-            if not -_INT64_SAFE <= value <= _INT64_SAFE:
+            ints = values if len(kinds) == 1 else [
+                value for value in values if type(value) is int
+            ]
+            if min(ints) < -_INT64_SAFE or max(ints) > _INT64_SAFE:
                 self._inexact[column] = True
-            else:
-                if float(value) != value:
+                ints = [
+                    value for value in ints if -_INT64_SAFE <= value <= _INT64_SAFE
+                ]
+            if ints:
+                magnitude = max(max(ints), -min(ints))
+                if float(magnitude) > self._int_max_abs[column]:
+                    self._int_max_abs[column] = float(magnitude)
+                if magnitude > _FLOAT_EXACT and any(
+                    float(value) != value for value in ints
+                ):
                     self._inexact[column] = True
-                magnitude = float(-value if value < 0 else value)
-                if magnitude > self._int_max_abs[column]:
-                    self._int_max_abs[column] = magnitude
-        elif type(value) is float:
+        if float in kinds:
             self._saw_float[column] = True
-            if value != value:  # NaN never equals itself
+            floats = values if len(kinds) == 1 else [
+                value for value in values if type(value) is float
+            ]
+            if any(map(math.isnan, floats)):
                 self._inexact[column] = True
-        else:
+        if not kinds <= {int, float}:
             self._inexact[column] = True
 
     def remove(self, offer_id: str) -> None:

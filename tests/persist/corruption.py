@@ -8,7 +8,9 @@ inputs the persistence layer promises to survive.
 
 from __future__ import annotations
 
+import json
 import struct
+import zlib
 from pathlib import Path
 
 _HEADER = struct.Struct("<II")
@@ -56,3 +58,45 @@ def frame_offsets(path) -> list[tuple[int, int]]:
         offsets.append((cursor, end))
         cursor = end
     return offsets
+
+
+# --------------------------------------------------------------------- #
+# Legacy on-disk layouts (frozen copies of the earlier writers)
+# --------------------------------------------------------------------- #
+def write_format1_snapshot(directory, seq: int, state: dict) -> Path:
+    """Write ``snapshot-<seq>.json`` exactly as the format-1 writer did.
+
+    One JSON document ``{"format": 1, "seq", "crc", "state"}`` whose CRC
+    covers the sorted, compact re-encoding of ``state``.
+    """
+    canonical = json.dumps(
+        state, sort_keys=True, separators=(",", ":"), allow_nan=False
+    ).encode("utf-8")
+    document = {
+        "format": 1,
+        "seq": seq,
+        "crc": zlib.crc32(canonical),
+        "state": state,
+    }
+    path = Path(directory) / f"snapshot-{seq:012d}.json"
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, allow_nan=False)
+    return path
+
+
+def append_event_records(path, first_seq: int, event_dicts) -> int:
+    """Append one per-event WAL frame per event, as the old persister did.
+
+    Each record is ``{"event": <event dict>, "seq": n}``; returns the last
+    sequence number written.
+    """
+    seq = first_seq - 1
+    with open(path, "ab") as handle:
+        for event in event_dicts:
+            seq += 1
+            data = json.dumps(
+                {"event": event, "seq": seq}, separators=(",", ":"), allow_nan=False
+            ).encode("utf-8")
+            handle.write(_HEADER.pack(len(data), zlib.crc32(data)))
+            handle.write(data)
+    return seq

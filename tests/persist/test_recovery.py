@@ -16,12 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend import NUMPY_AVAILABLE
+from repro.io import event_to_dict
 from repro.persist import PersistError, SessionPersister, load_config, save_config
 from repro.service import FlexSession, ServiceError, SessionConfig, StreamRequest
-from repro.stream import StreamingEngine, Tick, population_events
+from repro.stream import OfferArrived, StreamingEngine, Tick, population_events
 from repro.workloads import neighbourhood_scenario
 
-from corruption import frame_offsets, wal_segments
+from corruption import (
+    append_event_records,
+    frame_offsets,
+    wal_segments,
+    write_format1_snapshot,
+)
 from strategies import interleavings
 
 requires_numpy = pytest.mark.skipif(
@@ -77,19 +83,48 @@ def crash(session: FlexSession) -> None:
     session.close()
 
 
-def spaced_ticks(events: list) -> list:
-    """Weave a Tick after every second event, driving window sampling."""
+def spaced_ticks(events: list, every: int = 2) -> list:
+    """Weave a Tick after every ``every``-th event, driving window sampling."""
     woven = []
     for index, event in enumerate(events):
         woven.append(event)
-        if index % 2 == 1:
+        if index % every == every - 1:
             woven.append(Tick(index))
     return woven
 
 
-def example_events() -> list:
+def requests_of(events: list, chunk_size: int, bulk: bool) -> list:
+    """Cut the stream into ``(events, bulk)`` requests of <= chunk_size.
+
+    With ``bulk`` every run of consecutive arrivals goes out as bulk
+    requests of its own, and every other event alone.
+    """
+    if not bulk:
+        return [
+            (tuple(events[start : start + chunk_size]), False)
+            for start in range(0, len(events), chunk_size)
+        ]
+    requests: list = []
+    run: list = []
+    for event in events:
+        if isinstance(event, OfferArrived):
+            run.append(event)
+            if len(run) == chunk_size:
+                requests.append((tuple(run), True))
+                run = []
+        else:
+            if run:
+                requests.append((tuple(run), True))
+                run = []
+            requests.append(((event,), False))
+    if run:
+        requests.append((tuple(run), True))
+    return requests
+
+
+def example_events(households: int = 3) -> list:
     """A small deterministic event stream for the byte-offset tests."""
-    scenario = neighbourhood_scenario(households=3, seed=11, horizon=16)
+    scenario = neighbourhood_scenario(households=households, seed=11, horizon=16)
     return list(population_events(scenario.flex_offers))
 
 
@@ -103,28 +138,33 @@ def example_events() -> list:
     chunk_size=st.integers(min_value=1, max_value=4),
     crash_fraction=st.floats(min_value=0.0, max_value=1.0),
     checkpoint_events=st.integers(min_value=1, max_value=6),
+    bulk=st.booleans(),
 )
 def test_recovery_is_bit_identical_to_full_replay_at_any_crash_point(
-    tmp_path_factory, backend, data, chunk_size, crash_fraction, checkpoint_events
+    tmp_path_factory,
+    backend,
+    data,
+    chunk_size,
+    crash_fraction,
+    checkpoint_events,
+    bulk,
 ):
     events, _survivors = data
-    events = spaced_ticks(events)
+    # Bulk requests carry runs of arrivals: weave ticks in less densely.
+    events = spaced_ticks(events, every=4 if bulk else 2)
     directory = tmp_path_factory.mktemp("crash")
     config = durable_config(
         str(directory / "s"), backend=backend, checkpoint_events=checkpoint_events
     )
 
-    chunks = [
-        events[start : start + chunk_size]
-        for start in range(0, len(events), chunk_size)
-    ]
+    chunks = requests_of(events, chunk_size, bulk)
     served = max(0, min(len(chunks), int(round(crash_fraction * len(chunks)))))
 
     # The durable session: serve some requests, then crash.
     session = FlexSession(config)
-    for chunk in chunks[:served]:
-        session.stream(StreamRequest(events=tuple(chunk)))
-    committed = [event for chunk in chunks[:served] for event in chunk]
+    for chunk, chunk_bulk in chunks[:served]:
+        session.stream(StreamRequest(events=chunk, bulk=chunk_bulk))
+    committed = [event for chunk, _ in chunks[:served] for event in chunk]
     crash(session)
 
     # Recover from disk.
@@ -195,6 +235,160 @@ def test_torn_wal_tail_recovers_the_committed_prefix(tmp_path, backend):
         finally:
             crash(recovered)
     segment.write_bytes(pristine)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_torn_batch_record_drops_the_whole_bulk_request(tmp_path, backend):
+    """A bulk request is one WAL record: cut anywhere inside it, recovery
+    drops the whole request and lands on the committed prefix."""
+    events = example_events(households=6)
+    head, batch = events[:3], events[3:]
+    directory = tmp_path / "s"
+    config = durable_config(str(directory), backend=backend, checkpoint_events=10_000)
+
+    session = FlexSession(config)
+    for event in head:
+        session.stream(StreamRequest(events=(event,)))
+    session.stream(StreamRequest(events=tuple(batch), bulk=True))
+    crash(session)
+
+    segment = wal_segments(directory)[-1]
+    pristine = segment.read_bytes()
+    frames = frame_offsets(segment)
+    assert len(frames) == len(head) + 1  # the whole batch is one frame
+    last_start, last_end = frames[-1]
+    with FlexSession(
+        SessionConfig(backend=backend, window_capacity=8, measures=("time", "energy"))
+    ) as fresh:
+        fresh.stream(StreamRequest(events=tuple(head)))
+        expected = fingerprint(fresh)
+    for cut in (last_start + 4, (last_start + last_end) // 2, last_end - 1):
+        segment.write_bytes(pristine[:cut])
+        recovered = FlexSession(config)
+        try:
+            assert recovered.recovery.replayed == len(head)
+            assert not any(event.offer_id in recovered.engine for event in batch)
+            assert fingerprint(recovered) == expected
+        finally:
+            crash(recovered)
+    segment.write_bytes(pristine)
+    recovered = FlexSession(config)
+    try:
+        assert recovered.recovery.replayed == len(events)
+        assert len(recovered.engine) == len(events)
+    finally:
+        crash(recovered)
+
+
+# --------------------------------------------------------------------- #
+# Older on-disk layouts
+# --------------------------------------------------------------------- #
+def fresh_fingerprint(backend: str, events: list) -> str:
+    """The fingerprint of a non-durable session replaying ``events``."""
+    with FlexSession(
+        SessionConfig(backend=backend, window_capacity=8, measures=("time", "energy"))
+    ) as fresh:
+        fresh.stream(StreamRequest(events=tuple(events)))
+        return fingerprint(fresh)
+
+
+def legacy_directory(directory, config: SessionConfig, events: list, cut: int) -> None:
+    """A session directory as the format-1 writer left it.
+
+    Events ``1..cut`` sit in a covered per-event segment and in a format-1
+    snapshot at ``cut``; the rest form a per-event segment after it.
+    """
+    save_config(directory, config.as_dict())
+    with FlexSession(
+        SessionConfig(
+            backend=config.backend,
+            window_capacity=config.window_capacity,
+            measures=config.measures,
+        )
+    ) as source:
+        source.stream(StreamRequest(events=tuple(events[:cut])))
+        state = source.engine.export_state()
+    state["session"] = {"requests_served": 1}
+    dicts = [event_to_dict(event) for event in events]
+    append_event_records(directory / "wal-000000000001.log", 1, dicts[:cut])
+    write_format1_snapshot(directory, cut, state)
+    append_event_records(directory / f"wal-{cut + 1:012d}.log", cut + 1, dicts[cut:])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_format1_snapshot_with_per_event_segments_recovers(tmp_path, backend):
+    events = spaced_ticks(example_events(households=6))
+    directory = tmp_path / "s"
+    config = durable_config(str(directory), backend=backend)
+    legacy_directory(directory, config, events, cut=5)
+
+    recovered = FlexSession(config)
+    try:
+        assert recovered.recovery.snapshot_seq == 5
+        assert recovered.recovery.replayed == len(events) - 5
+        assert recovered.requests_served == 1
+        assert fingerprint(recovered) == fresh_fingerprint(backend, events)
+    finally:
+        recovered.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_per_event_segment_followed_by_batch_records_recovers(tmp_path, backend):
+    events = example_events(households=6)
+    head, batch = events[:4], events[4:]
+    directory = tmp_path / "s"
+    config = durable_config(str(directory), backend=backend, checkpoint_events=10_000)
+    save_config(directory, config.as_dict())
+    append_event_records(
+        directory / "wal-000000000001.log",
+        1,
+        [event_to_dict(event) for event in head],
+    )
+
+    session = FlexSession(config)  # replays the old records, appends after
+    assert session.recovery.replayed == len(head)
+    session.stream(StreamRequest(events=tuple(batch[:3]), bulk=True))
+    session.stream(StreamRequest(events=tuple(batch[3:]), bulk=True))
+    crash(session)
+    assert len(frame_offsets(wal_segments(directory)[-1])) == len(head) + 2
+
+    recovered = FlexSession(config)
+    try:
+        assert recovered.recovery.snapshot_seq == 0
+        assert recovered.recovery.replayed == len(events)
+        assert fingerprint(recovered) == fresh_fingerprint(backend, events)
+    finally:
+        recovered.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_format1_directory_carries_on_in_the_new_layout(tmp_path, backend):
+    """Recover a format-1 directory, keep serving bulk requests and
+    checkpointing in the new layout, crash, and recover again."""
+    events = spaced_ticks(example_events(households=6))
+    extra = list(
+        population_events(
+            neighbourhood_scenario(households=6, seed=12, horizon=16).flex_offers,
+            start_index=100,
+        )
+    )
+    directory = tmp_path / "s"
+    config = durable_config(str(directory), backend=backend, checkpoint_events=10_000)
+    legacy_directory(directory, config, events, cut=5)
+
+    session = FlexSession(config)
+    session.stream(StreamRequest(events=tuple(extra[:2]), bulk=True))
+    session.checkpoint()  # a format-2 snapshot beside the format-1 one
+    session.stream(StreamRequest(events=tuple(extra[2:]), bulk=True))
+    crash(session)
+
+    recovered = FlexSession(config)
+    try:
+        assert recovered.recovery.snapshot_seq == len(events) + 2
+        assert recovered.recovery.replayed == len(extra) - 2
+        assert fingerprint(recovered) == fresh_fingerprint(backend, events + extra)
+    finally:
+        recovered.close()
 
 
 # --------------------------------------------------------------------- #
@@ -297,6 +491,37 @@ def test_recover_stops_at_a_sequence_gap(persist_dir):
     assert stats.snapshot_seq == 0 and stats.replayed == 0
     assert len(engine) == 0
     reopened.close()
+
+
+def test_recover_stops_at_a_batch_record_whose_span_disagrees(persist_dir):
+    events = example_events(households=6)
+    persister = SessionPersister(persist_dir, fsync=False)
+    persister.log_event(events[0])
+    # A batch record claiming one more event than it holds.
+    persister.wal.append(
+        {"events": [event_to_dict(event) for event in events[1:3]]}, span=3
+    )
+    persister.close()
+    reopened = SessionPersister(persist_dir, fsync=False)
+    engine = StreamingEngine()
+    stats, _ = reopened.recover(engine)
+    assert stats.replayed == 1
+    assert engine.live_ids() == [events[0].offer_id]
+    reopened.close()
+
+
+def test_log_event_returns_the_last_sequence_number_of_a_batch(persist_dir):
+    events = example_events(households=6)
+    persister = SessionPersister(persist_dir, fsync=False, checkpoint_events=4)
+    engine = StreamingEngine()
+    engine.bulk_arrive(events[:3])
+    assert persister.log_event(tuple(events[:3])) == 3
+    assert persister.maybe_checkpoint(engine) is None  # 3 events < 4
+    engine.bulk_arrive(events[3:5])
+    assert persister.log_event(list(events[3:5])) == 5
+    assert persister.maybe_checkpoint(engine)["snapshot_seq"] == 5
+    assert persister.wal.appended == 2
+    persister.close()
 
 
 def test_persister_validation(persist_dir):

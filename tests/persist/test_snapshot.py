@@ -8,7 +8,7 @@ import pytest
 
 from repro.persist import FORMAT_VERSION, SnapshotStore
 
-from corruption import flip_byte, snapshot_files, tear_tail
+from corruption import flip_byte, snapshot_files, tear_tail, write_format1_snapshot
 
 
 def store(directory, keep: int = 2) -> SnapshotStore:
@@ -68,6 +68,17 @@ def test_crc_guards_the_state_not_just_the_json(persist_dir):
     partial-sector overwrite) must be skipped by the CRC check."""
     snapshots = store(persist_dir)
     path = snapshots.write(4, {"value": 10})
+    header, body = path.read_bytes().split(b"\n", 1)
+    assert json.loads(body) == {"value": 10}
+    # Altered state, stale CRC: still valid JSON on both lines.
+    path.write_bytes(header + b"\n" + body.replace(b"10", b"11"))
+    assert snapshots.latest() is None
+
+
+def test_crc_guards_the_state_of_a_format1_snapshot(persist_dir):
+    snapshots = store(persist_dir)
+    path = write_format1_snapshot(persist_dir, 4, {"value": 10})
+    assert snapshots.latest() == (4, {"value": 10})
     document = json.loads(path.read_text())
     document["state"]["value"] = 11  # altered state, stale CRC
     path.write_text(json.dumps(document))
@@ -77,10 +88,48 @@ def test_crc_guards_the_state_not_just_the_json(persist_dir):
 def test_future_format_version_is_skipped(persist_dir):
     snapshots = store(persist_dir)
     path = snapshots.write(4, {"value": 10})
+    header, body = path.read_bytes().split(b"\n", 1)
+    document = json.loads(header)
+    assert document["format"] == FORMAT_VERSION
+    document["format"] = FORMAT_VERSION + 1
+    path.write_bytes(json.dumps(document).encode() + b"\n" + body)
+    assert snapshots.latest() is None
+
+
+def test_future_format_version_of_a_format1_document_is_skipped(persist_dir):
+    snapshots = store(persist_dir)
+    path = write_format1_snapshot(persist_dir, 4, {"value": 10})
     document = json.loads(path.read_text())
     document["format"] = FORMAT_VERSION + 1
     path.write_text(json.dumps(document))
     assert snapshots.latest() is None
+
+
+def test_a_flipped_byte_anywhere_skips_the_snapshot(persist_dir):
+    """Every byte of the header and the body is covered: the header by its
+    own JSON + format/seq/CRC checks, the body by the CRC."""
+    snapshots = store(persist_dir)
+    path = snapshots.write(4, {"values": [1, 2.5, "x"], "nested": {"a": None}})
+    pristine = path.read_bytes()
+    for offset in range(len(pristine)):
+        path.write_bytes(pristine)
+        flip_byte(path, offset)
+        assert snapshots.latest() is None, offset
+    path.write_bytes(pristine)
+    assert snapshots.latest() is not None
+
+
+def test_the_crc_covers_exactly_the_written_body(persist_dir):
+    import zlib
+
+    snapshots = store(persist_dir)
+    path = snapshots.write(4, {"value": 10})
+    header, body = path.read_bytes().split(b"\n", 1)
+    assert json.loads(header) == {
+        "format": FORMAT_VERSION,
+        "seq": 4,
+        "crc": zlib.crc32(body),
+    }
 
 
 def test_mismatched_filename_seq_is_skipped(persist_dir):
@@ -99,3 +148,15 @@ def test_non_finite_state_is_rejected_at_write(persist_dir):
     snapshots = store(persist_dir)
     with pytest.raises(ValueError):
         snapshots.write(1, {"value": float("inf")})
+
+
+@pytest.mark.parametrize("fsync", [True, False])
+def test_the_rename_is_made_durable_only_with_fsync(persist_dir, fsynced_kinds, fsync):
+    """With ``fsync=True`` the directory is fsynced after ``os.replace``;
+    without it nothing is fsynced at all."""
+    snapshots = SnapshotStore(persist_dir, fsync=fsync)
+    snapshots.write(1, {"x": 1})
+    if fsync:
+        assert fsynced_kinds == ["file", "dir"]
+    else:
+        assert fsynced_kinds == []

@@ -163,3 +163,79 @@ class TestRotation:
             "dirty": False,
         }
         wal.close()
+
+
+class TestBatchRecords:
+    def test_a_record_spans_one_sequence_number_per_event(self, persist_dir):
+        wal = WriteAheadLog(persist_dir, fsync=False)
+        assert wal.append({"event": {"kind": "tick", "time": 0}}) == 1
+        assert wal.append({"events": [{}, {}, {}]}, span=3) == 4
+        assert wal.append({"event": {"kind": "tick", "time": 1}}) == 5
+        wal.commit()
+        records = wal.records()
+        assert [(r.seq, r.span, r.last_seq) for r in records] == [
+            (1, 1, 1),
+            (2, 3, 4),
+            (5, 1, 5),
+        ]
+        # Single-event frames keep the old layout: no "span" key.
+        assert "span" not in records[0].payload
+        assert records[1].payload["span"] == 3
+        wal.close()
+
+    def test_reopen_resumes_after_the_last_spanned_number(self, persist_dir):
+        wal = WriteAheadLog(persist_dir, fsync=False)
+        wal.append({"events": [{}, {}]}, span=2)
+        wal.close()
+        reopened = WriteAheadLog(persist_dir, fsync=False)
+        assert reopened.last_seq == 2
+        assert reopened.append({"event": {}}) == 3
+        reopened.close()
+
+    def test_a_torn_batch_record_drops_as_a_whole(self, persist_dir):
+        wal = WriteAheadLog(persist_dir, fsync=False)
+        wal.append({"event": {}})
+        wal.append({"events": [{}, {}, {}, {}]}, span=4)
+        wal.close()
+        (path,) = wal_segments(persist_dir)
+        start, end = frame_offsets(path)[-1]
+        tear_tail(path, (end - start) // 2)
+        reopened = WriteAheadLog(persist_dir, fsync=False)
+        assert reopened.last_seq == 1
+        assert [r.seq for r in reopened.records()] == [1]
+        reopened.close()
+
+    def test_a_frame_claiming_no_span_stops_the_read(self, persist_dir):
+        wal = write_log(persist_dir, 2)
+        wal.close()
+        (path,) = wal_segments(persist_dir)
+        data = b'{"events":[],"seq":3,"span":0}'
+        with open(path, "ab") as handle:
+            handle.write(_HEADER.pack(len(data), zlib.crc32(data)) + data)
+        assert [r.seq for r in read_wal_records(path)] == [1, 2]
+
+    def test_span_must_be_positive(self, persist_dir):
+        wal = WriteAheadLog(persist_dir, fsync=False)
+        with pytest.raises(PersistError):
+            wal.append({"events": []}, span=0)
+        assert wal.last_seq == 0
+        wal.close()
+
+
+class TestDirectoryFsync:
+    """Creating a segment is a directory change: with ``fsync=True`` the
+    directory is fsynced too, or a machine crash could lose the file."""
+
+    def test_new_segments_fsync_the_directory(self, persist_dir, fsynced_kinds):
+        wal = write_log(persist_dir, 2, fsync=True)
+        assert "dir" in fsynced_kinds
+        fsynced_kinds.clear()
+        wal.rotate()
+        assert "dir" in fsynced_kinds
+        wal.close()
+
+    def test_fsync_off_never_fsyncs_the_directory(self, persist_dir, fsynced_kinds):
+        wal = write_log(persist_dir, 2, fsync=False)
+        wal.rotate()
+        wal.close()
+        assert "dir" not in fsynced_kinds
