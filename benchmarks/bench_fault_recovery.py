@@ -7,10 +7,10 @@ Two gates guard the robustness plane:
   *nothing fails* must be noise: a guarded backend (retry budget active,
   a fault plan attached whose rules never match) must stay within 5% of a
   bare backend (``retries=0``, no plan) on the same workload.
-* **Shard-loss recovery.**  Killing a process-pool worker mid-evaluate
-  must heal — pool rebuilt once, only lost shards re-dispatched, result
-  bit-identical — within a bounded wall-clock envelope over the
-  fault-free run (pool respawn is the dominant, constant cost).
+* **Shard-loss recovery.**  SIGKILLing one of two cluster workers
+  between calls must heal — the dead host evicted, its shard re-dispatched
+  to the survivor, result bit-identical — within a bounded wall-clock
+  envelope over the fault-free run.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import time
 import pytest
 
 from repro.backend import NUMPY_AVAILABLE, ShardedBackend, get_backend
+from repro.cluster import LocalCluster
 from repro.faults import SHARD_SUBMIT, FaultPlan, FaultRule
 from repro.measures import get_measure
 from repro.workloads import neighbourhood_scenario
@@ -47,7 +48,7 @@ REPEATS = 7
 MAX_OVERHEAD_RATIO = 1.05
 
 #: Shard-loss envelope: the faulted call may cost at most the fault-free
-#: median plus this allowance (pool teardown + respawn + re-dispatch).
+#: median plus this allowance (failed dispatch + re-ship + re-dispatch).
 RECOVERY_ALLOWANCE_S = 10.0
 
 MEASURE = get_measure("product")
@@ -111,36 +112,40 @@ def run_overhead(size: int) -> dict:
 
 def run_shard_loss(size: int = 2_000) -> dict:
     offers = population(size)
-    clean = ShardedBackend(shards=2, min_population=1, executor="process")
-    try:
-        expected = clean.measure_values(MEASURE, offers)
-        clean_s = median_seconds(clean, offers, repeats=3)
-    finally:
-        clean.close()
+    with LocalCluster(workers=2) as cluster:
+        clean = ShardedBackend(
+            shards=2, min_population=1, executor="remote",
+            cluster=cluster.spec(),
+        )
+        try:
+            expected = clean.measure_values(MEASURE, offers)
+            clean_s = median_seconds(clean, offers, repeats=3)
+        finally:
+            clean.close()
 
-    plan = FaultPlan([FaultRule(SHARD_SUBMIT, action="kill", after=2, count=1)])
-    faulted = ShardedBackend(
-        shards=2, min_population=1, executor="process", faults=plan
-    )
-    try:
-        faulted.measure_values(MEASURE, offers)  # warm pool; no rule yet (hit 2 kills)
-        start = time.perf_counter()
-        healed = faulted.measure_values(MEASURE, offers)
-        faulted_s = time.perf_counter() - start
-        assert healed == expected  # bit-identical through the kill
-        # The second call (or this one) observes the breakage; force it
-        # fully drained so the rebuild is counted before we assert.
-        assert faulted.measure_values(MEASURE, offers) == expected
-        stats = faulted.resilience_stats()
-    finally:
-        faulted.close()
-    assert stats["worker_kills"] == 1
-    assert stats["pool_rebuilds"] == 1
+        faulted = ShardedBackend(
+            shards=2, min_population=1, executor="remote",
+            cluster=cluster.spec(),
+        )
+        try:
+            # Warm call: one shard per worker, each chunk interned there.
+            assert faulted.measure_values(MEASURE, offers) == expected
+            cluster.kill(1)
+            start = time.perf_counter()
+            healed = faulted.measure_values(MEASURE, offers)
+            faulted_s = time.perf_counter() - start
+            wire = faulted._pool.stats()
+            resilience = faulted.resilience_stats()
+        finally:
+            faulted.close()
+    assert healed == expected  # bit-identical through the kill
+    assert wire["redispatches"] + resilience["partial_recoveries"] >= 1
     return {
         "population": size,
         "clean_seconds": round(clean_s, 5),
         "shard_loss_seconds": round(faulted_s, 5),
         "recovery_overhead_seconds": round(max(0.0, faulted_s - clean_s), 5),
+        "redispatches": wire["redispatches"],
     }
 
 
@@ -187,7 +192,7 @@ def test_fault_free_overhead_gate(size):
 
 def test_shard_loss_recovery_gate():
     results = run_shard_loss()
-    report("Shard-loss recovery (process worker killed mid-evaluate)", [
+    report("Shard-loss recovery (one of two cluster workers SIGKILLed)", [
         f"fault-free        : {results['clean_seconds'] * 1e3:>9.2f} ms",
         f"with worker kill  : {results['shard_loss_seconds'] * 1e3:>9.2f} ms",
         f"recovery overhead : {results['recovery_overhead_seconds'] * 1e3:>9.2f} ms",

@@ -39,33 +39,29 @@ Executors
     kernels release the GIL, so shard evaluation overlaps on multicore
     hosts, and the inner backend's fingerprint-keyed matrix cache keeps
     each shard chunk's packed arrays warm across calls.
-``process``
-    A :class:`~concurrent.futures.ProcessPoolExecutor` for pure-Python
-    inner backends or GIL-bound measures.  Populations and measures must be
-    picklable, and every call ships the shard's offers to the workers, so
-    it only pays off for expensive per-offer work.
 ``remote``
     A :class:`~repro.cluster.RemoteShardExecutor` dispatching shards to
     :mod:`repro.cluster` worker processes over framed TCP — the multi-host
-    tier.  Requires the ``cluster`` argument; shard chunks are interned
-    per connection by fingerprint, so steady-state calls reference offers
-    by key instead of re-shipping them.  A dead host is evicted and its
-    shards redispatched to surviving hosts (a *partial* recovery — no pool
-    rebuild) within the same retry budget below.
+    tier, and the way to get process isolation on one host (a
+    :class:`~repro.cluster.LocalCluster`).  Requires the ``cluster``
+    argument; shard chunks are interned per connection by fingerprint, so
+    steady-state calls reference offers by key instead of re-shipping them.
+    A dead host is evicted and its shards redispatched to surviving hosts
+    within the same retry budget below.
 
 Self-healing
 ------------
 ``_map`` — the one fan-out/merge primitive every operation funnels
 through — retries each shard independently on *infrastructure* errors
-(a broken worker pool, an injected :class:`~repro.faults.FaultInjected`;
-bounded by ``retries``, with linear backoff), detects a broken executor,
-rebuilds the pool once and re-dispatches only the shards whose futures
-were lost (completed shards keep their results).  Application errors — an
-offer a measure rejects — are never retried.  With ``hedge_ms`` set, a
-shard whose result is that many milliseconds late gets an identical
-duplicate on a spare pool slot and the first result wins (the primary
-wins ties); shard workers are pure functions of their inputs, so this
-cannot change any merged output.  Shard results are still consumed in
+(every remote host unavailable, an injected
+:class:`~repro.faults.FaultInjected`; bounded by ``retries``, with linear
+backoff), re-dispatching only the shards whose futures failed (completed
+shards keep their results).  Application errors — an offer a measure
+rejects — are never retried.  With ``hedge_ms`` set, a shard whose
+result is that many milliseconds late gets an identical duplicate on a
+spare pool slot and the first result wins (the primary wins ties); shard
+workers are pure functions of their inputs, so this cannot change any
+merged output.  Shard results are still consumed in
 submission order, so the first-offending-offer error-parity contract
 above survives every recovery path.
 
@@ -84,12 +80,11 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     Executor,
-    ProcessPoolExecutor,
     ThreadPoolExecutor,
     TimeoutError as FutureTimeoutError,
     wait,
 )
-from typing import TYPE_CHECKING, ClassVar, Optional
+from typing import TYPE_CHECKING, ClassVar, Optional, Union
 
 from ..core.errors import BackendError
 from ..core.flexoffer import FlexOffer
@@ -116,12 +111,13 @@ DEFAULT_MIN_POPULATION = 4096
 #: Default per-shard retry budget for infrastructure failures.
 DEFAULT_RETRIES = 2
 
-#: Exceptions the shard loop treats as infrastructure (retryable): a pool
-#: whose workers died, or an injected fault standing in for one.
+#: Exceptions the shard loop treats as infrastructure (retryable): an
+#: executor with no live worker left, or an injected fault standing in for
+#: one.
 _RETRYABLE = (BrokenExecutor, FaultInjected)
 
 #: Valid executor kinds (``remote`` dispatches to a repro.cluster pool).
-_EXECUTOR_KINDS = ("thread", "process", "remote")
+_EXECUTOR_KINDS = ("thread", "remote")
 
 
 class _FailedSubmit:
@@ -145,9 +141,9 @@ class _FailedSubmit:
 
 
 # --------------------------------------------------------------------- #
-# Shard workers — module level so the process executor can pickle them.
+# Shard workers — module level so the remote executor can name them.
 # Each resolves the inner backend by name inside the worker, which also
-# bootstraps the registry in freshly spawned interpreter children.
+# bootstraps the registry in a cluster worker process.
 # --------------------------------------------------------------------- #
 def _values_outcome(backend, measure, population):
     """``("ok", values)`` or ``("error", exc)`` of one shard's measure values."""
@@ -237,8 +233,9 @@ class ShardedBackend(ComputeBackend):
         Number of shards (and pool workers).  ``None`` means
         ``os.cpu_count()``.
     executor:
-        ``"thread"`` (default), ``"process"`` or ``"remote"`` (dispatch to
-        a :mod:`repro.cluster` worker pool).
+        ``"thread"`` (default) or ``"remote"`` (dispatch to a
+        :mod:`repro.cluster` worker pool; for process isolation on one
+        host, pass a :class:`~repro.cluster.LocalCluster`'s spec).
     min_population:
         Populations smaller than this run whole on the inner backend.
     inner:
@@ -258,10 +255,9 @@ class ShardedBackend(ComputeBackend):
         slot for the duplicates.
     faults:
         Optional :class:`repro.faults.FaultPlan`; when set the fan-out
-        fires the ``shard.submit`` / ``shard.result`` injection sites
-        (a ``kill`` rule kills a live process-pool worker), and a remote
-        executor additionally fires the wire-level ``cluster.connect`` /
-        ``cluster.send`` / ``cluster.recv`` sites.
+        fires the ``shard.submit`` / ``shard.result`` injection sites, and
+        a remote executor additionally fires the wire-level
+        ``cluster.connect`` / ``cluster.send`` / ``cluster.recv`` sites.
     cluster:
         Worker hosts for the ``"remote"`` executor — a
         :class:`~repro.cluster.ClusterSpec` (or anything its
@@ -287,6 +283,12 @@ class ShardedBackend(ComputeBackend):
             shards = os.cpu_count() or 1
         elif shards < 1:
             raise BackendError(f"shard count must be >= 1, got {shards}")
+        if executor == "process":
+            raise BackendError(
+                "the 'process' shard executor is retired; for process "
+                "isolation start a repro.cluster.LocalCluster and pass "
+                "executor='remote', cluster=local_cluster.spec()"
+            )
         if executor not in _EXECUTOR_KINDS:
             raise BackendError(
                 f"unknown shard executor {executor!r}; "
@@ -317,9 +319,9 @@ class ShardedBackend(ComputeBackend):
                 raise BackendError(
                     "the sharded backend cannot be its own inner backend"
                 )
-            if executor in ("process", "remote"):
-                # Process and remote workers live in separate memory: they
-                # can only resolve the inner backend by registered name.
+            if executor == "remote":
+                # Remote workers live in separate memory: they can only
+                # resolve the inner backend by registered name.
                 # The instance still serves every in-process path
                 # (delegated small populations), so its private cache keeps
                 # working where sharing is even possible.
@@ -350,14 +352,11 @@ class ShardedBackend(ComputeBackend):
         self._inner_spec = inner
         self._pool: Optional[Executor] = None
         self._pool_lock = threading.Lock()
-        self._pool_gen = 0
         # Self-healing counters, surfaced via resilience_stats().
         self.retried = 0
-        self.pool_rebuilds = 0
         self.partial_recoveries = 0
         self.hedges = 0
         self.hedge_wins = 0
-        self.worker_kills = 0
 
     # ------------------------------------------------------------------ #
     # Plumbing
@@ -379,14 +378,12 @@ class ShardedBackend(ComputeBackend):
         """The inner-backend reference shipped to shard workers.
 
         Thread workers share this process's memory and receive the
-        instance (or name) as-is; process and remote workers receive the
-        registered *name* — instances are not picklable-safe across
-        interpreters (or machines).
+        instance (or name) as-is; remote workers receive the registered
+        *name* — instances are not picklable-safe across interpreters (or
+        machines).
         """
         inner = self._inner_ref()
-        if self.executor_kind in ("process", "remote") and isinstance(
-            inner, ComputeBackend
-        ):
+        if self.executor_kind == "remote" and isinstance(inner, ComputeBackend):
             return inner.name
         return inner
 
@@ -400,9 +397,7 @@ class ShardedBackend(ComputeBackend):
                     # One spare slot when hedging, so a duplicate submission
                     # never queues behind the straggler it is racing.
                     workers = self.shards + (1 if self._hedge_s else 0)
-                    if self.executor_kind == "process":
-                        pool = ProcessPoolExecutor(max_workers=workers)
-                    elif self.executor_kind == "remote":
+                    if self.executor_kind == "remote":
                         from ..cluster import RemoteShardExecutor
 
                         pool = RemoteShardExecutor(
@@ -454,8 +449,8 @@ class ShardedBackend(ComputeBackend):
         shard ``i`` surfaces before any later shard's — preserving the
         reference backend's first-offending-offer error positions.  Around
         that contract sits the self-healing loop: infrastructure errors
-        (:data:`_RETRYABLE`) re-dispatch just the failed shard — rebuilding
-        the pool first when it broke — up to the retry budget, stragglers
+        (:data:`_RETRYABLE`) re-dispatch just the failed shard up to the
+        retry budget, stragglers
         are hedged to the spare slot, and application errors propagate
         untouched on the first attempt.
         """
@@ -466,19 +461,13 @@ class ShardedBackend(ComputeBackend):
         ]
 
     def _submit_shard(self, worker, args: tuple):
-        """Submit one shard; a retryable failure becomes a deferred error.
-
-        The returned future is tagged with the pool generation it ran on,
-        so :meth:`_recover_pool` can tell a stale failure (its pool was
-        already replaced) from one that must trigger a rebuild.
-        """
+        """Submit one shard; a retryable failure becomes a deferred error."""
         try:
-            self._fire_fault(SHARD_SUBMIT)
-            future = self._executor().submit(worker, *args)
+            if self._faults is not None:
+                self._faults.fire(SHARD_SUBMIT)
+            return self._executor().submit(worker, *args)
         except _RETRYABLE as error:
-            future = _FailedSubmit(error)
-        future._repro_pool_gen = self._pool_gen
-        return future
+            return _FailedSubmit(error)
 
     def _consume_shard(self, index: int, future, worker, args: tuple):
         """One shard's result, retrying infrastructure failures in place."""
@@ -486,7 +475,8 @@ class ShardedBackend(ComputeBackend):
         while True:
             try:
                 result = self._await_shard(future, worker, args)
-                self._fire_fault(SHARD_RESULT)
+                if self._faults is not None:
+                    self._faults.fire(SHARD_RESULT)
                 return result
             except _RETRYABLE as error:
                 attempts += 1
@@ -495,9 +485,11 @@ class ShardedBackend(ComputeBackend):
                         f"shard {index} failed after {attempts} attempt(s): "
                         f"{error}"
                     ) from error
-                self._recover_pool(
-                    error, getattr(future, "_repro_pool_gen", self._pool_gen)
-                )
+                if isinstance(error, BrokenExecutor):
+                    # Only the remote executor breaks, and only once every
+                    # host refused; it has already demoted and probe-gated
+                    # them, so the retry goes to the same executor.
+                    self.partial_recoveries += 1
                 self.retried += 1
                 if self.retry_backoff_s:
                     time.sleep(self.retry_backoff_s * attempts)
@@ -525,67 +517,15 @@ class ShardedBackend(ComputeBackend):
         future.cancel()
         return hedge.result()
 
-    def _recover_pool(self, error: BaseException, generation: int) -> None:
-        """Replace a broken pool so the retry lands on live workers.
-
-        Only the shards whose futures failed re-dispatch — completed
-        futures already yielded their results and are never recomputed —
-        and only a failure from the *current* pool generation tears it
-        down: when several futures of one broken pool fail together, the
-        first rebuilds and the rest land their retries on the fresh pool.
-        """
-        if not isinstance(error, BrokenExecutor):
-            return
-        with self._pool_lock:
-            if generation != self._pool_gen or self._pool is None:
-                return
-            # An executor that reports the failure as *partial* — the
-            # remote executor after evicting a single host — keeps its
-            # pool: tearing it down would discard healthy warm
-            # connections and their interning state just to rebuild them.
-            recover = getattr(self._pool, "recover", None)
-            if callable(recover) and recover(error):
-                self.partial_recoveries += 1
-                return
-            pool, self._pool = self._pool, None
-            self._pool_gen += 1
-        pool.shutdown(wait=False)
-        self.pool_rebuilds += 1
-
-    def _fire_fault(self, site: str) -> None:
-        """Fire an injection site; ``kill`` takes down a live worker."""
-        if self._faults is None:
-            return
-        if self._faults.fire(site) is not None:
-            self._kill_worker()
-
-    def _kill_worker(self) -> None:
-        """Kill one process-pool worker (threads degrade to a raise).
-
-        The kill is asynchronous havoc, exactly like a real worker OOM:
-        pending futures on the pool fail with ``BrokenProcessPool`` and
-        enter the retry/rebuild path.
-        """
-        pool = self._pool
-        if isinstance(pool, ProcessPoolExecutor):
-            processes = list(getattr(pool, "_processes", {}).values())
-            if processes:
-                processes[0].kill()
-                self.worker_kills += 1
-                return
-        raise FaultInjected("injected worker kill (no process worker to kill)")
-
     def resilience_stats(self) -> dict:
         """Self-healing counters for health blocks and chaos assertions."""
         return {
             "retries": self.retries,
             "hedge_ms": self.hedge_ms,
             "retried": self.retried,
-            "pool_rebuilds": self.pool_rebuilds,
             "partial_recoveries": self.partial_recoveries,
             "hedges": self.hedges,
             "hedge_wins": self.hedge_wins,
-            "worker_kills": self.worker_kills,
         }
 
     def cluster_health(self) -> Optional[dict]:

@@ -67,10 +67,10 @@ class HostUnavailable(BrokenExecutor):
     """Every cluster host refused this dispatch.
 
     Subclasses :class:`~concurrent.futures.BrokenExecutor` so the sharded
-    backend's retry loop (``_RETRYABLE``) catches it with no new wiring —
-    but :meth:`RemoteShardExecutor.recover` reports the failure as
-    *partial* (hosts are already demoted and probe-gated), so the backend
-    retries without tearing the executor down.
+    backend's retry loop (``_RETRYABLE``) catches it with no new wiring.
+    By the time it is raised the failing hosts are already demoted and
+    probe-gated, so the backend retries on this same executor (a *partial*
+    recovery) instead of replacing it.
     """
 
     def __init__(self, message: str, host: Optional[str] = None) -> None:
@@ -204,19 +204,6 @@ class RemoteShardExecutor:
                 host.idle = []
         for connection in connections:
             connection.close()
-
-    def recover(self, error: BaseException) -> bool:
-        """Whether the backend may retry without replacing this executor.
-
-        The sharded backend's rebuild path calls this on a
-        :class:`BrokenExecutor` (see satellite fix in
-        ``ShardedBackend._recover_pool``): a :class:`HostUnavailable`
-        means the failing hosts are already evicted into ``suspect`` /
-        ``down`` and probe-gated, so a retry after backoff is exactly the
-        right move and a teardown would only discard warm connections and
-        interning state.
-        """
-        return isinstance(error, HostUnavailable) and not self._closed
 
     # ------------------------------------------------------------------ #
     # Health and stats
@@ -386,12 +373,7 @@ class RemoteShardExecutor:
             if host.idle:
                 return host.idle.pop()
         if self._faults is not None:
-            if self._faults.fire(CLUSTER_CONNECT) is not None:
-                from ..faults.plan import FaultInjected
-
-                raise FaultInjected(
-                    f"injected fault at {CLUSTER_CONNECT}"
-                )
+            self._faults.fire(CLUSTER_CONNECT)
         address, _, port = host.address.rpartition(":")
         sock = socket.create_connection(
             (address, int(port)), timeout=self.cluster.connect_timeout_s

@@ -115,15 +115,6 @@ def shard_key(flex_offers: Sequence) -> str:
     return digest.hexdigest()
 
 
-def _fire(faults: Optional[FaultPlan], site: Optional[str]) -> None:
-    """Fire a client-side injection site; ``kill`` degrades to a raise."""
-    if faults is not None and site is not None:
-        if faults.fire(site) is not None:
-            from ..faults.plan import FaultInjected
-
-            raise FaultInjected(f"injected fault at {site}")
-
-
 def send_frame(
     sock: socket.socket,
     message: dict,
@@ -147,7 +138,8 @@ def send_frame(
         ).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise WireError(f"frame of {len(payload)} bytes exceeds the cap")
-    _fire(faults, site)
+    if faults is not None and site is not None:
+        faults.fire(site)
     sock.sendall(_HEADER.pack(len(payload), zlib.crc32(payload)) + payload)
     return len(payload)
 
@@ -182,7 +174,8 @@ def recv_frame(
     :class:`WireError`; a frame is either exactly what the peer framed or
     the connection is dead.
     """
-    _fire(faults, site)
+    if faults is not None and site is not None:
+        faults.fire(site)
     header = _recv_exact(sock, _HEADER.size, at_boundary=True)
     if header is None:
         return None

@@ -32,7 +32,7 @@ connection is owned by exactly one executor, and the executor tracks
 which keys it has shipped on it, so there is no cross-tenant cache
 coherence to reason about.  Worker functions still share the process-wide
 :class:`~repro.backend.cache.MatrixCache`, so repeated tasks over the
-same offers also reuse packed matrices, exactly like the process pool.
+same offers also reuse packed matrices across calls.
 """
 
 from __future__ import annotations

@@ -4,11 +4,11 @@ A :class:`FaultPlan` is a set of :class:`FaultRule` objects indexed by
 *injection site* — a short dotted name a component fires as it crosses a
 failure-prone boundary (``wal.fsync`` just before the fsync syscall,
 ``shard.submit`` before a shard is handed to the worker pool, …).  The
-plan decides, per hit, whether to do nothing, sleep, raise a chosen
-exception, or ask the caller to kill a worker.  Every decision is a pure
-function of the rule, the site's hit counter and the plan's seeded RNG,
-so a plan replayed against the same code path makes exactly the same
-choices — faults become a reproducible test input, not an accident.
+plan decides, per hit, whether to do nothing, sleep or raise a chosen
+exception.  Every decision is a pure function of the rule, the site's hit
+counter and the plan's seeded RNG, so a plan replayed against the same
+code path makes exactly the same choices — faults become a reproducible
+test input, not an accident.
 
 Rules select hits by position (``after``/``count``: fire on hits
 ``after .. after+count-1``) or by seeded probability; both can combine.
@@ -76,6 +76,9 @@ ALL_SITES = (
     GATEWAY_DISPATCH,
 )
 
+#: Accepted actions.  ``kill`` is read for older specs and becomes a
+#: ``raise`` of :class:`FaultInjected`: no component has a worker process
+#: of its own to kill, so a lost worker is always an injected failure.
 _ACTIONS = ("raise", "delay", "kill")
 
 
@@ -129,9 +132,9 @@ class FaultRule:
     site:
         The injection-site name the rule matches (exact string match).
     action:
-        ``"raise"`` (raise ``error``), ``"delay"`` (sleep ``delay_s``) or
-        ``"kill"`` (ask the firing component to kill a worker; components
-        without workers treat it as ``raise``).
+        ``"raise"`` (raise ``error``) or ``"delay"`` (sleep ``delay_s``).
+        ``"kill"`` is accepted as a synonym of ``raise`` with
+        :class:`FaultInjected` and stored that way.
     error:
         Exception class (or its spec string) for ``raise`` rules.
     after:
@@ -169,6 +172,9 @@ class FaultRule:
             raise ValueError(
                 f"probability must lie in [0, 1], got {self.probability}"
             )
+        if self.action == "kill":
+            object.__setattr__(self, "action", "raise")
+            object.__setattr__(self, "error", FaultInjected)
         object.__setattr__(self, "error", _resolve_error(self.error))
 
     def matches(self, hit: int) -> bool:
@@ -210,10 +216,9 @@ class FaultPlan:
 
     Components holding a plan call :meth:`fire` at each named site; the
     plan counts the hit, evaluates the site's rules in order and acts on
-    the first that fires.  ``raise`` rules raise, ``delay`` rules sleep
-    and return ``None``, ``kill`` rules return ``"kill"`` for the caller
-    to act on.  All bookkeeping is guarded by a lock so one plan can be
-    shared by a session, its backend pool threads and its persister.
+    the first that fires.  ``raise`` rules raise, ``delay`` rules sleep.
+    All bookkeeping is guarded by a lock so one plan can be shared by a
+    session, its backend pool threads and its persister.
 
     >>> plan = FaultPlan([FaultRule("wal.fsync", after=2)])
     >>> plan.fire("wal.fsync")          # first hit: no rule matches
@@ -238,11 +243,11 @@ class FaultPlan:
         self._rng = Random(self.seed)
         self._lock = threading.Lock()
 
-    def fire(self, site: str) -> Optional[str]:
+    def fire(self, site: str) -> None:
         """Record one hit at ``site`` and act on the first firing rule.
 
-        Returns ``None`` (no fault, or a delay that already slept) or
-        ``"kill"``; raises the configured exception for ``raise`` rules.
+        Returns once no rule fires or a ``delay`` rule has slept; raises
+        the configured exception for ``raise`` rules.
         """
         with self._lock:
             hit = self.hits.get(site, 0) + 1
@@ -259,13 +264,11 @@ class FaultPlan:
                 chosen = rule
                 break
             if chosen is None:
-                return None
+                return
             self.fired[site] = self.fired.get(site, 0) + 1
         if chosen.action == "delay":
             time.sleep(chosen.delay_s)
-            return None
-        if chosen.action == "kill":
-            return "kill"
+            return
         raise chosen.error(f"injected fault at {site} (hit {hit})")
 
     def spec(self) -> dict:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Tuple, Union
 
-from ..faults.plan import PERSIST_PROBE, FaultInjected, FaultPlan
+from ..faults.plan import PERSIST_PROBE, FaultPlan
 from ..io.serialization import event_from_dict, event_to_dict
 from .snapshot import SnapshotStore
 from .wal import PersistError, WriteAheadLog
@@ -435,11 +435,8 @@ class SessionPersister:
         self.probe_attempts += 1
         path = self.directory / _PROBE_FILE
         try:
-            if (
-                self._faults is not None
-                and self._faults.fire(PERSIST_PROBE) is not None
-            ):
-                raise FaultInjected(f"injected fault at {PERSIST_PROBE}")
+            if self._faults is not None:
+                self._faults.fire(PERSIST_PROBE)
             with open(path, "wb") as handle:
                 handle.write(b"probe")
                 handle.flush()

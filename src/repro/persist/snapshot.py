@@ -29,7 +29,7 @@ import zlib
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
-from ..faults.plan import SNAPSHOT_REPLACE, FaultInjected, FaultPlan
+from ..faults.plan import SNAPSHOT_REPLACE, FaultPlan
 from .wal import fsync_directory
 
 __all__ = ["SnapshotStore"]
@@ -112,8 +112,8 @@ class SnapshotStore:
                 handle.flush()
                 if self.fsync:
                     os.fsync(handle.fileno())
-            if self._faults is not None and self._faults.fire(SNAPSHOT_REPLACE):
-                raise FaultInjected(f"injected fault at {SNAPSHOT_REPLACE}")
+            if self._faults is not None:
+                self._faults.fire(SNAPSHOT_REPLACE)
             os.replace(tmp, path)
             if self.fsync:
                 fsync_directory(self.directory)

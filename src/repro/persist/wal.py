@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from ..core.errors import FlexError
-from ..faults.plan import WAL_APPEND, WAL_COMMIT, WAL_FSYNC, FaultInjected, FaultPlan
+from ..faults.plan import WAL_APPEND, WAL_COMMIT, WAL_FSYNC, FaultPlan
 
 __all__ = ["PersistError", "WalRecord", "WriteAheadLog", "read_wal_records"]
 
@@ -210,7 +210,8 @@ class WriteAheadLog:
             raise PersistError("the write-ahead log is closed")
         if span < 1:
             raise PersistError(f"a record spans at least one event, got {span}")
-        self._fire(WAL_APPEND)
+        if self._faults is not None:
+            self._faults.fire(WAL_APPEND)
         if self._dirty:
             self._rewind()
         record = dict(payload)
@@ -246,10 +247,12 @@ class WriteAheadLog:
         if not self._pending:
             return
         try:
-            self._fire(WAL_COMMIT)
+            if self._faults is not None:
+                self._faults.fire(WAL_COMMIT)
             self._file.flush()
             if self.fsync:
-                self._fire(WAL_FSYNC)
+                if self._faults is not None:
+                    self._faults.fire(WAL_FSYNC)
                 os.fsync(self._file.fileno())
         except BaseException:
             self._dirty = True
@@ -342,11 +345,6 @@ class WriteAheadLog:
         self._mark_committed()
         if self.fsync:
             fsync_directory(self.directory)
-
-    def _fire(self, site: str) -> None:
-        """Fire an injection site; a ``kill`` rule degrades to ``raise``."""
-        if self._faults is not None and self._faults.fire(site) is not None:
-            raise FaultInjected(f"injected fault at {site}")
 
     def _mark_committed(self) -> None:
         """Record the current end of the active segment as durable."""

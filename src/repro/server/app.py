@@ -63,7 +63,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from ..core.errors import FlexError, SerializationError
-from ..faults.plan import GATEWAY_DISPATCH, FaultInjected, FaultPlan
+from ..faults.plan import GATEWAY_DISPATCH, FaultPlan
 from ..io.csv_io import RequestStatsLog
 from ..io.serialization import (
     error_to_dict,
@@ -500,7 +500,8 @@ class Gateway:
         never touches a session the gateway considers free.
         """
         loop = asyncio.get_running_loop()
-        self._fire_dispatch()
+        if self.config.fault_plan is not None:
+            self.config.fault_plan.fire(GATEWAY_DISPATCH)
         future = loop.run_in_executor(self._executor, session.submit, request)
         timeout = self.config.request_timeout_s
         if timeout is None:
@@ -515,18 +516,6 @@ class Gateway:
             raise RequestTimeoutError(
                 f"request exceeded the {timeout:g}s deadline"
             ) from None
-
-    def _fire_dispatch(self) -> None:
-        """Fire the ``gateway.dispatch`` injection site, if a plan is set.
-
-        The gateway has no worker *processes*, so a ``kill`` rule degrades
-        to ``raise`` here — same convention as the thread-pool backends.
-        """
-        plan = self.config.fault_plan
-        if plan is not None and plan.fire(GATEWAY_DISPATCH) is not None:
-            raise FaultInjected(
-                f"injected fault at {GATEWAY_DISPATCH} (kill)"
-            )
 
     # ------------------------------------------------------------------ #
     # HTTP transport

@@ -58,7 +58,7 @@ __all__ = [
 
 #: Shard count (defaults to ``os.cpu_count()``).
 ENV_SHARDS = "REPRO_SHARDS"
-#: Shard executor kind: ``thread``, ``process`` or ``remote``.
+#: Shard executor kind: ``thread`` or ``remote``.
 ENV_EXECUTOR = "REPRO_SHARD_EXECUTOR"
 #: Populations below this run whole on the sharded backend's inner backend.
 ENV_MIN_POPULATION = "REPRO_SHARD_MIN"
@@ -78,7 +78,7 @@ ENV_CELL_VAR = "REPRO_MATRIX_CACHE_CELLS"
 #: Live-matrix tombstone ratio that triggers compaction (in ``[0, 1]``).
 ENV_COMPACT_VAR = "REPRO_MATRIX_COMPACT"
 
-_EXECUTORS = ("thread", "process", "remote")
+_EXECUTORS = ("thread", "remote")
 
 
 class ServiceError(FlexError):
@@ -328,9 +328,15 @@ class SessionConfig:
         if self.shard_executor is None:
             executor = _env_choice(ENV_EXECUTOR, _EXECUTORS) or "thread"
             _frozen_set(self, "shard_executor", executor)
+        elif self.shard_executor == "process":
+            raise ServiceError(
+                "shard_executor='process' is retired; for process isolation "
+                "start a repro.cluster.LocalCluster and pass "
+                "shard_executor='remote', cluster=local_cluster.spec()"
+            )
         elif self.shard_executor not in _EXECUTORS:
             raise ServiceError(
-                f"shard_executor must be 'thread', 'process' or 'remote', "
+                f"shard_executor must be 'thread' or 'remote', "
                 f"got {self.shard_executor!r}"
             )
         self._resolve_cluster(explicit_executor)
@@ -459,6 +465,11 @@ class SessionConfig:
         # Configs saved before the window kernel became the backend's
         # choice carry the retired field; the backend picks it now.
         arguments.pop("window_kernel", None)
+        # Likewise for the retired process-pool executor: a saved session
+        # that ran on it recovers on the thread executor, with identical
+        # results (every executor merges bit-identically).
+        if arguments.get("shard_executor") == "process":
+            arguments["shard_executor"] = "thread"
         known = {spec.name for spec in fields(cls)}
         unknown = sorted(set(arguments) - known)
         if unknown:

@@ -173,7 +173,7 @@ class FlexSession:
                 from ..backend.numpy_backend import NumpyBackend
 
                 # Session-cached inner instance for every in-process code
-                # path (delegation and thread-pool workers); process-pool
+                # path (delegation and thread-pool workers); remote
                 # workers resolve it by name in their own memory spaces.
                 inner = NumpyBackend(cache=self.cache)
             self._owns_backend = True

@@ -4,11 +4,13 @@ The differential conformance suite (``test_conformance.py``) pins the
 sharded backend observationally equivalent to the reference on hypothesis
 populations; these tests target the sharding mechanics directly — chunking,
 shard-order error propagation, the aggregation re-anchor merge, delegation
-thresholds, executor knobs and the process-pool path — on hand-built
-populations where the expected shard layout is known.
+thresholds and executor knobs — on hand-built populations where the
+expected shard layout is known.
 """
 
 from __future__ import annotations
+
+import typing
 
 import pytest
 
@@ -28,7 +30,12 @@ from repro.measures.base import (
 )
 from repro.measures.setwise import resolve_measures
 from repro.service import SessionConfig
-from repro.service.config import ENV_EXECUTOR, ENV_MIN_POPULATION, ENV_SHARDS
+from repro.service.config import (
+    ENV_CLUSTER,
+    ENV_EXECUTOR,
+    ENV_MIN_POPULATION,
+    ENV_SHARDS,
+)
 
 #: A ragged population crossing shard boundaries however it is chunked.
 OFFERS = [
@@ -269,10 +276,12 @@ def test_environment_knobs(monkeypatch):
     """The shard knobs reach a session's backend through SessionConfig;
     the backend constructor itself keeps its plain defaults."""
     monkeypatch.setenv(ENV_SHARDS, "5")
-    monkeypatch.setenv(ENV_EXECUTOR, "process")
+    monkeypatch.setenv(ENV_EXECUTOR, "remote")
+    monkeypatch.setenv(ENV_CLUSTER, "127.0.0.1:7001,127.0.0.1:7002")
     monkeypatch.setenv(ENV_MIN_POPULATION, "17")
     config = SessionConfig(backend="sharded")
-    assert (config.shards, config.shard_executor) == (5, "process")
+    assert (config.shards, config.shard_executor) == (5, "remote")
+    assert config.cluster.hosts == ("127.0.0.1:7001", "127.0.0.1:7002")
     assert config.shard_min_population == 17
     backend = ShardedBackend()
     assert backend.executor_kind == "thread"
@@ -299,6 +308,8 @@ def test_explicit_arguments_fail_fast():
         ShardedBackend(shards=0)
     with pytest.raises(BackendError):
         ShardedBackend(executor="rocket")
+    with pytest.raises(BackendError, match="LocalCluster"):
+        ShardedBackend(executor="process")  # retired: names the recipe
     with pytest.raises(BackendError):
         ShardedBackend(min_population=-1)
     with pytest.raises(BackendError):
@@ -315,19 +326,8 @@ def test_close_is_idempotent_and_pool_recreates(sharded):
     assert sharded.measure_values(measure, OFFERS) == first
 
 
-@pytest.mark.slow
-def test_process_executor_agrees_with_reference():
-    """The process pool ships shards by pickle and must merge identically."""
-    backend = ShardedBackend(shards=2, min_population=1, executor="process")
-    try:
-        measure = get_measure("product")
-        expected = [measure.value(flex_offer) for flex_offer in OFFERS]
-        assert backend.measure_values(measure, OFFERS) == expected
-        reference = get_backend("reference").evaluate_population(
-            resolve_measures(None), OFFERS
-        )
-        assert backend.evaluate_population(resolve_measures(None), OFFERS) == (
-            reference
-        )
-    finally:
-        backend.close()
+@pytest.mark.parametrize("name", available_backends())
+def test_backend_constructor_annotations_resolve(name):
+    """Every registered backend's ``__init__`` annotations name importable
+    types, so ``typing.get_type_hints`` (and tools built on it) work."""
+    typing.get_type_hints(type(get_backend(name)).__init__)

@@ -183,15 +183,6 @@ class TestHealth:
         finally:
             pool.shutdown()
 
-    def test_recover_accepts_only_live_host_unavailable(self, cluster_spec):
-        pool = RemoteShardExecutor(cluster_spec)
-        try:
-            assert pool.recover(HostUnavailable("all dead"))
-            assert not pool.recover(RuntimeError("boom"))
-        finally:
-            pool.shutdown()
-        assert not pool.recover(HostUnavailable("all dead"))  # closed
-
     def test_a_peer_that_talks_garbage_counts_as_a_failure(self, workers):
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))

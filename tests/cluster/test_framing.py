@@ -166,8 +166,8 @@ class TestFaultSites:
         }
 
     def test_kill_rules_degrade_to_a_raise_on_the_wire(self, pair):
-        # A client-side "kill" cannot SIGKILL the remote peer; the wire
-        # layer treats it as a connection loss instead of ignoring it.
+        # A "kill" rule loads as a raise of FaultInjected (an OSError), so
+        # the wire layer sees a connection loss instead of ignoring it.
         left, _right = pair
         plan = FaultPlan([FaultRule(CLUSTER_SEND, action="kill")])
         with pytest.raises(FaultInjected):

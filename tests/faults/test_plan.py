@@ -104,9 +104,16 @@ class TestFaultPlan:
             if site != WAL_FSYNC:
                 assert plan.fire(site) is None
 
-    def test_kill_rules_return_the_kill_token(self):
-        plan = FaultPlan([FaultRule(WAL_FSYNC, action="kill")])
-        assert plan.fire(WAL_FSYNC) == "kill"
+    def test_kill_rules_load_as_fault_injected_raises(self):
+        rule = FaultRule(WAL_FSYNC, action="kill")
+        assert rule == FaultRule(WAL_FSYNC)
+        assert rule.spec() == {
+            "site": WAL_FSYNC, "action": "raise", "error": "FaultInjected"
+        }
+        # Plans saved while "kill" was a distinct action still load.
+        plan = FaultPlan.from_spec([{"site": WAL_FSYNC, "action": "kill"}])
+        with pytest.raises(FaultInjected):
+            plan.fire(WAL_FSYNC)
         assert plan.fire(WAL_FSYNC) is None
 
     def test_delay_rules_sleep_and_return_none(self):

@@ -110,16 +110,15 @@ def golden(backend: str) -> tuple:
 @settings(max_examples=25, deadline=None)
 @given(
     site=st.sampled_from(SITES),
-    action=st.sampled_from(["raise", "kill"]),
     after=st.integers(min_value=1, max_value=5),
     count=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_single_site_fault_yields_identical_results_or_typed_errors(
-    backend, site, action, after, count, seed
+    backend, site, after, count, seed
 ):
     golden_outcomes, golden_state = golden(backend)
-    plan = FaultPlan([FaultRule(site, action=action, after=after, count=count)], seed=seed)
+    plan = FaultPlan([FaultRule(site, after=after, count=count)], seed=seed)
     with tempfile.TemporaryDirectory() as root:
         directory = root + "/session"
         with FlexSession(config(backend, directory, plan)) as session:

@@ -64,9 +64,7 @@ class TestRetries:
         backend = sharded(plan)
         try:
             assert backend.measure_values(PRODUCT, OFFERS) == GOLDEN
-            stats = backend.resilience_stats()
-            assert stats["retried"] == 1
-            assert stats["pool_rebuilds"] == 0
+            assert backend.resilience_stats()["retried"] == 1
         finally:
             backend.close()
 
@@ -141,26 +139,7 @@ class TestKill:
         backend = sharded(plan)
         try:
             assert backend.measure_values(PRODUCT, OFFERS) == GOLDEN
-            stats = backend.resilience_stats()
-            assert stats["retried"] == 1
-            assert stats["worker_kills"] == 0
-        finally:
-            backend.close()
-
-    def test_process_worker_kill_rebuilds_the_pool_once(self):
-        # after=2: the pool must exist (shard 0 already submitted) before
-        # there is a live worker process to kill.
-        plan = FaultPlan([FaultRule(SHARD_SUBMIT, action="kill", after=2, count=1)])
-        backend = sharded(plan, shards=2, executor="process")
-        try:
-            # Whether the breakage surfaces inside the first call or on the
-            # next submit is a kernel-scheduling race; the merged results
-            # must be golden either way, with exactly one pool rebuild.
-            assert backend.measure_values(PRODUCT, OFFERS) == GOLDEN
-            assert backend.measure_values(PRODUCT, OFFERS) == GOLDEN
-            stats = backend.resilience_stats()
-            assert stats["worker_kills"] == 1
-            assert stats["pool_rebuilds"] == 1
+            assert backend.resilience_stats()["retried"] == 1
         finally:
             backend.close()
 

@@ -215,6 +215,38 @@ def test_config_with_the_retired_window_kernel_key_recovers(tmp_path):
         restarted.close()
 
 
+def test_config_with_the_retired_process_executor_recovers(tmp_path):
+    """``config.json`` files of sessions that ran on the retired process
+    pool name ``"shard_executor": "process"``; recovery maps it to the
+    thread executor, with the same answers as before."""
+    config = SessionConfig(
+        backend="sharded", shards=2, shard_min_population=1,
+        persist_fsync=False,
+    )
+    registry = SessionRegistry(persist_root=str(tmp_path))
+    try:
+        session = registry.create("tenant", config)
+        session.stream(StreamRequest(events=arrival_events()))
+        evaluated = session.evaluate().values
+        aggregates = session.aggregate().aggregates
+    finally:
+        registry.close()
+    path = tmp_path / "tenant" / "config.json"
+    payload = json.loads(path.read_text())
+    payload["shard_executor"] = "process"
+    path.write_text(json.dumps(payload))
+
+    restarted = SessionRegistry(persist_root=str(tmp_path))
+    try:
+        recovered = restarted.get("tenant")
+        assert restarted.recovered == 1
+        assert recovered.config.shard_executor == "thread"
+        assert recovered.evaluate().values == evaluated
+        assert recovered.aggregate().aggregates == aggregates
+    finally:
+        restarted.close()
+
+
 # --------------------------------------------------------------------- #
 # Evicted-then-recovered bit-identity (satellite #3)
 # --------------------------------------------------------------------- #

@@ -138,6 +138,16 @@ class TestSessionConfig:
             config = SessionConfig(backend="reference")
         assert config.shard_executor == "thread"
 
+    def test_retired_process_executor(self, monkeypatch):
+        """An explicit ``process`` names the LocalCluster recipe; from the
+        environment it warns and falls back like any unknown value."""
+        with pytest.raises(ServiceError, match="LocalCluster"):
+            SessionConfig(shard_executor="process")
+        monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "process")
+        with pytest.warns(RuntimeWarning, match="REPRO_SHARD_EXECUTOR"):
+            config = SessionConfig(backend="reference")
+        assert config.shard_executor == "thread"
+
 
 class TestRequestValidation:
     def test_request_sequences_normalise_to_tuples(self):
@@ -623,21 +633,27 @@ def test_sharded_session_uses_instance_inner_backend():
 
 
 @requires_numpy
-def test_process_executor_session_delegates_through_the_session_cache():
-    """Process workers resolve the inner backend by name (separate memory),
+def test_remote_executor_session_delegates_through_the_session_cache():
+    """Remote workers resolve the inner backend by name (separate memory),
     but the in-process delegation path for small populations must still
     route through the session's own cache — not the process-wide one."""
-    config = SessionConfig(backend="sharded", shard_executor="process", shards=2)
+    from repro.cluster import LocalCluster
+
     offers = population(20, seed=8)
-    session = FlexSession(config)
-    try:
-        assert session.backend_name == "sharded"
-        process_wide = matrix_cache.stats()
-        served = session.evaluate(EvaluateRequest(offers=offers))
-        assert served.stats.cache_hits + served.stats.cache_misses > 0
-        assert matrix_cache.stats() == process_wide
-    finally:
-        session.close()
+    with LocalCluster(workers=1) as cluster:
+        config = SessionConfig(
+            backend="sharded", cluster=cluster.spec(), shards=2
+        )
+        session = FlexSession(config)
+        try:
+            assert session.backend_name == "sharded"
+            assert session.config.shard_executor == "remote"
+            process_wide = matrix_cache.stats()
+            served = session.evaluate(EvaluateRequest(offers=offers))
+            assert served.stats.cache_hits + served.stats.cache_misses > 0
+            assert matrix_cache.stats() == process_wide
+        finally:
+            session.close()
     with use_backend("reference"):
         assert served.report == evaluate_set(offers, None)
 
