@@ -1,24 +1,23 @@
 """W-KERNEL — vectorized tick sampling vs. the scalar window path.
 
-Before this PR every :class:`~repro.stream.events.Tick` with a window
-tracker cost, per tracked measure, a full O(population) Python fold —
-``{offer_id: {measure: value}}`` dictionary lookups re-listed into Python,
-summed scalar by scalar, and pushed into a ``deque``-backed window.  Tick
+A :class:`~repro.stream.events.Tick` with a window tracker once cost, per
+tracked measure, a full O(population) Python fold —
+``{offer_id: {measure: value}}`` dictionary lookups re-listed into Python
+and summed scalar by scalar — before the sample reached its window.  Tick
 sampling now runs as **one bulk pass** over the engine's packed value
 columns (one alive-mask gather, one exact ``cumsum`` per measure column —
 :meth:`~repro.stream.live.LivePopulation.combined_values`) feeding the
-array window kernel (:class:`~repro.stream.windowkernels.ArrayMeasureWindow`:
-preallocated ``float64`` ring, monotonic-deque sliding extremes, single
-memoised sort for the percentile block).
+:class:`~repro.stream.window.MeasureWindow` windows.
 
-This benchmark replays the *old* scalar path — the dictionary fold into
-scalar ``MeasureWindow`` records, exactly as ``_sample_values`` used to run
-it — against the engine as shipped, on the same population and the same
-tick schedule, asserts the resulting per-measure window summaries are
-**identical floats**, and gates the speedup: ≥10x at 100k live offers (the
-CI acceptance gate), with a correctness smoke at 10k on every run.  A
-second record times the window kernels head to head on pure
-record/summary churn (informational, no gate).
+This benchmark replays the *old* scalar path — the dictionary fold into a
+:class:`~repro.stream.window.WindowTracker`, exactly as
+``_sample_values`` used to run it — against the engine as shipped, on the
+same population and the same tick schedule, asserts the resulting
+per-measure window summaries are **identical floats**, and gates the
+speedup: ≥10x at 100k live offers (the CI acceptance gate), with a
+correctness smoke at 10k on every run.  A second record times the shipped
+window's monotonic-deque extremes against :class:`ScanWindow`, the old
+O(capacity) scan rebuilt here, on record + min/max churn.
 
 Run standalone::
 
@@ -34,6 +33,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import deque
 
 import pytest
 
@@ -41,6 +41,7 @@ from repro.backend import NUMPY_AVAILABLE
 from repro.core import FlexOffer
 from repro.measures import get_measure
 from repro.stream import MeasureWindow, StreamingEngine, Tick, WindowTracker
+from repro.stream.window import check_sample, nearest_rank
 
 #: Always-supported measures with integer per-offer values: the comparison
 #: targets the sampling fold and the window kernel, and both paths must
@@ -88,7 +89,7 @@ def bench_tick_sampling(size: int, ticks: int = 12, seed: int = 3) -> dict:
     """Per-tick cost: bulk column sampling vs. the scalar dictionary fold.
 
     One engine, one population; the scalar side drives the replicated
-    old fold into a scalar-kernel tracker over the same tick schedule, and
+    old fold into a second tracker over the same tick schedule, and
     the summaries of both trackers must agree exactly — same counts, same
     totals, same percentiles — before any timing is trusted.
     """
@@ -101,10 +102,7 @@ def bench_tick_sampling(size: int, ticks: int = 12, seed: int = 3) -> dict:
         (f"offer-{index}", offer)
         for index, offer in enumerate(population(size, seed=seed))
     )
-    assert engine.window_kernel == "array"
-    scalar_tracker = WindowTracker(
-        MEASURES, WINDOW_CAPACITY, window_factory=MeasureWindow
-    )
+    scalar_tracker = WindowTracker(MEASURES, WINDOW_CAPACITY)
 
     started = time.perf_counter()
     for tick_time in range(ticks):
@@ -129,19 +127,55 @@ def bench_tick_sampling(size: int, ticks: int = 12, seed: int = 3) -> dict:
     }
 
 
+class ScanWindow:
+    """The window before its monotonic deques: extremes by O(capacity) scan.
+
+    Rebuilds the old semantics the way :func:`_scalar_tick_path` rebuilds
+    the old fold — same samples, same ``min(values())``/``max(values())``,
+    same summary block — as the dashboard benchmark's comparator.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self._samples: deque[tuple[int, float]] = deque(maxlen=capacity)
+
+    def record(self, time: int, value: float) -> None:
+        self._samples.append((time, check_sample(value)))
+
+    def values(self) -> list[float]:
+        return [value for _, value in self._samples]
+
+    def minimum(self) -> float:
+        return min(self.values())
+
+    def maximum(self) -> float:
+        return max(self.values())
+
+    def summary(self) -> dict[str, float]:
+        values = self.values()
+        ordered = sorted(values)
+        count = len(values)
+        return {
+            "count": float(count),
+            "last": values[-1],
+            "total": float(sum(values)),
+            "mean": float(sum(values) / count),
+            "min": ordered[0],
+            "max": ordered[-1],
+            "p50": nearest_rank(ordered, 50),
+            "p90": nearest_rank(ordered, 90),
+        }
+
+
 def bench_window_dashboard(samples: int = 100_000, capacity: int = 256) -> dict:
-    """Dashboard churn: record + min/max read per sample, scalar vs. array.
+    """Dashboard churn: record + min/max read per sample, scan vs. deques.
 
     The monitoring pattern: every sample is recorded and the sliding
-    extremes are read back immediately.  The scalar kernel re-scans the
-    whole retained window per extreme query (O(capacity)); the array
-    kernel reads the front of its monotonic deques (O(1)) — that, not the
-    record itself (a deque append is a perfectly good O(1) too), is where
-    the kernel wins on pure window traffic.  Informational (no gate); the
-    gated product win is the sampling fold above.
+    extremes are read back immediately.  :class:`ScanWindow` re-scans the
+    whole retained window per extreme query (O(capacity));
+    :class:`~repro.stream.window.MeasureWindow` reads the front of its
+    monotonic deques (O(1) amortised).  Both must agree float for float;
+    the gated product win is the sampling fold above.
     """
-    from repro.stream.windowkernels import ArrayMeasureWindow
-
     rng = random.Random(11)
     stream = [rng.uniform(-50.0, 50.0) for _ in range(samples)]
 
@@ -155,20 +189,20 @@ def bench_window_dashboard(samples: int = 100_000, capacity: int = 256) -> dict:
                 window.summary()
         return time.perf_counter() - started, checksum
 
-    scalar_window = MeasureWindow(capacity)
-    array_window = ArrayMeasureWindow(capacity)
-    scalar, scalar_checksum = churn(scalar_window)
-    array, array_checksum = churn(array_window)
-    assert array_checksum == scalar_checksum
-    assert array_window.summary() == scalar_window.summary()
+    scan_window = ScanWindow(capacity)
+    deque_window = MeasureWindow(capacity)
+    scan, scan_checksum = churn(scan_window)
+    shipped, shipped_checksum = churn(deque_window)
+    assert shipped_checksum == scan_checksum
+    assert deque_window.summary() == scan_window.summary()
     return {
         "name": f"window_dashboard_{samples}",
         "scale": samples,
         "capacity": capacity,
-        "scalar_s": scalar,
-        "array_s": array,
-        "ops_per_s": samples / array if array else 0.0,
-        "speedup": scalar / array if array else 0.0,
+        "scan_s": scan,
+        "deque_s": shipped,
+        "ops_per_s": samples / shipped if shipped else 0.0,
+        "speedup": scan / shipped if shipped else 0.0,
     }
 
 
@@ -215,10 +249,10 @@ def test_tick_sampling_gate_at_100k():
     assert record["speedup"] >= GATE_TICK_SPEEDUP, record
 
 
-@pytest.mark.skipif(not NUMPY_AVAILABLE, reason="NumPy backend not available")
 def test_window_dashboard_churn_matches_exactly():
-    """The kernels agree float-for-float on 100k-sample dashboard churn
-    (asserted inside the run); the O(1) extremes must beat the scan."""
+    """The deque window and the scan agree float-for-float on 100k-sample
+    dashboard churn (asserted inside the run); the O(1) extremes must beat
+    the scan."""
     record = bench_window_dashboard()
     _print_record(record)
     assert record["speedup"] > 1.0

@@ -75,8 +75,6 @@ __all__ = [
     "MatrixCache",
     "ReferenceBackend",
     "ShardedBackend",
-    "NumpyBackend",
-    "ProfileMatrix",
     "available_backends",
     "cached_matrix",
     "get_backend",
@@ -84,3 +82,7 @@ __all__ = [
     "register_backend",
     "use_backend",
 ]
+# ``from repro.backend import *`` resolves every listed name, so the lazy
+# NumPy exports are listed only where they can resolve.
+if NUMPY_AVAILABLE:
+    __all__ += sorted(_LAZY_EXPORTS)

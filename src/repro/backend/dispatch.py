@@ -179,26 +179,6 @@ class ComputeBackend(abc.ABC):
         support it — the bulk form of the streaming engine's arrival cache."""
 
     # ------------------------------------------------------------------ #
-    # Windowed analytics
-    # ------------------------------------------------------------------ #
-    def measure_window(self, capacity: int):
-        """One sliding measure window of ``capacity`` samples.
-
-        The window *kernel* the streaming engine's
-        :class:`~repro.stream.window.WindowTracker` builds its per-measure
-        windows with.  The default is the scalar pure-Python
-        :class:`~repro.stream.window.MeasureWindow`; array-capable backends
-        override this with the NumPy ring-buffer
-        :class:`~repro.stream.windowkernels.ArrayMeasureWindow`.  Both
-        kernels are conformance-pinned to each other (exact floats on
-        ``total``/``min``/``max``/``count``, 1e-9 on ``mean``/percentiles),
-        so the hook changes cost, never statistics.
-        """
-        from ..stream.window import MeasureWindow
-
-        return MeasureWindow(capacity)
-
-    # ------------------------------------------------------------------ #
     # Aggregation
     # ------------------------------------------------------------------ #
     @abc.abstractmethod

@@ -212,15 +212,6 @@ class NumpyBackend(ComputeBackend):
         return results
 
     # ------------------------------------------------------------------ #
-    # Windowed analytics
-    # ------------------------------------------------------------------ #
-    def measure_window(self, capacity: int):
-        """The array-backed window kernel (NumPy is known to be present)."""
-        from ..stream.windowkernels import ArrayMeasureWindow
-
-        return ArrayMeasureWindow(capacity)
-
-    # ------------------------------------------------------------------ #
     # Aggregation
     # ------------------------------------------------------------------ #
     def aggregate_columns(

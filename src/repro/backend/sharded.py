@@ -651,13 +651,6 @@ class ShardedBackend(ComputeBackend):
         return results
 
     # ------------------------------------------------------------------ #
-    # Windowed analytics
-    # ------------------------------------------------------------------ #
-    def measure_window(self, capacity: int):
-        """Window construction is not shardable; the inner backend decides."""
-        return self.inner.measure_window(capacity)
-
-    # ------------------------------------------------------------------ #
     # Aggregation
     # ------------------------------------------------------------------ #
     def aggregate_columns(

@@ -456,8 +456,13 @@ class Gateway:
         )
 
     async def _handle_stats(self, name: str, body: bytes) -> Response:
+        """Read a tenant's counters and windows under its session gate: a
+        worker thread applying a ``Tick`` mutates those windows, so the
+        read waits for the running request, like a checkpoint does."""
         entry = self.registry.entry(name)
-        return Response(200, {"kind": "session-stats", **entry.stats()})
+        async with entry.gate.admit():
+            stats = entry.stats()
+        return Response(200, {"kind": "session-stats", **stats})
 
     async def _handle_evict(self, name: str, body: bytes) -> Response:
         self.registry.evict(name)

@@ -462,8 +462,8 @@ class SessionConfig:
     def from_dict(cls, payload: dict[str, object]) -> "SessionConfig":
         """Rebuild a config from :meth:`as_dict` output."""
         arguments = dict(payload)
-        # Configs saved before the window kernel became the backend's
-        # choice carry the retired field; the backend picks it now.
+        # Configs saved while the window kernel was an option carry the
+        # retired field; every session now runs the one window kernel.
         arguments.pop("window_kernel", None)
         # Likewise for the retired process-pool executor: a saved session
         # that ran on it recovers on the thread executor, with identical

@@ -487,7 +487,6 @@ class FlexSession:
             "engine": self.engine.stats.as_dict(),
             "cache": self.cache.stats(),
             "closed": self._closed,
-            "window_kernel": self.engine.window_kernel,
         }
         if self.engine.tracker is not None:
             payload["windows"] = self.engine.tracker.summary()

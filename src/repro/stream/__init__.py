@@ -21,13 +21,9 @@ O(1)-sized change.  This subsystem maintains the same state incrementally:
     running extremes.
 ``window``
     :class:`RingBuffer`, :class:`MeasureWindow`, :class:`WindowTracker` —
-    sliding-window statistics (total / mean / percentile) of population
-    level measure values sampled on every tick.
-``windowkernels``
-    :class:`ArrayMeasureWindow` — the NumPy ring-buffer window kernel,
-    conformance-pinned to the scalar :class:`MeasureWindow` and selected
-    per session through the compute-backend contract.  Imported lazily:
-    ``repro.stream`` itself stays importable without NumPy.
+    sliding-window statistics (total / mean / min / max / percentile) of
+    population level measure values sampled on every tick; the sliding
+    extremes are O(1) amortised through monotonic deques, on every host.
 ``engine``
     :class:`StreamingEngine` — the orchestrator consuming events and
     exposing batch-equivalent snapshots (:class:`EngineSnapshot`).
@@ -72,16 +68,6 @@ from .replay import (
 from .window import MeasureWindow, RingBuffer, WindowTracker
 
 
-def __getattr__(name: str):
-    # ``ArrayMeasureWindow`` imports NumPy at module level; exporting it
-    # lazily keeps ``import repro.stream`` NumPy-free on hosts without it.
-    if name == "ArrayMeasureWindow":
-        from .windowkernels import ArrayMeasureWindow
-
-        return ArrayMeasureWindow
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     # events
     "StreamError",
@@ -97,7 +83,6 @@ __all__ = [
     # windows
     "RingBuffer",
     "MeasureWindow",
-    "ArrayMeasureWindow",
     "WindowTracker",
     # engine
     "StreamingEngine",

@@ -159,14 +159,7 @@ class StreamingEngine:
     backend:
         Backend selection (registered name or instance) for the engine's
         own bulk calls (:meth:`bulk_arrive`); ``None`` resolves the active
-        backend per call, exactly as before.  Its
-        :meth:`~repro.backend.dispatch.ComputeBackend.measure_window` hook
-        also picks the tracker's sliding-window kernel: reference engines
-        keep the scalar :class:`~repro.stream.window.MeasureWindow`, the
-        NumPy and sharded tiers get the array
-        :class:`~repro.stream.windowkernels.ArrayMeasureWindow`.  Both
-        kernels are conformance-pinned to each other, so the choice never
-        changes a statistic, only its cost.
+        backend per call, exactly as before.
     compact_threshold:
         Tombstone ratio at which the live matrix auto-compacts.
     """
@@ -206,17 +199,7 @@ class StreamingEngine:
                     f"configured: {sorted(measure_keys)}"
                 )
         self.tracker: Optional[WindowTracker] = (
-            WindowTracker(
-                tracked,
-                window_capacity,
-                window_factory=get_backend(backend).measure_window,
-            )
-            if window_capacity
-            else None
-        )
-        #: The window kernel the backend picked (``None`` without a tracker).
-        self.window_kernel: Optional[str] = (
-            self.tracker.kernel if self.tracker is not None else None
+            WindowTracker(tracked, window_capacity) if window_capacity else None
         )
         self._index = OnlineGridIndex(parameters)
         self._aggregates: dict[CellKey, IncrementalAggregate] = {}

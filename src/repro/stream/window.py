@@ -13,7 +13,7 @@ storage and the statistics:
   engine runs;
 * :class:`MeasureWindow` — a ring buffer of ``(time, value)`` samples of one
   measure with total / mean / min / max / nearest-rank percentile over the
-  retained window;
+  retained window, the sliding min / max in O(1) amortised;
 * :class:`WindowTracker` — one window per tracked measure key, fed from the
   :class:`~repro.measures.FlexibilitySetReport` the engine computes on every
   :class:`~repro.stream.events.Tick`.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from typing import Optional
 
 from .events import StreamError
@@ -39,13 +39,11 @@ __all__ = ["RingBuffer", "MeasureWindow", "WindowTracker", "nearest_rank"]
 def nearest_rank(ordered, q: float) -> float:
     """Nearest-rank percentile over an ascending sequence, ``q`` in [0, 100].
 
-    Shared by the scalar :class:`MeasureWindow` and the array-backed
-    :class:`~repro.stream.windowkernels.ArrayMeasureWindow` so both kernels
-    agree bit-for-bit.  The boundaries are handled explicitly rather than
-    through the rank formula: ``q == 0`` is defined as the window minimum
-    and ``q == 100`` as the window maximum for every window size — the
-    formula's ``ceil(q * n / 100)`` lands there too for well-behaved
-    floats, but the contract must not hinge on rounding behaviour.
+    The boundaries are handled explicitly rather than through the rank
+    formula: ``q == 0`` is defined as the window minimum and ``q == 100``
+    as the window maximum for every window size — the formula's
+    ``ceil(q * n / 100)`` lands there too for well-behaved floats, but the
+    contract must not hinge on rounding behaviour.
     """
     count = len(ordered)
     if q <= 0:
@@ -61,7 +59,8 @@ def check_sample(value: float) -> float:
 
     Windowed statistics are meaningless once a NaN or infinity enters the
     ring (``min``/``max``/percentiles would silently poison every later
-    query), so both window kernels reject non-finite samples at the door.
+    query), so :class:`MeasureWindow` rejects non-finite samples at the
+    door.
     """
     value = float(value)
     if not math.isfinite(value):
@@ -104,6 +103,10 @@ class RingBuffer:
     def __iter__(self) -> Iterator[object]:
         return iter(self._items)
 
+    def __getitem__(self, index: int) -> object:
+        """One retained item by position, oldest first (O(1) at either end)."""
+        return self._items[index]
+
     def items(self) -> list[object]:
         """The retained items, oldest first."""
         return list(self._items)
@@ -120,19 +123,24 @@ class MeasureWindow:
     repeatedly between ticks sorts once and reads O(1) afterwards, instead
     of re-sorting the whole retained window per query.
 
-    This is the *scalar* window kernel — pure-Python storage, no NumPy
-    dependency — and the semantic reference for the array-backed
-    :class:`~repro.stream.windowkernels.ArrayMeasureWindow`, which must
-    agree with it exactly on every query (the differential
-    window-conformance suite pins the contract).
+    The sliding extremes are O(1) amortised through two *monotonic deques*
+    of ``(sequence, value)`` pairs: each sample is pushed and popped at
+    most once, and a query reads the front.  A record pops only entries
+    strictly worse than the new value, so among equal values the front is
+    the oldest — exactly the element ``min(values())`` / ``max(values())``
+    return, ties (``0.0`` against ``-0.0``) included.
     """
-
-    #: Kernel identifier (the array kernel reports ``"array"``).
-    kernel = "scalar"
 
     def __init__(self, capacity: int) -> None:
         self._buffer = RingBuffer(capacity)
         self._sorted: Optional[list[float]] = None
+        #: Samples ever recorded: the sequence number of the next record.
+        self._pushed = 0
+        #: ``(sequence, value)`` pairs, values non-decreasing front to back;
+        #: the front is the sliding minimum.
+        self._low: deque[tuple[int, float]] = deque()
+        #: Mirror image for the sliding maximum.
+        self._high: deque[tuple[int, float]] = deque()
 
     @property
     def capacity(self) -> int:
@@ -145,8 +153,25 @@ class MeasureWindow:
         Non-finite samples are rejected (:class:`StreamError`) before any
         state change — see :func:`check_sample`.
         """
-        self._buffer.push((time, check_sample(value)))
+        value = check_sample(value)
+        self._buffer.push((time, value))
         self._sorted = None
+        sequence = self._pushed
+        self._pushed = sequence + 1
+        oldest = self._pushed - len(self._buffer)
+        low, high = self._low, self._high
+        while low and low[-1][1] > value:
+            low.pop()
+        low.append((sequence, value))
+        # One record evicts at most one sample, so at most one front entry
+        # falls out of the window.
+        if low[0][0] < oldest:
+            low.popleft()
+        while high and high[-1][1] < value:
+            high.pop()
+        high.append((sequence, value))
+        if high[0][0] < oldest:
+            high.popleft()
 
     def _ordered(self) -> list[float]:
         """The retained values in ascending order (memoised until a push)."""
@@ -171,8 +196,9 @@ class MeasureWindow:
     @property
     def last(self) -> Optional[float]:
         """The most recent sample value (``None`` when empty)."""
-        values = self.values()
-        return values[-1] if values else None
+        if not len(self._buffer):
+            return None
+        return self._buffer[-1][1]  # type: ignore[index]
 
     def total(self) -> float:
         """Sum of the retained values."""
@@ -186,18 +212,16 @@ class MeasureWindow:
         return float(sum(values) / len(values))
 
     def minimum(self) -> float:
-        """Smallest retained value."""
-        values = self.values()
-        if not values:
+        """Smallest retained value (the oldest of equals), in O(1)."""
+        if not self._low:
             raise StreamError("an empty window has no minimum")
-        return min(values)
+        return self._low[0][1]
 
     def maximum(self) -> float:
-        """Largest retained value."""
-        values = self.values()
-        if not values:
+        """Largest retained value (the oldest of equals), in O(1)."""
+        if not self._high:
             raise StreamError("an empty window has no maximum")
-        return max(values)
+        return self._high[0][1]
 
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile of the retained values, ``q`` in [0, 100].
@@ -245,33 +269,15 @@ class WindowTracker:
         created eagerly so :meth:`window` never KeyErrors for a tracked key.
     capacity:
         Samples retained per measure window.
-    window_factory:
-        Callable building one window from a capacity — the window *kernel*.
-        Defaults to the scalar :class:`MeasureWindow`; the streaming engine
-        injects its backend's kernel here (the NumPy tier supplies the
-        array-backed
-        :class:`~repro.stream.windowkernels.ArrayMeasureWindow`).
     """
 
-    def __init__(
-        self,
-        measure_keys: Iterable[str],
-        capacity: int = 64,
-        window_factory: Optional[Callable[[int], MeasureWindow]] = None,
-    ) -> None:
-        factory = window_factory if window_factory is not None else MeasureWindow
+    def __init__(self, measure_keys: Iterable[str], capacity: int = 64) -> None:
         self._windows: dict[str, MeasureWindow] = {
-            key: factory(capacity) for key in measure_keys
+            key: MeasureWindow(capacity) for key in measure_keys
         }
         if not self._windows:
             raise StreamError("WindowTracker needs at least one measure key")
         self.capacity = capacity
-
-    @property
-    def kernel(self) -> str:
-        """The window kernel in use (``"scalar"`` or ``"array"``)."""
-        window = next(iter(self._windows.values()))
-        return getattr(window, "kernel", "scalar")
 
     @property
     def measure_keys(self) -> list[str]:
@@ -296,7 +302,7 @@ class WindowTracker:
         report skipped (unsupported on the current population) are simply
         not sampled this round.  Non-finite set values (a measure's float
         sum can legitimately overflow to ``inf`` on extreme populations)
-        are likewise not sampled — the window kernels reject them
+        are likewise not sampled — the windows reject them
         (:func:`check_sample`), and one degenerate tick must not poison a
         whole window of sound statistics.
         """

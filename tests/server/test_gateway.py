@@ -12,6 +12,7 @@ import asyncio
 import io
 import json
 import random
+import threading
 
 import pytest
 
@@ -132,6 +133,55 @@ def test_submit_roundtrips_every_request_kind():
         await client.close()
 
     gateway_scenario(scenario)
+
+
+def test_session_stats_wait_for_the_running_submit():
+    """``GET /sessions/{name}`` reads the tenant's windows, which a worker
+    thread mutates while it applies a ``Tick``; the read must hold the
+    session gate, so it completes only after the running submit."""
+    offers = population(6, seed=5)
+    entered, release = threading.Event(), threading.Event()
+
+    async def scenario(gateway):
+        submitter = GatewayClient.in_process(gateway)
+        reader = GatewayClient.in_process(gateway)
+        await submitter.create_session(
+            "t", {**REFERENCE, "window_capacity": 4}
+        )
+        await submitter.submit(
+            "t", StreamRequest(events=tuple(population_events(offers)))
+        )
+        session = gateway.registry.entry("t").session
+        real_submit = session.submit
+
+        def blocked(request):
+            entered.set()
+            assert release.wait(5.0)
+            return real_submit(request)
+
+        session.submit = blocked
+        ticking = asyncio.ensure_future(
+            submitter.submit("t", StreamRequest(events=(Tick(1),)))
+        )
+        assert await asyncio.to_thread(entered.wait, 5.0)
+        stats = asyncio.ensure_future(reader.session_stats("t"))
+        done, _ = await asyncio.wait({stats}, timeout=0.2)
+        blocked_while_running = not done
+        release.set()
+        ticked, read = await asyncio.gather(ticking, stats)
+        await submitter.close()
+        await reader.close()
+        return blocked_while_running, ticked, read
+
+    try:
+        blocked_while_running, ticked, read = gateway_scenario(scenario)
+    finally:
+        release.set()
+    assert blocked_while_running
+    assert ticked.status == 200 and read.status == 200
+    # The read saw the whole tick: every window holds its sample.
+    windows = read.payload["windows"]
+    assert windows and all(block["count"] == 1.0 for block in windows.values())
 
 
 def test_tcp_serve_and_port_allocation():

@@ -17,7 +17,7 @@ from repro.server import (
     UnknownSessionError,
 )
 from repro.service import FlexSession, SessionConfig, StreamRequest
-from repro.stream import population_events
+from repro.stream import Tick, population_events
 from repro.workloads import neighbourhood_scenario
 
 DURABLE = {"backend": "reference", "persist_fsync": False}
@@ -188,15 +188,17 @@ def test_recovery_honours_the_persisted_config(tmp_path):
 
 def test_config_with_the_retired_window_kernel_key_recovers(tmp_path):
     """``config.json`` files written while ``SessionConfig`` still had a
-    ``window_kernel`` field carry that key; recovery drops it and the
-    backend picks the kernel, with the same answers as before."""
+    ``window_kernel`` field carry that key; recovery drops it and gives
+    the same answers and window summaries as before."""
     config = SessionConfig(window_capacity=4, **DURABLE)
     registry = SessionRegistry(persist_root=str(tmp_path))
     try:
         session = registry.create("tenant", config)
         session.stream(StreamRequest(events=arrival_events()))
+        session.stream(StreamRequest(events=(Tick(1), Tick(2))))
         evaluated = session.evaluate().values
         aggregates = session.aggregate().aggregates
+        windows = session.engine.tracker.summary()
     finally:
         registry.close()
     path = tmp_path / "tenant" / "config.json"
@@ -208,7 +210,8 @@ def test_config_with_the_retired_window_kernel_key_recovers(tmp_path):
     try:
         recovered = restarted.get("tenant")
         assert restarted.recovered == 1
-        assert recovered.engine.window_kernel == "scalar"
+        assert recovered.engine.tracker.summary() == windows
+        assert all(block["count"] == 2.0 for block in windows.values())
         assert recovered.evaluate().values == evaluated
         assert recovered.aggregate().aggregates == aggregates
     finally:

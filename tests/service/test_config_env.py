@@ -28,7 +28,7 @@ from repro.measures import evaluate_set
 from repro.persist import load_config
 from repro.service import FlexSession, SessionConfig, StreamRequest
 from repro.service.config import ServiceError
-from repro.stream import OfferArrived, OfferExpired, StreamingEngine
+from repro.stream import OfferArrived, OfferExpired, StreamingEngine, Tick
 
 requires_numpy = pytest.mark.skipif(
     not NUMPY_AVAILABLE, reason="the live matrix needs NumPy"
@@ -76,6 +76,9 @@ def clear_environment(monkeypatch) -> None:
 def lower_layer_state() -> dict:
     """What the environment-free constructors resolved, as plain values."""
     backend, cache = ShardedBackend(), MatrixCache()
+    engine = StreamingEngine(window_capacity=4)
+    engine.apply(OfferArrived("offer", FlexOffer(0, 2, [(1, 2)])))
+    engine.apply(Tick(1))
     state = {
         "sharded": (
             backend.shards,
@@ -86,7 +89,7 @@ def lower_layer_state() -> dict:
             backend.hedge_ms,
         ),
         "cache": (cache.capacity, cache.cell_budget),
-        "engine_kernel": StreamingEngine(window_capacity=4).window_kernel,
+        "engine_windows": engine.tracker.summary(),
     }
     if NUMPY_AVAILABLE:
         from repro.backend.matrix import ProfileMatrix

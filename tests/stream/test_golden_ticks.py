@@ -4,18 +4,17 @@
 streaming run — arrivals in chunks of 50, a :class:`~repro.stream.Tick`
 advancing the clock by 3 after each chunk, auto-expiry on, a 32-sample
 window per tracked measure — together with every tick's
-:meth:`~repro.stream.window.WindowTracker.summary` exactly as the scalar
-window kernel on the reference backend computed it when the fixture was
-written.  The regression test replays the identical run on **every**
-backend (``reference`` / ``numpy`` / ``sharded`` — scalar and array window
-kernels alike) and requires exact equality with the stored JSON numbers
-(floats round-trip losslessly through JSON), so
+:meth:`~repro.stream.window.WindowTracker.summary` exactly as the
+reference backend computed it when the fixture was written.  The
+regression test replays the identical run on **every** backend
+(``reference`` / ``numpy`` / ``sharded``) and requires exact equality with
+the stored JSON numbers (floats round-trip losslessly through JSON), so
 
-* a PR that drifts tick sampling, window statistics, auto-expiry order or
-  the measure fold fails loudly, and
-* the array window kernel and the bulk ``cumsum`` sampling path are pinned
-  to the recorded scalar values, not merely to whatever the scalar path
-  produces today.
+* a change that drifts tick sampling, window statistics, auto-expiry order
+  or the measure fold fails loudly, and
+* the bulk ``cumsum`` sampling path and the windows' monotonic-deque
+  extremes are pinned to the recorded values, not merely to whatever the
+  code produces today.
 
 Regenerate (only after an *intentional* semantics change) with::
 
@@ -114,9 +113,8 @@ def run_streaming(backend: str) -> list[dict]:
         auto_expire=True,
         backend=backend,
     )
-    if backend == "reference":
-        # The fixture records the scalar kernel, the reference backend's pick.
-        assert engine.window_kernel == "scalar"
+    # Every backend starts from empty windows; only the ticks fill them.
+    assert engine.tracker.summary() == {key: {"count": 0} for key in MEASURES}
     ticks: list[dict] = []
     time = 0
     for start in range(0, len(population), CHUNK):
@@ -138,7 +136,7 @@ def run_streaming(backend: str) -> list[dict]:
 
 
 def build_fixture() -> dict:
-    """The fixture payload (reference backend, scalar window kernel)."""
+    """The fixture payload (reference backend)."""
     return {
         "spec": {
             "counts": dict(SPEC.counts),
@@ -180,10 +178,10 @@ def test_fixture_matches_its_generating_protocol():
 def test_tick_summaries_are_byte_stable(backend, request):
     """Every per-tick window summary is reproduced exactly, per backend.
 
-    No tolerance anywhere: the array kernel's ``cumsum``/deque/sort paths
-    and the engine's bulk sampling fold are designed to reproduce the
-    scalar floats bit for bit, and this is where that claim is enforced
-    against a *committed* artifact rather than a freshly computed one.
+    No tolerance anywhere: the engine's bulk sampling fold and the
+    windows' deque/sort paths are designed to reproduce the recorded
+    floats bit for bit, and this is where that claim is enforced against
+    a *committed* artifact rather than a freshly computed one.
     """
     if backend == "sharded-remote":
         request.getfixturevalue("remote_backend_registered")

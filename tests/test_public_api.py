@@ -5,7 +5,21 @@ tests pin the re-exports, the version string, and the doctest-style snippets
 used in the README.
 """
 
+import os
+import pkgutil
+import subprocess
+import sys
+
+import pytest
+
 import repro
+
+#: ``repro`` and every subpackage, for the NumPy-free star-import check.
+PACKAGES = ["repro"] + sorted(
+    f"repro.{info.name}"
+    for info in pkgutil.iter_modules(repro.__path__)
+    if info.ispkg
+)
 
 
 class TestPublicApi:
@@ -48,3 +62,24 @@ class TestPublicApi:
         ev = repro.FlexOffer(23, 27, [(2, 4), (2, 4), (2, 4)], name="ev-charger")
         assert (ev.time_flexibility, ev.energy_flexibility) == (4, 6)
         assert repro.product_flexibility(ev) == 24
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_star_import_works_without_numpy(package):
+    """``from <package> import *`` resolves every ``__all__`` name on a
+    host without NumPy (hidden here through ``sys.modules``)."""
+    source = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        f"from {package} import *\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    environment = {**os.environ, "PYTHONPATH": src}
+    completed = subprocess.run(
+        [sys.executable, "-c", source],
+        capture_output=True,
+        text=True,
+        env=environment,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
