@@ -300,6 +300,43 @@ class TestDifferentialConformance:
                     window.record(time, value)
             assert_matches_oracle(window, retained)
 
+    @pytest.mark.slow
+    @settings(max_examples=50, deadline=None)
+    @given(
+        capacity=st.integers(min_value=1, max_value=5),
+        values=st.lists(sample_values, min_size=1, max_size=25),
+        bad_at=st.integers(min_value=0, max_value=24),
+        bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    )
+    def test_rejections_leave_the_window_unchanged(
+        self, capacity, values, bad_at, bad
+    ):
+        window, retained = MeasureWindow(capacity), []
+        for time, value in enumerate(values):
+            if time == bad_at % len(values):
+                before = window.summary()
+                with pytest.raises(StreamError):
+                    window.record(time, bad)
+                assert window.summary() == before
+                assert_matches_oracle(window, retained)
+            window.record(time, value)
+            retained = (retained + [(time, value)])[-capacity:]
+        assert_matches_oracle(window, retained)
+
+    def test_sorted_view_tracks_the_ring_through_wrap_around(self):
+        # The memoised sorted view is reused between records and rebuilt
+        # after each one, so it always equals the sorted retained values.
+        window, retained = MeasureWindow(3), []
+        for time, value in enumerate([4.0, 1.0, 3.0, 2.0, -5.0, 4.0, 0.5]):
+            previous = window._ordered() if retained else None
+            window.record(time, value)
+            retained = (retained + [(time, value)])[-3:]
+            ordered = window._ordered()
+            assert ordered is not previous
+            assert window._ordered() is ordered
+            assert ordered == sorted(v for _, v in retained)
+            assert_matches_oracle(window, retained)
+
     def test_capacity_one_tracks_the_last_sample_only(self):
         window = MeasureWindow(1)
         for time, value in enumerate([5.0, -3.0, 7.5, 7.5, 0.0]):
