@@ -32,6 +32,13 @@ from ..core.errors import SerializationError
 from ..core.flexoffer import FlexOffer
 from ..core.timeseries import TimeSeries
 from ..scheduling.base import Schedule
+from ..stream.events import (
+    OfferArrived,
+    OfferAssigned,
+    OfferExpired,
+    StreamError,
+    Tick,
+)
 
 __all__ = [
     "float_to_wire",
@@ -141,8 +148,8 @@ def flexoffer_from_dict(payload: dict[str, Any]) -> FlexOffer:
     """
     try:
         return FlexOffer(
-            int(payload["earliest_start"]),
-            int(payload["latest_start"]),
+            payload["earliest_start"],
+            payload["latest_start"],
             [tuple(item) for item in payload["slices"]],
             payload.get("total_energy_min"),
             payload.get("total_energy_max"),
@@ -184,7 +191,7 @@ def timeseries_from_dict(payload: dict[str, Any]) -> TimeSeries:
     """Rebuild a time series from its dictionary form."""
     try:
         return TimeSeries(
-            int(payload["start"]),
+            payload["start"],
             tuple(float_from_wire(value) for value in payload["values"]),
         )
     except (KeyError, TypeError, ValueError) as error:
@@ -206,7 +213,7 @@ def assignment_from_dict(payload: dict[str, Any]) -> Assignment:
         flex_offer = flexoffer_from_dict(payload["flex_offer"])
         return Assignment(
             flex_offer,
-            int(payload["start_time"]),
+            payload["start_time"],
             tuple(float_from_wire(value) for value in payload["values"]),
         )
     except (KeyError, TypeError, ValueError) as error:
@@ -236,8 +243,6 @@ def schedule_from_dict(payload: dict[str, Any]) -> Schedule:
 
 def event_to_dict(event) -> dict[str, Any]:
     """A JSON-ready, kind-tagged dictionary for one stream event."""
-    from ..stream.events import OfferArrived, OfferAssigned, OfferExpired, Tick
-
     if isinstance(event, OfferArrived):
         return {
             "kind": "arrived",
@@ -260,8 +265,6 @@ def event_to_dict(event) -> dict[str, Any]:
 
 def event_from_dict(payload: dict[str, Any]):
     """Rebuild a stream event from its kind-tagged dictionary form."""
-    from ..stream.events import OfferArrived, OfferAssigned, OfferExpired, Tick
-
     try:
         kind = payload["kind"]
         if kind == "arrived":
@@ -277,8 +280,8 @@ def event_from_dict(payload: dict[str, Any]):
                 price=float_from_wire(payload.get("price")),
             )
         if kind == "tick":
-            return Tick(int(payload["time"]))
-    except (KeyError, TypeError, ValueError) as error:
+            return Tick(payload["time"])
+    except (KeyError, TypeError, ValueError, StreamError) as error:
         raise SerializationError(f"malformed event payload: {error}") from error
     raise SerializationError(f"unknown event kind {payload.get('kind')!r}")
 

@@ -19,10 +19,25 @@ sequence number per event, so sequence numbers, the checkpoint policy and
 replays only the WAL records past its watermark — a batch record through
 the engine's bulk path — O(snapshot + tail) instead of O(history).
 
+**Checkpoints after the response.**  A checkpoint the size or age policy
+starts (:meth:`SessionPersister.maybe_checkpoint`) is split in two.
+Under the session gate it commits the WAL, notes the watermark, rotates to
+a fresh segment and takes an O(live) capture of the engine
+(:meth:`~repro.stream.StreamingEngine.capture_state`).  The persister's
+writer thread then encodes the capture, writes the snapshot and prunes
+the segments it covers, while the request that triggered it has already
+been answered.  The order — commit, rotate, capture, respond, write,
+prune — is crash-safe at every step: the committed WAL already holds
+every acknowledged event, and a segment is deleted only once a durable
+snapshot covers it.  At most one write is in flight; the next policy
+trigger, an explicit :meth:`~SessionPersister.checkpoint` and
+:meth:`~SessionPersister.close` wait for it first.
+
 **Degraded mode.**  Durability failures must not take serving down: an
 ``OSError`` (disk full, injected fault, dead volume) on the append,
-commit or checkpoint path *suspends* persistence instead of failing the
-request.  While suspended the session keeps answering from memory,
+commit or checkpoint path — the writer thread included — *suspends*
+persistence instead of failing the request.  While suspended the
+session keeps answering from memory,
 :meth:`SessionPersister.stats` reports ``status: "degraded"``, explicit
 checkpoints raise :class:`PersistenceSuspendedError` (the gateway maps it
 to HTTP 503), and every :meth:`maybe_checkpoint` tick runs a probe-based
@@ -38,10 +53,11 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 from ..faults.plan import PERSIST_PROBE, FaultPlan
 from ..io.serialization import event_from_dict, event_to_dict
@@ -126,6 +142,19 @@ class RecoveryStats:
         }
 
 
+class _Capture(NamedTuple):
+    """What a checkpoint takes under the session gate, for the writer."""
+
+    #: WAL watermark the snapshot covers.
+    seq: int
+    #: :meth:`~repro.stream.StreamingEngine.capture_state` output.
+    state: dict
+    #: The engine's ``encode_state``: turns ``state`` into the snapshot body.
+    encode: Callable[[dict], dict]
+    #: Session bookkeeping stored under the snapshot's ``"session"`` key.
+    extra: Optional[dict]
+
+
 class SessionPersister:
     """Durability for one session: event logging, checkpoints, recovery.
 
@@ -180,7 +209,16 @@ class SessionPersister:
             self.directory, keep=keep_snapshots, fsync=fsync, faults=faults
         )
         latest = self.snapshots.paths()
+        #: Guards every field the writer thread touches (the durable
+        #: watermark, the checkpoint counter and the degraded state).
+        self._lock = threading.Lock()
+        #: The thread writing the newest capture (``None`` before one).
+        self._writer: Optional[threading.Thread] = None
+        #: WAL watermark of the newest *durable* snapshot.
         self._snapshot_seq = latest[-1][0] if latest else 0
+        #: WAL watermark of the newest capture, written or in flight: the
+        #: size policy counts from here.
+        self._captured_seq = self._snapshot_seq
         self._snapshot_at = clock()
         self.checkpoints = 0
         self._closed = False
@@ -216,11 +254,14 @@ class SessionPersister:
         else:
             payload = {"event": event_to_dict(event)}
             span = 1
-        try:
-            return self.wal.append(payload, span)
-        except OSError as error:
-            self._suspend(error)
-            return None
+        with self._lock:
+            if self.degraded:
+                return None
+            try:
+                return self.wal.append(payload, span)
+            except OSError as error:
+                self._suspend(error)
+                return None
 
     def commit(self) -> None:
         """The request-level commit point (flush + configured fsync).
@@ -228,24 +269,28 @@ class SessionPersister:
         A failing flush/fsync suspends persistence instead of raising —
         the request that triggered it still succeeds.
         """
-        if self.degraded:
-            return
-        try:
-            self.wal.commit()
-        except OSError as error:
-            self._suspend(error)
+        with self._lock:
+            if self.degraded:
+                return
+            try:
+                self.wal.commit()
+            except OSError as error:
+                self._suspend(error)
 
     def checkpoint(self, engine, extra: Optional[dict] = None) -> dict:
         """Snapshot the engine now; rotate and prune the WAL behind it.
 
-        ``extra`` rides along under the state's ``"session"`` key (the
-        service layer stores its request counter there).  Returns a
-        JSON-ready summary block.  Raises
+        Waits for an in-flight background write first, then runs the
+        whole checkpoint on the calling thread, so the returned snapshot
+        is durable.  ``extra`` rides along under the state's
+        ``"session"`` key (the service layer stores its request counter
+        there).  Returns a JSON-ready summary block.  Raises
         :class:`PersistenceSuspendedError` while suspended, or when the
         checkpoint itself hits an ``OSError`` (which suspends).
         """
         if self._closed:
             raise PersistError("the persister is closed")
+        self.join()
         if self.degraded:
             raise PersistenceSuspendedError(
                 f"persistence is suspended ({self.degraded_reason}); "
@@ -253,30 +298,27 @@ class SessionPersister:
             )
         started = self._clock()
         try:
-            self.wal.commit()
-            seq = self.wal.last_seq
-            state = engine.export_state()
-            if extra:
-                state["session"] = dict(extra)
-            self.snapshots.write(seq, state)
-            self.wal.rotate()
-            self.wal.prune(seq)
+            capture = self._capture(engine, extra)
+            self._write(capture)
         except OSError as error:
-            self._suspend(error)
+            with self._lock:
+                self._suspend(error)
             raise PersistenceSuspendedError(
                 f"checkpoint failed and suspended persistence: {error}"
             ) from error
-        self._snapshot_seq = seq
-        self._snapshot_at = self._clock()
-        self.checkpoints += 1
-        return {
-            "snapshot_seq": seq,
-            "live": len(state["live"]),
-            "duration_s": self._clock() - started,
-        }
+        return self._summary(capture, started)
 
     def maybe_checkpoint(self, engine, extra: Optional[dict] = None) -> Optional[dict]:
-        """Checkpoint when the size or age policy says so; else ``None``.
+        """Start a checkpoint when the size or age policy says so; else ``None``.
+
+        Under the caller's session gate this commits, rotates and
+        captures the engine; the snapshot is encoded, written and the WAL
+        pruned on the writer thread (see the module docstring), so the
+        caller returns without waiting for the disk.  A write still in
+        flight is joined first.  Returns the summary of the checkpoint it
+        started — its snapshot is durable once :meth:`join` returns — and
+        ``None`` when the policy did not fire or the commit/rotate failed
+        (which suspends).
 
         While suspended this is the circuit breaker's tick: instead of
         checkpointing it probes the directory and, once writes succeed
@@ -285,18 +327,36 @@ class SessionPersister:
         """
         if self.degraded:
             return self.try_resume(engine, extra)
-        pending = self.wal.last_seq - self._snapshot_seq
+        pending = self.wal.last_seq - self._captured_seq
         if pending <= 0:
             return None
-        if pending >= self.checkpoint_events or (
-            self.checkpoint_age_s is not None
-            and self._clock() - self._snapshot_at >= self.checkpoint_age_s
+        if pending < self.checkpoint_events and (
+            self.checkpoint_age_s is None
+            or self._clock() - self._snapshot_at < self.checkpoint_age_s
         ):
-            try:
-                return self.checkpoint(engine, extra)
-            except PersistenceSuspendedError:
-                return None
-        return None
+            return None
+        self.join()
+        if self.degraded:
+            return None
+        started = self._clock()
+        try:
+            capture = self._capture(engine, extra)
+        except OSError as error:
+            with self._lock:
+                self._suspend(error)
+            return None
+        self._writer = threading.Thread(
+            target=self._write_in_background,
+            args=(capture,),
+            name=f"snapshot-writer-{self.directory.name}",
+        )
+        self._writer.start()
+        return self._summary(capture, started)
+
+    def join(self) -> None:
+        """Wait until the in-flight snapshot write, if any, has finished."""
+        if self._writer is not None:
+            self._writer.join()
 
     def try_resume(self, engine, extra: Optional[dict] = None) -> Optional[dict]:
         """One circuit-breaker attempt: probe, then resume via checkpoint.
@@ -307,10 +367,12 @@ class SessionPersister:
         """
         if self._closed or not self.degraded:
             return None
+        self.join()
         if not self._probe():
             return None
-        self.degraded = False
-        self.degraded_reason = None
+        with self._lock:
+            self.degraded = False
+            self.degraded_reason = None
         try:
             summary = self.checkpoint(engine, extra)
         except PersistenceSuspendedError:
@@ -329,6 +391,7 @@ class SessionPersister:
         """
         if self._closed:
             return
+        self.join()
         if self.degraded and engine is not None:
             self.try_resume(engine, extra)
         if engine is not None and not self.degraded and self.dirty:
@@ -344,8 +407,60 @@ class SessionPersister:
 
     @property
     def dirty(self) -> bool:
-        """Whether events were logged past the last snapshot."""
+        """Whether events were logged past the last durable snapshot."""
         return self.wal.last_seq > self._snapshot_seq
+
+    # ------------------------------------------------------------------ #
+    # The two halves of a checkpoint
+    # ------------------------------------------------------------------ #
+    def _capture(self, engine, extra: Optional[dict]) -> _Capture:
+        """Commit, rotate and capture the engine: the half under the gate.
+
+        Rotating first puts every later append in a segment the snapshot
+        does not cover, so the writer can prune behind it while requests
+        keep logging.
+        """
+        self.wal.rotate()
+        capture = _Capture(
+            seq=self.wal.last_seq,
+            state=engine.capture_state(),
+            encode=engine.encode_state,
+            extra=dict(extra) if extra else None,
+        )
+        self._captured_seq = capture.seq
+        self._snapshot_at = self._clock()
+        return capture
+
+    def _write(self, capture: _Capture) -> None:
+        """Encode and durably write a capture, then prune the WAL behind it.
+
+        Touches no engine: it runs on the writer thread while the session
+        serves the next request.
+        """
+        state = capture.encode(capture.state)
+        if capture.extra:
+            state["session"] = capture.extra
+        self.snapshots.write(capture.seq, state)
+        self.wal.prune(capture.seq)
+        with self._lock:
+            self._snapshot_seq = capture.seq
+            self.checkpoints += 1
+
+    def _summary(self, capture: _Capture, started: float) -> dict:
+        """The JSON-ready block a checkpoint returns."""
+        return {
+            "snapshot_seq": capture.seq,
+            "live": len(capture.state["live"]),
+            "duration_s": self._clock() - started,
+        }
+
+    def _write_in_background(self, capture: _Capture) -> None:
+        """The writer thread's body: a failed write suspends persistence."""
+        try:
+            self._write(capture)
+        except OSError as error:
+            with self._lock:
+                self._suspend(error)
 
     # ------------------------------------------------------------------ #
     # Read path
@@ -392,7 +507,7 @@ class SessionPersister:
                 break
             expected += record.span
             replayed += record.span
-        self._snapshot_seq = snapshot_seq
+        self._snapshot_seq = self._captured_seq = snapshot_seq
         stats = RecoveryStats(
             snapshot_seq=snapshot_seq,
             restored=restored,
@@ -405,26 +520,40 @@ class SessionPersister:
     # Introspection
     # ------------------------------------------------------------------ #
     def stats(self) -> dict:
-        """Counters for the session health block."""
+        """Counters for the session health block.
+
+        ``snapshot_seq`` is the watermark of the newest *durable*
+        snapshot, and ``pending`` counts the events past it: a snapshot
+        still being written counts only once it is on disk.
+        """
+        with self._lock:
+            head = {
+                "directory": str(self.directory),
+                "status": "degraded" if self.degraded else "ok",
+                "degraded_reason": self.degraded_reason,
+                "suspensions": self.suspensions,
+                "resumptions": self.resumptions,
+                "probe_attempts": self.probe_attempts,
+                "snapshot_seq": self._snapshot_seq,
+            }
+            checkpoints = self.checkpoints
+        wal = self.wal.stats()
         return {
-            "directory": str(self.directory),
-            "status": "degraded" if self.degraded else "ok",
-            "degraded_reason": self.degraded_reason,
-            "suspensions": self.suspensions,
-            "resumptions": self.resumptions,
-            "probe_attempts": self.probe_attempts,
-            "snapshot_seq": self._snapshot_seq,
+            **head,
             "snapshots": len(self.snapshots.paths()),
-            "checkpoints": self.checkpoints,
-            "pending": self.wal.last_seq - self._snapshot_seq,
-            **self.wal.stats(),
+            "checkpoints": checkpoints,
+            "pending": wal["last_seq"] - head["snapshot_seq"],
+            **wal,
         }
 
     # ------------------------------------------------------------------ #
     # Degraded-mode internals
     # ------------------------------------------------------------------ #
     def _suspend(self, error: BaseException) -> None:
-        """Enter degraded mode; remembers why and where for ``stats()``."""
+        """Enter degraded mode; remembers why and where for ``stats()``.
+
+        The caller holds ``_lock``.
+        """
         self.degraded = True
         self.degraded_reason = f"{type(error).__name__}: {error}"
         self.suspended_seq = self.wal.last_seq

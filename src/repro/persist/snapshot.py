@@ -18,7 +18,9 @@ Writes go through a temp file + ``fsync`` + ``os.replace`` + a directory
 new one, never a half-written file, and a machine crash cannot undo the
 rename; reads walk the retained snapshots newest-first and silently skip
 any that fail the format, CRC or JSON checks, so one corrupted file
-degrades recovery to the previous checkpoint instead of failing it.
+degrades recovery to the previous checkpoint instead of failing it.  A
+temp file left by a process killed mid-write is never read, and is
+deleted when the store next opens the directory.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ _LEGACY_FORMAT = 1
 _SNAPSHOT_FORMAT = "snapshot-{seq:012d}.json"
 _SNAPSHOT_PREFIX = "snapshot-"
 _SNAPSHOT_SUFFIX = ".json"
+_TEMP_SUFFIX = ".tmp"
 
 
 def _canonical(state: dict) -> bytes:
@@ -60,6 +63,8 @@ class SnapshotStore:
     ----------
     directory:
         Where the ``snapshot-*.json`` files live (created if missing).
+        Opening the store deletes any ``snapshot-*.json.tmp`` a killed
+        writer left behind.
     keep:
         Snapshots retained after a write; older ones are pruned.  Keeping
         more than one is what makes a corrupted newest snapshot a
@@ -90,6 +95,10 @@ class SnapshotStore:
         self.fsync = fsync
         self._faults = faults
         self.written = 0
+        for path in self.directory.glob(
+            f"{_SNAPSHOT_PREFIX}*{_SNAPSHOT_SUFFIX}{_TEMP_SUFFIX}"
+        ):
+            path.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------ #
     # Writing
@@ -104,7 +113,7 @@ class SnapshotStore:
             {"format": FORMAT_VERSION, "seq": seq, "crc": zlib.crc32(body)},
             separators=(",", ":"),
         ).encode("utf-8")
-        tmp = path.with_name(path.name + ".tmp")
+        tmp = path.with_name(path.name + _TEMP_SUFFIX)
         try:
             with open(tmp, "wb") as handle:
                 handle.write(header + b"\n")

@@ -397,11 +397,13 @@ class FlexSession:
 
         On a durable session every **applied** event is appended to the
         write-ahead log (log-after-apply: a mid-batch failure logs exactly
-        the prefix that mutated the engine), the log commits once per
-        request, and a checkpoint follows when the configured size or age
-        policy fires.  A bulk all-arrival request lands all-or-nothing
-        through :meth:`StreamingEngine.bulk_arrive` and is logged as one
-        batch record.
+        the prefix that mutated the engine), and the log commits once per
+        request, which makes the request durable.  When the configured
+        size or age policy fires, the request then captures the engine for
+        a checkpoint; the persister's writer thread encodes and writes the
+        snapshot after the response.  A bulk all-arrival request lands
+        all-or-nothing through :meth:`StreamingEngine.bulk_arrive` and is
+        logged as one batch record.
         """
         request = request if request is not None else StreamRequest()
         with self._serve("stream", len(request.events)) as finish:

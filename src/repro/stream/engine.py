@@ -300,7 +300,8 @@ class StreamingEngine:
         """A JSON-ready dictionary of the engine's full mutable state.
 
         The inverse of :meth:`restore_state` — the body of a
-        :mod:`repro.persist` snapshot.  It carries the live offers in
+        :mod:`repro.persist` snapshot, and exactly
+        ``encode_state(capture_state())``.  It carries the live offers in
         arrival order *with their cached per-measure values*, so a restore
         skips the O(measures × profile) arrival evaluation entirely (the
         cost that dominates a full replay), plus the event counters, the
@@ -310,36 +311,61 @@ class StreamingEngine:
         the same parameters, which the service layer guarantees by
         persisting its :class:`~repro.service.SessionConfig` alongside.
         """
-        from ..io.serialization import flexoffer_to_dict, float_to_wire
+        return self.encode_state(self.capture_state())
 
-        live = [
-            {
-                "id": offer_id,
-                "offer": flexoffer_to_dict(self._index.get(offer_id)),
-                "values": {
-                    key: float_to_wire(value)
-                    for key, value in self._values[offer_id].items()
-                },
-            }
-            for offer_id in self._index
-        ]
+    def capture_state(self) -> dict:
+        """An O(live) capture of the state :meth:`export_state` encodes.
+
+        ``"live"`` holds ``(offer_id, offer, values)`` references in
+        arrival order, ``"stats"`` a copy of the counters and
+        ``"windows"`` a copy of each window's ``(time, value)`` samples.
+        Nothing is encoded and no offer is copied: offers are frozen, and
+        the engine only ever replaces or deletes a per-offer value dict,
+        never mutates one.  The capture therefore stays valid while the
+        engine moves on, so :meth:`encode_state` may run later, on another
+        thread, without touching the engine.
+        """
         windows = {}
         if self.tracker is not None:
             windows = {
-                key: [
-                    [time, float_to_wire(value)]
-                    for time, value in self.tracker.window(key).samples()
-                ]
+                key: self.tracker.window(key).samples()
                 for key in self.tracker.measure_keys
             }
         return {
             "time": self.time,
+            "stats": self.stats.as_dict(),
+            "live": [
+                (offer_id, self._index.get(offer_id), self._values[offer_id])
+                for offer_id in self._index
+            ],
+            "windows": windows,
+        }
+
+    @staticmethod
+    def encode_state(capture: dict) -> dict:
+        """The JSON-ready :meth:`export_state` document of a capture."""
+        from ..io.serialization import flexoffer_to_dict, float_to_wire
+
+        return {
+            "time": capture["time"],
             "stats": {
                 key: float_to_wire(value)
-                for key, value in self.stats.as_dict().items()
+                for key, value in capture["stats"].items()
             },
-            "live": live,
-            "windows": windows,
+            "live": [
+                {
+                    "id": offer_id,
+                    "offer": flexoffer_to_dict(offer),
+                    "values": {
+                        key: float_to_wire(value) for key, value in values.items()
+                    },
+                }
+                for offer_id, offer, values in capture["live"]
+            ],
+            "windows": {
+                key: [[time, float_to_wire(value)] for time, value in samples]
+                for key, samples in capture["windows"].items()
+            },
         }
 
     def restore_state(self, payload: dict) -> "StreamingEngine":

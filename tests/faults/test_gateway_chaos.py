@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 import pytest
 
-from repro.faults import GATEWAY_DISPATCH, PERSIST_PROBE, WAL_FSYNC, FaultPlan, FaultRule
+from repro.faults import (
+    GATEWAY_DISPATCH,
+    PERSIST_PROBE,
+    SNAPSHOT_REPLACE,
+    WAL_FSYNC,
+    FaultPlan,
+    FaultRule,
+)
 from repro.server.app import Gateway, GatewayConfig, GatewayServer
 from repro.service import SessionConfig
 
@@ -15,6 +23,18 @@ OFFER = {"earliest_start": 0, "latest_start": 2, "slices": [[1, 2]]}
 EVALUATE = json.dumps({"kind": "evaluate", "offers": [OFFER]}).encode()
 TICK = json.dumps(
     {"kind": "stream", "events": [{"kind": "tick", "time": 0}]}
+).encode()
+#: Four arrivals in one bulk request: enough to fire a checkpoint policy
+#: of 4 events, after which a single tick stays under it.
+INGEST = json.dumps(
+    {
+        "kind": "stream",
+        "bulk": True,
+        "events": [
+            {"kind": "arrived", "offer_id": f"o{index}", "flex_offer": OFFER}
+            for index in range(4)
+        ],
+    }
 ).encode()
 
 
@@ -141,6 +161,81 @@ class TestDegradedPersistence:
                 health = await gate.handle("GET", "/healthz")
                 assert health.payload["status"] == "ok"
                 assert health.payload["components"]["persistence"] == "disabled"
+            finally:
+                gate.close()
+
+        run(scenario())
+
+
+class TestBackgroundCheckpoint:
+    """The policy checkpoint's snapshot is written after the response, on
+    the session's writer thread."""
+
+    @staticmethod
+    def durable_gateway(tmp_path, plan: FaultPlan) -> Gateway:
+        return gateway(
+            persist_root=str(tmp_path),
+            session_defaults=SessionConfig(
+                backend="reference",
+                persist_fsync=False,
+                checkpoint_events=4,
+                fault_plan=plan,
+            ),
+        )
+
+    def test_requests_do_not_wait_for_a_held_snapshot_write(self, tmp_path):
+        hold_s = 3.0
+        plan = FaultPlan([FaultRule(SNAPSHOT_REPLACE, action="delay", delay_s=hold_s)])
+
+        async def scenario():
+            gate = self.durable_gateway(tmp_path, plan)
+            try:
+                assert (await gate.handle("PUT", "/sessions/w")).status == 201
+                ingest = await gate.handle("POST", "/sessions/w/requests", INGEST)
+                assert ingest.status == 200
+                writer = gate.registry.entry("w").session._persister._writer
+                started = time.monotonic()
+                tick = await gate.handle("POST", "/sessions/w/requests", TICK)
+                stats = await gate.handle("GET", "/sessions/w")
+                elapsed = time.monotonic() - started
+                assert tick.status == 200 and stats.status == 200
+                # Both answered while the write was still held.
+                assert writer.is_alive()
+                assert elapsed < hold_s
+                # The snapshot is not durable yet, and stats say so.
+                assert stats.payload["persistence"]["snapshot_seq"] == 0
+                assert stats.payload["persistence"]["checkpoints"] == 0
+                # An explicit checkpoint joins the held write first.
+                checkpoint = await gate.handle("POST", "/sessions/w/checkpoint")
+                assert checkpoint.status == 200
+                assert checkpoint.payload["snapshot_seq"] == 5
+                assert not writer.is_alive()
+                stats = await gate.handle("GET", "/sessions/w")
+                assert stats.payload["persistence"]["checkpoints"] == 2
+            finally:
+                gate.close()
+
+        run(scenario())
+
+    def test_a_failed_background_write_turns_healthz_degraded(self, tmp_path):
+        plan = FaultPlan([FaultRule(SNAPSHOT_REPLACE, count=1)])
+
+        async def scenario():
+            gate = self.durable_gateway(tmp_path, plan)
+            try:
+                assert (await gate.handle("PUT", "/sessions/f")).status == 201
+                ingest = await gate.handle("POST", "/sessions/f/requests", INGEST)
+                assert ingest.status == 200  # answered before the write failed
+                writer = gate.registry.entry("f").session._persister._writer
+                writer.join(timeout=10.0)
+                assert not writer.is_alive()
+                # No further request: the writer itself suspended persistence.
+                health = await gate.handle("GET", "/healthz")
+                assert health.payload["components"]["persistence"] == "degraded"
+                assert health.payload["persistence"]["degraded_sessions"] == ["f"]
+                stats = await gate.handle("GET", "/sessions/f")
+                assert "FaultInjected" in stats.payload["persistence"]["degraded_reason"]
+                assert stats.payload["persistence"]["snapshot_seq"] == 0
             finally:
                 gate.close()
 

@@ -8,6 +8,7 @@ from repro.core import Assignment, FlexOffer, SerializationError, TimeSeries
 from repro.io import (
     assignment_from_dict,
     assignment_to_dict,
+    event_from_dict,
     flexoffer_from_dict,
     flexoffer_to_dict,
     flexoffers_from_csv,
@@ -66,6 +67,35 @@ class TestJsonRoundTrips:
             assignment_from_dict({"start_time": 1})
         with pytest.raises(SerializationError):
             schedule_from_dict({})
+
+    # Decoders must not coerce: int(2.9) == 2, int(True) == 1 and
+    # int("3") == 3 would each turn a malformed document into a valid one.
+    NOT_INTS = [2.9, True, "3"]
+
+    @pytest.mark.parametrize("bad", NOT_INTS)
+    @pytest.mark.parametrize("field", ["earliest_start", "latest_start"])
+    def test_flexoffer_start_times_are_not_coerced(self, fig1, field, bad):
+        payload = flexoffer_to_dict(fig1)
+        payload[field] = bad
+        with pytest.raises(SerializationError, match="must be an int"):
+            flexoffer_from_dict(payload)
+
+    @pytest.mark.parametrize("bad", NOT_INTS)
+    def test_timeseries_start_is_not_coerced(self, bad):
+        with pytest.raises(SerializationError, match="must be an int"):
+            timeseries_from_dict({"start": bad, "values": [1, 2]})
+
+    @pytest.mark.parametrize("bad", NOT_INTS)
+    def test_assignment_start_time_is_not_coerced(self, fig1, bad):
+        payload = assignment_to_dict(Assignment(fig1, 2, (2, 3, 1, 2)))
+        payload["start_time"] = bad
+        with pytest.raises(SerializationError, match="must be an int"):
+            assignment_from_dict(payload)
+
+    @pytest.mark.parametrize("bad", NOT_INTS)
+    def test_tick_time_is_not_coerced(self, bad):
+        with pytest.raises(SerializationError, match="must be an int"):
+            event_from_dict({"kind": "tick", "time": bad})
 
 
 class TestCsv:

@@ -10,12 +10,15 @@ committed event prefix, on every compute backend.
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend import NUMPY_AVAILABLE
+from repro.faults import WAL_FSYNC, FaultPlan, FaultRule
 from repro.io import event_to_dict
 from repro.persist import PersistError, SessionPersister, load_config, save_config
 from repro.service import FlexSession, ServiceError, SessionConfig, StreamRequest
@@ -76,8 +79,11 @@ def crash(session: FlexSession) -> None:
 
     The WAL already holds every committed record; dropping the persister
     before ``close()`` frees backend resources without the orderly
-    checkpoint-then-close a graceful shutdown performs.
+    checkpoint-then-close a graceful shutdown performs.  A snapshot write
+    still in flight is let finish first, so the crash lands at a defined
+    point instead of racing the recovery that follows.
     """
+    session._persister.join()
     session._persister.wal.close()
     session._persister = None
     session.close()
@@ -128,6 +134,49 @@ def example_events(households: int = 3) -> list:
     return list(population_events(scenario.flex_offers))
 
 
+#: Where the last served request's background checkpoint stops when the
+#: process dies: it never started writing, or it wrote the snapshot but
+#: did not prune the WAL segments the snapshot covers.
+BETWEEN_REQUESTS = "between requests"
+NOT_WRITTEN = "captured, snapshot not written"
+NOT_PRUNED = "snapshot written, not pruned"
+
+
+def serve_then_crash(session: FlexSession, chunks: list, crash_point: str) -> list:
+    """Serve ``chunks``, stopping the last one's checkpoint at ``crash_point``.
+
+    Returns the sequence numbers the interrupted checkpoints covered.
+    """
+    for chunk, chunk_bulk in chunks[:-1]:
+        session.stream(StreamRequest(events=chunk, bulk=chunk_bulk))
+    persister = session._persister
+    persister.join()  # earlier checkpoints complete; only the last stops
+    interrupted: list = []
+    if crash_point == NOT_WRITTEN:
+        persister._write = lambda capture: interrupted.append(capture.seq)
+    elif crash_point == NOT_PRUNED:
+        persister.wal.prune = interrupted.append
+    for chunk, chunk_bulk in chunks[-1:]:
+        session.stream(StreamRequest(events=chunk, bulk=chunk_bulk))
+    crash(session)
+    return interrupted
+
+
+def snapshot_seqs(directory) -> list:
+    return sorted(int(path.name[9:-5]) for path in directory.glob("snapshot-*.json"))
+
+
+def check_interrupted_checkpoints(directory, crash_point: str, interrupted: list):
+    """The directory really is in the state ``crash_point`` names."""
+    for seq in interrupted:
+        if crash_point == NOT_WRITTEN:
+            assert seq not in snapshot_seqs(directory)
+        else:
+            assert seq in snapshot_seqs(directory)
+            # The segment holding the covered records survived.
+            assert int(wal_segments(directory)[0].name[4:-4]) <= seq
+
+
 # --------------------------------------------------------------------- #
 # The crash-point property
 # --------------------------------------------------------------------- #
@@ -139,6 +188,7 @@ def example_events(households: int = 3) -> list:
     crash_fraction=st.floats(min_value=0.0, max_value=1.0),
     checkpoint_events=st.integers(min_value=1, max_value=6),
     bulk=st.booleans(),
+    crash_point=st.sampled_from([BETWEEN_REQUESTS, NOT_WRITTEN, NOT_PRUNED]),
 )
 def test_recovery_is_bit_identical_to_full_replay_at_any_crash_point(
     tmp_path_factory,
@@ -148,6 +198,7 @@ def test_recovery_is_bit_identical_to_full_replay_at_any_crash_point(
     crash_fraction,
     checkpoint_events,
     bulk,
+    crash_point,
 ):
     events, _survivors = data
     # Bulk requests carry runs of arrivals: weave ticks in less densely.
@@ -162,10 +213,9 @@ def test_recovery_is_bit_identical_to_full_replay_at_any_crash_point(
 
     # The durable session: serve some requests, then crash.
     session = FlexSession(config)
-    for chunk, chunk_bulk in chunks[:served]:
-        session.stream(StreamRequest(events=chunk, bulk=chunk_bulk))
+    interrupted = serve_then_crash(session, chunks[:served], crash_point)
     committed = [event for chunk, _ in chunks[:served] for event in chunk]
-    crash(session)
+    check_interrupted_checkpoints(directory / "s", crash_point, interrupted)
 
     # Recover from disk.
     recovered = FlexSession(config)
@@ -196,6 +246,35 @@ def test_recovery_is_bit_identical_to_full_replay_at_any_crash_point(
 
         # The recovered session is live: it keeps serving and persisting.
         recovered.stream(StreamRequest(events=(Tick(9_999),)))
+    finally:
+        recovered.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("crash_point", [NOT_WRITTEN, NOT_PRUNED])
+def test_crash_inside_a_background_checkpoint(tmp_path, backend, crash_point):
+    """Every request checkpoints; the last one's write stops at
+    ``crash_point``.  Recovery starts from the previous snapshot (not
+    written) or the new one (not pruned) and still matches a full replay."""
+    events = spaced_ticks(example_events(households=6))
+    directory = tmp_path / "s"
+    config = durable_config(str(directory), backend=backend, checkpoint_events=1)
+    chunks = requests_of(events, 3, bulk=True)
+
+    session = FlexSession(config)
+    interrupted = serve_then_crash(session, chunks, crash_point)
+    assert interrupted == [len(events)]
+    check_interrupted_checkpoints(directory, crash_point, interrupted)
+
+    recovered = FlexSession(config)
+    try:
+        last = len(chunks[-1][0])
+        stats = recovered.recovery
+        if crash_point == NOT_WRITTEN:
+            assert (stats.snapshot_seq, stats.replayed) == (len(events) - last, last)
+        else:
+            assert (stats.snapshot_seq, stats.replayed) == (len(events), 0)
+        assert fingerprint(recovered) == fresh_fingerprint(backend, events)
     finally:
         recovered.close()
 
@@ -448,6 +527,53 @@ def test_maybe_checkpoint_triggers_on_age(persist_dir):
     persister.close()
 
 
+def test_stats_stay_consistent_while_the_writer_runs(tmp_path):
+    """Every request fires the policy, so a snapshot write runs beside
+    each next request, while another thread polls ``stats()`` under a
+    1 µs switch interval.  The durable watermark never runs backwards or
+    past the log, and no write is lost."""
+    config = durable_config(str(tmp_path / "s"), checkpoint_events=1)
+    events = spaced_ticks(example_events(households=6))
+    session = FlexSession(config)
+    persister = session._persister
+    stop = threading.Event()
+    seen: list = []
+
+    def poll() -> None:
+        while not stop.is_set():
+            stats = persister.stats()
+            seen.append((stats["snapshot_seq"], stats["last_seq"], stats["pending"]))
+
+    reader = threading.Thread(target=poll)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reader.start()
+        for event in events:
+            session.stream(StreamRequest(events=(event,)))
+    finally:
+        stop.set()
+        reader.join(timeout=30.0)
+        sys.setswitchinterval(interval)
+    assert not reader.is_alive()
+    assert seen
+    durable = [seq for seq, _, _ in seen]
+    assert durable == sorted(durable)
+    assert all(seq <= last and pending >= 0 for seq, last, pending in seen)
+    persister.join()
+    stats = persister.stats()
+    assert stats["checkpoints"] == len(events)
+    assert stats["snapshot_seq"] == stats["last_seq"] == len(events)
+    crash(session)
+
+    recovered = FlexSession(config)
+    try:
+        assert recovered.recovery.replayed == 0
+        assert fingerprint(recovered) == fresh_fingerprint("reference", events)
+    finally:
+        recovered.close()
+
+
 def test_close_folds_the_dirty_tail_into_a_final_checkpoint(persist_dir):
     events = example_events()
     persister = SessionPersister(persist_dir, fsync=False)
@@ -508,6 +634,55 @@ def test_recover_stops_at_a_batch_record_whose_span_disagrees(persist_dir):
     assert stats.replayed == 1
     assert engine.live_ids() == [events[0].offer_id]
     reopened.close()
+
+
+def test_a_policy_checkpoint_whose_commit_fails_suspends(persist_dir):
+    """The commit before the capture fails: nothing is captured, no
+    writer starts, and persistence suspends."""
+    plan = FaultPlan([FaultRule(WAL_FSYNC, count=1)])
+    persister = SessionPersister(
+        persist_dir, fsync=True, checkpoint_events=1, faults=plan
+    )
+    engine = StreamingEngine()
+    event = example_events()[0]
+    engine.apply(event)
+    persister.log_event(event)
+    assert persister.maybe_checkpoint(engine) is None
+    assert persister.degraded
+    assert persister._writer is None
+    assert persister.snapshots.paths() == []
+    persister.close()
+
+
+def test_a_second_trigger_joins_a_write_that_then_fails(persist_dir):
+    """The next policy trigger waits for the in-flight write; when that
+    write fails, it starts no checkpoint of its own."""
+    persister = SessionPersister(persist_dir, fsync=False, checkpoint_events=1)
+    release = threading.Event()
+
+    def held_then_failing(seq, state):
+        assert release.wait(timeout=30.0)
+        raise OSError("disk gone")
+
+    persister.snapshots.write = held_then_failing
+    engine = StreamingEngine()
+    first, second = example_events()[:2]
+    engine.apply(first)
+    persister.log_event(first)
+    assert persister.maybe_checkpoint(engine)["snapshot_seq"] == 1
+    writer = persister._writer
+    engine.apply(second)
+    assert persister.log_event(second) == 2  # the write is still held
+    releaser = threading.Timer(0.05, release.set)
+    releaser.start()
+    assert persister.maybe_checkpoint(engine) is None
+    releaser.join(timeout=30.0)
+    assert not writer.is_alive()
+    assert persister._writer is writer
+    assert persister.degraded
+    assert "disk gone" in persister.stats()["degraded_reason"]
+    assert persister.stats()["snapshot_seq"] == 0
+    persister.close()
 
 
 def test_log_event_returns_the_last_sequence_number_of_a_batch(persist_dir):

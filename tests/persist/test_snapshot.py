@@ -30,6 +30,23 @@ def test_no_temp_file_survives_a_write(persist_dir):
     assert leftovers == ["snapshot-000000000001.json"]
 
 
+def test_opening_the_store_deletes_a_killed_writers_temp_file(persist_dir):
+    """A process killed between the temp write and the rename leaves a
+    ``.tmp`` behind; the next store on the directory removes it and
+    leaves every other file alone."""
+    store(persist_dir).write(1, {"x": 1})
+    stale = persist_dir / "snapshot-000000000009.json.tmp"
+    stale.write_bytes(b'{"format":2,"seq":9,"crc":0}\n{"x"')
+    unrelated = persist_dir / "notes.tmp"
+    unrelated.write_bytes(b"keep me")
+    reopened = store(persist_dir)
+    assert sorted(p.name for p in persist_dir.iterdir()) == [
+        "notes.tmp",
+        "snapshot-000000000001.json",
+    ]
+    assert reopened.latest() == (1, {"x": 1})
+
+
 def test_prune_keeps_the_newest(persist_dir):
     snapshots = store(persist_dir, keep=2)
     for seq in (1, 5, 9):
