@@ -113,8 +113,7 @@ def compare_cluster(
 
     with LocalCluster(workers=workers) as cluster:
         remote = ShardedBackend(
-            shards=workers, executor="remote", min_population=1,
-            cluster=cluster.spec(),
+            shards=workers, min_population=1, cluster=cluster.spec(),
         )
         try:
             with use_backend(remote):

@@ -2,7 +2,7 @@
 
 Two gates guard the robustness plane:
 
-* **Fault-free overhead <= 5%.**  The retry/hedge/fault machinery sits on
+* **Fault-free overhead <= 5%.**  The retry/fault machinery sits on
   the hot fan-out path of every sharded operation, so its cost when
   *nothing fails* must be noise: a guarded backend (retry budget active,
   a fault plan attached whose rules never match) must stay within 5% of a
@@ -114,8 +114,7 @@ def run_shard_loss(size: int = 2_000) -> dict:
     offers = population(size)
     with LocalCluster(workers=2) as cluster:
         clean = ShardedBackend(
-            shards=2, min_population=1, executor="remote",
-            cluster=cluster.spec(),
+            shards=2, min_population=1, cluster=cluster.spec(),
         )
         try:
             expected = clean.measure_values(MEASURE, offers)
@@ -124,8 +123,7 @@ def run_shard_loss(size: int = 2_000) -> dict:
             clean.close()
 
         faulted = ShardedBackend(
-            shards=2, min_population=1, executor="remote",
-            cluster=cluster.spec(),
+            shards=2, min_population=1, cluster=cluster.spec(),
         )
         try:
             # Warm call: one shard per worker, each chunk interned there.

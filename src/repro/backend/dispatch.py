@@ -61,15 +61,6 @@ __all__ = [
 #: Environment variable naming the default backend for the process.
 ENV_VAR = "REPRO_BACKEND"
 
-#: Live-matrix tombstone ratio that triggers compaction: once a quarter of
-#: the rows are dead.  Low enough that the O(live) gather stays amortized
-#: O(1) per tombstone, high enough that eviction bursts do not compact on
-#: every event.  Defined here, NumPy-free, so that
-#: :class:`~repro.service.SessionConfig` can resolve it on any host;
-#: :mod:`repro.backend.matrix` re-exports it.
-DEFAULT_COMPACT_THRESHOLD = 0.25
-
-
 class ComputeBackend(abc.ABC):
     """The bulk operations a compute backend must provide.
 

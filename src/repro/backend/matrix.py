@@ -53,7 +53,6 @@ from typing import Optional
 import numpy as np
 
 from ..core.flexoffer import FlexOffer
-from .dispatch import DEFAULT_COMPACT_THRESHOLD
 
 __all__ = [
     "ProfileMatrix",
@@ -64,6 +63,12 @@ __all__ = [
 ]
 
 _INT64 = np.int64
+
+#: Live-matrix tombstone ratio that triggers compaction: once a quarter of
+#: the rows are dead.  Low enough that the O(live) gather stays amortized
+#: O(1) per tombstone, high enough that eviction bursts do not compact on
+#: every event.  Compaction never changes a result, only the layout.
+DEFAULT_COMPACT_THRESHOLD = 0.25
 
 #: Magnitude cap on every packed scalar (bounds, constraints, times) and
 #: length cap on a single profile.  Individual values fitting ``int64`` is
@@ -113,10 +118,6 @@ class ProfileMatrix:
     flex_offers:
         The population, in evaluation order.  Order is preserved everywhere:
         row ``i`` of every per-offer array describes ``offers[i]``.
-    compact_threshold:
-        Tombstone ratio in ``[0, 1]`` at which :meth:`tombstone` compacts
-        automatically (``0`` compacts on every tombstone, ``1`` only once
-        every row is dead).  Only relevant for matrices maintained live.
 
     Raises
     ------
@@ -126,11 +127,13 @@ class ProfileMatrix:
         the reference backend in that case.
     """
 
-    def __init__(
-        self,
-        flex_offers: Iterable[FlexOffer],
-        compact_threshold: float = DEFAULT_COMPACT_THRESHOLD,
-    ) -> None:
+    #: Tombstone ratio in ``[0, 1]`` at which :meth:`tombstone` compacts
+    #: automatically (``0`` compacts on every tombstone, ``1`` only once
+    #: every row is dead).  Only relevant for matrices maintained live;
+    #: tests set another ratio on the instance.
+    compact_threshold: float = DEFAULT_COMPACT_THRESHOLD
+
+    def __init__(self, flex_offers: Iterable[FlexOffer]) -> None:
         offers = list(flex_offers)
         arrays = self._sweep(offers)
         self._check_arrays(*arrays)
@@ -138,11 +141,6 @@ class ProfileMatrix:
         self._offers_tuple: Optional[tuple[FlexOffer, ...]] = None
         self._frozen = False
         self._dead = 0
-        if not 0.0 <= compact_threshold <= 1.0:
-            raise ValueError(
-                f"compact_threshold must lie in [0, 1], got {compact_threshold}"
-            )
-        self.compact_threshold = float(compact_threshold)
         tes, tls, cmin, cmax, durations, amin, amax = arrays
         self._tes = tes
         self._tls = tls
@@ -453,7 +451,6 @@ class ProfileMatrix:
         clone._offers_tuple = None
         clone._frozen = True
         clone._dead = 0
-        clone.compact_threshold = self.compact_threshold
         clone._tes = self.tes
         clone._tls = self.tls
         clone._cmin = self.cmin

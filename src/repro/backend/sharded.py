@@ -34,7 +34,7 @@ measure; across shards the short-circuit is honoured.
 
 Executors
 ---------
-``thread`` (default)
+``thread`` (no ``cluster``)
     A shared :class:`~concurrent.futures.ThreadPoolExecutor`.  The NumPy
     kernels release the GIL, so shard evaluation overlaps on multicore
     hosts, and the inner backend's fingerprint-keyed matrix cache keeps
@@ -43,11 +43,11 @@ Executors
     A :class:`~repro.cluster.RemoteShardExecutor` dispatching shards to
     :mod:`repro.cluster` worker processes over framed TCP — the multi-host
     tier, and the way to get process isolation on one host (a
-    :class:`~repro.cluster.LocalCluster`).  Requires the ``cluster``
-    argument; shard chunks are interned per connection by fingerprint, so
-    steady-state calls reference offers by key instead of re-shipping them.
-    A dead host is evicted and its shards redispatched to surviving hosts
-    within the same retry budget below.
+    :class:`~repro.cluster.LocalCluster`).  Selected by passing a
+    ``cluster``; shard chunks are interned per connection by fingerprint,
+    so steady-state calls reference offers by key instead of re-shipping
+    them.  A dead host is evicted and its shards redispatched to surviving
+    hosts within the same retry budget below.
 
 Self-healing
 ------------
@@ -57,13 +57,9 @@ through — retries each shard independently on *infrastructure* errors
 :class:`~repro.faults.FaultInjected`; bounded by ``retries``, with linear
 backoff), re-dispatching only the shards whose futures failed (completed
 shards keep their results).  Application errors — an offer a measure
-rejects — are never retried.  With ``hedge_ms`` set, a shard whose
-result is that many milliseconds late gets an identical duplicate on a
-spare pool slot and the first result wins (the primary wins ties); shard
-workers are pure functions of their inputs, so this cannot change any
-merged output.  Shard results are still consumed in
-submission order, so the first-offending-offer error-parity contract
-above survives every recovery path.
+rejects — are never retried.  Shard results are consumed in submission
+order, so the first-offending-offer error-parity contract above survives
+every recovery path.
 
 Like every backend, the sharded backend is pinned observationally
 equivalent to the reference implementation by the differential conformance
@@ -76,14 +72,7 @@ import os
 import threading
 import time
 from collections.abc import Sequence
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Executor,
-    ThreadPoolExecutor,
-    TimeoutError as FutureTimeoutError,
-    wait,
-)
+from concurrent.futures import BrokenExecutor, Executor, ThreadPoolExecutor
 from typing import TYPE_CHECKING, ClassVar, Optional, Union
 
 from ..core.errors import BackendError
@@ -116,8 +105,8 @@ DEFAULT_RETRIES = 2
 #: one.
 _RETRYABLE = (BrokenExecutor, FaultInjected)
 
-#: Valid executor kinds (``remote`` dispatches to a repro.cluster pool).
-_EXECUTOR_KINDS = ("thread", "remote")
+#: Base sleep before a shard retry, multiplied by the attempt number.
+_RETRY_BACKOFF_S = 0.01
 
 
 class _FailedSubmit:
@@ -133,11 +122,8 @@ class _FailedSubmit:
     def __init__(self, error: BaseException) -> None:
         self._error = error
 
-    def result(self, timeout: Optional[float] = None):
+    def result(self):
         raise self._error
-
-    def cancel(self) -> bool:  # pragma: no cover - parity with Future
-        return True
 
 
 # --------------------------------------------------------------------- #
@@ -232,10 +218,6 @@ class ShardedBackend(ComputeBackend):
     shards:
         Number of shards (and pool workers).  ``None`` means
         ``os.cpu_count()``.
-    executor:
-        ``"thread"`` (default) or ``"remote"`` (dispatch to a
-        :mod:`repro.cluster` worker pool; for process isolation on one
-        host, pass a :class:`~repro.cluster.LocalCluster`'s spec).
     min_population:
         Populations smaller than this run whole on the inner backend.
     inner:
@@ -247,22 +229,17 @@ class ShardedBackend(ComputeBackend):
     retries:
         Per-shard retry budget for infrastructure failures; ``0`` fails
         fast with a typed :class:`~repro.core.errors.BackendError`.
-    retry_backoff_s:
-        Base sleep before a retry (multiplied by the attempt number).
-    hedge_ms:
-        Straggler-hedging latency threshold in milliseconds; ``0`` (the
-        default) disables hedging.  When enabled the pool gets one spare
-        slot for the duplicates.
     faults:
         Optional :class:`repro.faults.FaultPlan`; when set the fan-out
         fires the ``shard.submit`` / ``shard.result`` injection sites, and
         a remote executor additionally fires the wire-level
         ``cluster.connect`` / ``cluster.send`` / ``cluster.recv`` sites.
     cluster:
-        Worker hosts for the ``"remote"`` executor — a
-        :class:`~repro.cluster.ClusterSpec` (or anything its
-        :meth:`~repro.cluster.ClusterSpec.from_spec` accepts).  Required
-        when ``executor="remote"`` and rejected for local executors.
+        Worker hosts — a :class:`~repro.cluster.ClusterSpec` (or anything
+        its :meth:`~repro.cluster.ClusterSpec.from_spec` accepts).  Given,
+        shards run on the ``remote`` executor; ``None`` (the default)
+        runs them on the ``thread`` executor.  :attr:`executor_kind`
+        names the outcome.
     """
 
     name: ClassVar[str] = "sharded"
@@ -270,12 +247,9 @@ class ShardedBackend(ComputeBackend):
     def __init__(
         self,
         shards: Optional[int] = None,
-        executor: str = "thread",
         min_population: int = DEFAULT_MIN_POPULATION,
         inner: Optional[Union[str, ComputeBackend]] = None,
         retries: int = DEFAULT_RETRIES,
-        retry_backoff_s: float = 0.01,
-        hedge_ms: float = 0.0,
         faults: Optional[FaultPlan] = None,
         cluster=None,
     ) -> None:
@@ -283,33 +257,13 @@ class ShardedBackend(ComputeBackend):
             shards = os.cpu_count() or 1
         elif shards < 1:
             raise BackendError(f"shard count must be >= 1, got {shards}")
-        if executor == "process":
-            raise BackendError(
-                "the 'process' shard executor is retired; for process "
-                "isolation start a repro.cluster.LocalCluster and pass "
-                "executor='remote', cluster=local_cluster.spec()"
-            )
-        if executor not in _EXECUTOR_KINDS:
-            raise BackendError(
-                f"unknown shard executor {executor!r}; "
-                f"use one of {_EXECUTOR_KINDS}"
-            )
-        if executor == "remote":
+        if cluster is not None:
             from ..cluster import ClusterError, ClusterSpec
 
-            if cluster is None:
-                raise BackendError(
-                    "executor='remote' needs a cluster (pass cluster=...)"
-                )
             try:
                 cluster = ClusterSpec.from_spec(cluster)
             except ClusterError as error:
                 raise BackendError(f"invalid cluster spec: {error}") from error
-        elif cluster is not None:
-            raise BackendError(
-                f"cluster= only applies to executor='remote', "
-                f"not {executor!r}"
-            )
         if min_population < 0:
             raise BackendError(
                 f"min_population must be >= 0, got {min_population}"
@@ -319,7 +273,7 @@ class ShardedBackend(ComputeBackend):
                 raise BackendError(
                     "the sharded backend cannot be its own inner backend"
                 )
-            if executor == "remote":
+            if cluster is not None:
                 # Remote workers live in separate memory: they can only
                 # resolve the inner backend by registered name.
                 # The instance still serves every in-process path
@@ -334,20 +288,10 @@ class ShardedBackend(ComputeBackend):
             get_backend(inner)  # unknown names fail here, not at first use
         if retries < 0:
             raise BackendError(f"retries must be >= 0, got {retries}")
-        if hedge_ms < 0:
-            raise BackendError(f"hedge_ms must be >= 0, got {hedge_ms}")
-        if retry_backoff_s < 0:
-            raise BackendError(
-                f"retry_backoff_s must be >= 0, got {retry_backoff_s}"
-            )
         self.shards = shards
-        self.executor_kind = executor
         self.cluster = cluster
         self.min_population = min_population
         self.retries = retries
-        self.retry_backoff_s = retry_backoff_s
-        self.hedge_ms = hedge_ms
-        self._hedge_s = hedge_ms / 1000.0
         self._faults = faults
         self._inner_spec = inner
         self._pool: Optional[Executor] = None
@@ -355,8 +299,11 @@ class ShardedBackend(ComputeBackend):
         # Self-healing counters, surfaced via resilience_stats().
         self.retried = 0
         self.partial_recoveries = 0
-        self.hedges = 0
-        self.hedge_wins = 0
+
+    @property
+    def executor_kind(self) -> str:
+        """``"remote"`` with a cluster, else ``"thread"``."""
+        return "thread" if self.cluster is None else "remote"
 
     # ------------------------------------------------------------------ #
     # Plumbing
@@ -394,20 +341,17 @@ class ShardedBackend(ComputeBackend):
             with self._pool_lock:
                 pool = self._pool
                 if pool is None:
-                    # One spare slot when hedging, so a duplicate submission
-                    # never queues behind the straggler it is racing.
-                    workers = self.shards + (1 if self._hedge_s else 0)
-                    if self.executor_kind == "remote":
+                    if self.cluster is not None:
                         from ..cluster import RemoteShardExecutor
 
                         pool = RemoteShardExecutor(
                             self.cluster,
-                            max_workers=workers,
+                            max_workers=self.shards,
                             faults=self._faults,
                         )
                     else:
                         pool = ThreadPoolExecutor(
-                            max_workers=workers,
+                            max_workers=self.shards,
                             thread_name_prefix="repro-shard",
                         )
                     self._pool = pool
@@ -450,9 +394,8 @@ class ShardedBackend(ComputeBackend):
         reference backend's first-offending-offer error positions.  Around
         that contract sits the self-healing loop: infrastructure errors
         (:data:`_RETRYABLE`) re-dispatch just the failed shard up to the
-        retry budget, stragglers
-        are hedged to the spare slot, and application errors propagate
-        untouched on the first attempt.
+        retry budget, and application errors propagate untouched on the
+        first attempt.
         """
         futures = [self._submit_shard(worker, args) for args in arg_lists]
         return [
@@ -474,7 +417,7 @@ class ShardedBackend(ComputeBackend):
         attempts = 0
         while True:
             try:
-                result = self._await_shard(future, worker, args)
+                result = future.result()
                 if self._faults is not None:
                     self._faults.fire(SHARD_RESULT)
                 return result
@@ -491,41 +434,15 @@ class ShardedBackend(ComputeBackend):
                     # them, so the retry goes to the same executor.
                     self.partial_recoveries += 1
                 self.retried += 1
-                if self.retry_backoff_s:
-                    time.sleep(self.retry_backoff_s * attempts)
+                time.sleep(_RETRY_BACKOFF_S * attempts)
                 future = self._submit_shard(worker, args)
-
-    def _await_shard(self, future, worker, args: tuple):
-        """The shard's result, hedging a straggler when configured."""
-        if not self._hedge_s or isinstance(future, _FailedSubmit):
-            return future.result()
-        try:
-            return future.result(timeout=self._hedge_s)
-        except FutureTimeoutError:
-            pass
-        self.hedges += 1
-        try:
-            hedge = self._executor().submit(worker, *args)
-        except Exception:
-            # Hedging is best-effort acceleration; fall back to waiting.
-            return future.result()
-        done, _ = wait([future, hedge], return_when=FIRST_COMPLETED)
-        if future in done:
-            hedge.cancel()
-            return future.result()
-        self.hedge_wins += 1
-        future.cancel()
-        return hedge.result()
 
     def resilience_stats(self) -> dict:
         """Self-healing counters for health blocks and chaos assertions."""
         return {
             "retries": self.retries,
-            "hedge_ms": self.hedge_ms,
             "retried": self.retried,
             "partial_recoveries": self.partial_recoveries,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
         }
 
     def cluster_health(self) -> Optional[dict]:

@@ -4,7 +4,7 @@ The distribution layer for the sharded compute backend: long-lived
 :mod:`worker <repro.cluster.worker>` processes execute the by-name shard
 functions, a :class:`RemoteShardExecutor` satisfies the
 ``concurrent.futures`` submit/result contract the backend already speaks
-(so ``ShardedBackend(executor="remote", cluster=...)`` is the whole
+(so ``ShardedBackend(cluster=...)`` is the whole
 integration), and :class:`ClusterSpec` / ``REPRO_CLUSTER`` name the
 hosts.  Everything is stdlib-only — sockets, threads, pickle and the
 CRC frame format the write-ahead log already uses on disk.

@@ -183,7 +183,7 @@ class LocalCluster:
     :meth:`spec`.  Context-managed::
 
         with LocalCluster(workers=4) as cluster:
-            backend = ShardedBackend(executor="remote", cluster=cluster.spec())
+            backend = ShardedBackend(cluster=cluster.spec())
 
     ``kill(index)`` hard-kills one worker — the chaos suite's way of
     taking a host down mid-request.

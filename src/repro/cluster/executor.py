@@ -8,7 +8,7 @@ satisfies that contract against a cluster of
 
 * ``submit`` returns a genuine :class:`concurrent.futures.Future` (an
   inner thread pool drives the blocking socket I/O), so the backend's
-  hedging — ``wait([future, hedge], FIRST_COMPLETED)`` — works unchanged.
+  retry loop consumes it exactly like a thread-pool future.
 * Placement is least-outstanding with a round-robin tiebreak, over hosts
   in one of three health states: ``up``, ``suspect`` (one recent
   failure), ``down`` (repeated failures; only re-tried once its probe
@@ -307,8 +307,7 @@ class RemoteShardExecutor:
         that already holds every chunk key wins — a reference-by-key
         dispatch beats shipping megabytes to an idle peer.  Ties fall to
         least-outstanding with a round-robin rotation, which is also what
-        spreads a *first* dispatch (no affinity anywhere) across hosts and
-        what routes a hedge duplicate away from the straggler's host.
+        spreads a *first* dispatch (no affinity anywhere) across hosts.
         """
         now = time.monotonic()
         with self._lock:

@@ -105,6 +105,20 @@ _REASONS = {
     504: "Gateway Timeout",
 }
 
+#: Session settings a tenant's ``PUT`` body may not carry: where the
+#: session writes (``persist_root``) and which hosts the gateway dials
+#: (``session_defaults`` / ``REPRO_CLUSTER``) belong to the operator.
+_OPERATOR_FIELDS = ("persist_dir", "cluster")
+
+
+def _reject_constant(name: str):
+    """Decoder hook refusing the non-standard ``NaN``/``Infinity``."""
+    raise ValueError(f"{name} is not valid JSON")
+
+
+#: Strict JSON for every inbound body, built once.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
 
 @dataclass(frozen=True)
 class GatewayConfig:
@@ -415,9 +429,11 @@ class Gateway:
 
     @staticmethod
     def _parse_json(body: bytes) -> Any:
+        if not body:
+            return None
         try:
-            return json.loads(body.decode("utf-8")) if body else None
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+            return _DECODER.decode(body.decode("utf-8"))
+        except ValueError as error:  # UnicodeDecodeError and JSONDecodeError too
             raise BadRequestError(f"malformed JSON body: {error}") from error
 
     async def _handle_health(self, body: bytes) -> Response:
@@ -443,6 +459,12 @@ class Gateway:
         if payload is not None:
             if not isinstance(payload, dict):
                 raise BadRequestError("session config must be a JSON object")
+            for setting in _OPERATOR_FIELDS:
+                if payload.get(setting) is not None:
+                    raise BadRequestError(
+                        f"a session body may not set {setting!r}; the "
+                        "gateway operator configures it"
+                    )
             config = SessionConfig.from_dict(payload)
         session = self.registry.create(name, config)
         return Response(

@@ -2,7 +2,7 @@
 
 Four PRs of organic growth configured the library through process-global
 environment variables (``REPRO_BACKEND``, ``REPRO_SHARDS``,
-``REPRO_MATRIX_CACHE``, ``REPRO_MATRIX_COMPACT``, …) read at scattered
+``REPRO_MATRIX_CACHE``, …) read at scattered
 points — import time, registry bootstrap, matrix construction — which made
 it impossible for two differently-tuned workloads to share a process.
 :class:`SessionConfig` collapses all of that into one frozen value object
@@ -27,6 +27,7 @@ for calls made outside any session.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from collections.abc import Iterable
@@ -35,7 +36,7 @@ from typing import Optional
 
 from ..aggregation.grouping import GroupingParameters
 from ..backend.cache import DEFAULT_CAPACITY, DEFAULT_CELL_BUDGET
-from ..backend.dispatch import DEFAULT_COMPACT_THRESHOLD, ENV_VAR
+from ..backend.dispatch import ENV_VAR
 from ..backend.sharded import DEFAULT_MIN_POPULATION, DEFAULT_RETRIES
 from ..core.errors import FlexError
 from ..faults.plan import FaultPlan
@@ -44,10 +45,7 @@ __all__ = [
     "ENV_CACHE_VAR",
     "ENV_CELL_VAR",
     "ENV_CLUSTER",
-    "ENV_COMPACT_VAR",
-    "ENV_EXECUTOR",
     "ENV_FAULTS",
-    "ENV_HEDGE_MS",
     "ENV_MIN_POPULATION",
     "ENV_RETRIES",
     "ENV_SHARDS",
@@ -58,16 +56,13 @@ __all__ = [
 
 #: Shard count (defaults to ``os.cpu_count()``).
 ENV_SHARDS = "REPRO_SHARDS"
-#: Shard executor kind: ``thread`` or ``remote``.
-ENV_EXECUTOR = "REPRO_SHARD_EXECUTOR"
 #: Populations below this run whole on the sharded backend's inner backend.
 ENV_MIN_POPULATION = "REPRO_SHARD_MIN"
 #: Per-shard retry budget for infrastructure failures.
 ENV_RETRIES = "REPRO_SHARD_RETRIES"
-#: Straggler-hedging delay in milliseconds (``0`` = off).
-ENV_HEDGE_MS = "REPRO_SHARD_HEDGE_MS"
-#: Worker hosts for the remote executor: a :meth:`ClusterSpec.spec` JSON
-#: document or the ``host:port,host:port`` shorthand.
+#: Worker hosts of a sharded session, which then runs the remote executor:
+#: a :meth:`ClusterSpec.spec` JSON document or the ``host:port,...``
+#: shorthand.
 ENV_CLUSTER = "REPRO_CLUSTER"
 #: A JSON :meth:`FaultPlan.spec` document.
 ENV_FAULTS = "REPRO_FAULTS"
@@ -75,10 +70,19 @@ ENV_FAULTS = "REPRO_FAULTS"
 ENV_CACHE_VAR = "REPRO_MATRIX_CACHE"
 #: Session matrix-cache budget (total retained packed slices).
 ENV_CELL_VAR = "REPRO_MATRIX_CACHE_CELLS"
-#: Live-matrix tombstone ratio that triggers compaction (in ``[0, 1]``).
-ENV_COMPACT_VAR = "REPRO_MATRIX_COMPACT"
 
-_EXECUTORS = ("thread", "remote")
+#: Fields of earlier releases that saved configs may still carry.  Each
+#: option is gone and none of them ever changed an answer: one window
+#: kernel serves every session, the shard executor follows ``cluster`` (a
+#: saved remote config carries its cluster; a saved ``process`` one runs
+#: on threads), straggler hedging is deleted, and the live-matrix
+#: compaction ratio is a constant.
+_RETIRED_FIELDS = (
+    "window_kernel",
+    "shard_executor",
+    "shard_hedge_ms",
+    "compact_threshold",
+)
 
 
 class ServiceError(FlexError):
@@ -119,32 +123,6 @@ def _env_int(variable: str, minimum: int, default: int) -> int:
     return value
 
 
-def _env_float(
-    variable: str, minimum: float, maximum: float, default: float
-) -> float:
-    """A float knob in ``[minimum, maximum]``, or ``default`` (warns)."""
-    raw = os.environ.get(variable)
-    if raw is None:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        value = minimum - 1.0
-    if not minimum <= value <= maximum:
-        _warn_ignored_env(variable, raw, f"a number in [{minimum}, {maximum}]")
-        return default
-    return value
-
-
-def _env_choice(variable: str, choices: tuple[str, ...]) -> Optional[str]:
-    """One of ``choices`` from the environment, or ``None`` (warns)."""
-    raw = os.environ.get(variable)
-    if raw is None or raw in choices:
-        return raw
-    _warn_ignored_env(variable, raw, f"one of {choices}")
-    return None
-
-
 def _env_spec(variable: str, parse, error: type, expected: str):
     """A spec document parsed from the environment, or ``None`` (warns)."""
     raw = os.environ.get(variable)
@@ -155,6 +133,11 @@ def _env_spec(variable: str, parse, error: type, expected: str):
     except error:
         _warn_ignored_env(variable, raw, expected)
         return None
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer and not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def fault_plan_from_env() -> Optional[FaultPlan]:
@@ -185,23 +168,19 @@ class SessionConfig:
         Compute-backend name (``reference`` / ``numpy`` / ``sharded`` or
         any registered custom backend).  Default: ``REPRO_BACKEND``, else
         ``numpy`` when available, else ``reference``.
-    shards, shard_executor, shard_min_population:
-        Sharded-backend tuning, applied only when ``backend="sharded"``.
-        Defaults: ``REPRO_SHARDS`` / ``REPRO_SHARD_EXECUTOR`` /
-        ``REPRO_SHARD_MIN`` and then the backend's own defaults.
-    shard_retries, shard_hedge_ms:
-        The sharded backend's self-healing knobs: per-shard retry budget
-        for infrastructure failures and the straggler-hedging latency
-        threshold in milliseconds (``0`` disables hedging).  Defaults:
-        ``REPRO_SHARD_RETRIES`` / ``REPRO_SHARD_HEDGE_MS`` and then the
-        backend's own defaults.
+    shards, shard_min_population, shard_retries:
+        Sharded-backend settings, applied only when ``backend="sharded"``:
+        shard count, the population below which an operation runs whole,
+        and the per-shard retry budget for infrastructure failures.
+        Defaults: ``REPRO_SHARDS`` / ``REPRO_SHARD_MIN`` /
+        ``REPRO_SHARD_RETRIES`` and then the backend's own defaults.
     cluster:
         Worker hosts for distributed shard execution — a
         :class:`~repro.cluster.ClusterSpec` or anything its ``from_spec``
-        accepts (``"host:port,host:port"``, a spec dict).  Setting it
-        implies ``shard_executor="remote"``; a remote executor without it
-        reads ``REPRO_CLUSTER``.  Only meaningful with
-        ``backend="sharded"``.
+        accepts (``"host:port,host:port"``, a spec dict).  A sharded
+        session with a cluster runs its shards on the remote executor,
+        without one on threads.  Default for ``backend="sharded"``:
+        ``REPRO_CLUSTER``, else ``None``.
     fault_plan:
         Optional :class:`repro.faults.FaultPlan` (or its ``spec()``
         dict/JSON) injected into the session's backend and persister for
@@ -214,10 +193,6 @@ class SessionConfig:
         The session matrix cache's entry capacity and total packed-slice
         budget.  Defaults: ``REPRO_MATRIX_CACHE`` /
         ``REPRO_MATRIX_CACHE_CELLS`` and then the library defaults.
-    compact_threshold:
-        Live-matrix tombstone ratio triggering compaction.  Default:
-        ``REPRO_MATRIX_COMPACT``, else 0.25.  Always resolved to a number,
-        so a persisted config pins it across restarts.
     measures:
         Measure keys the session engine maintains (``None`` = every
         registered measure, like ``evaluate_set``).
@@ -246,15 +221,12 @@ class SessionConfig:
 
     backend: Optional[str] = None
     shards: Optional[int] = None
-    shard_executor: Optional[str] = None
     shard_min_population: Optional[int] = None
     shard_retries: Optional[int] = None
-    shard_hedge_ms: Optional[float] = None
     cluster: Optional[object] = None
     fault_plan: Optional[FaultPlan] = None
     cache_entries: Optional[int] = None
     cache_cells: Optional[int] = None
-    compact_threshold: Optional[float] = None
     measures: Optional[tuple[str, ...]] = None
     tracked_measures: Optional[tuple[str, ...]] = None
     window_capacity: int = 0
@@ -270,15 +242,19 @@ class SessionConfig:
         from ..backend.dispatch import available_backends
 
         self._resolve_backend(available_backends())
-        self._resolve_sharding()
-        self._resolve_cache()
-        if self.compact_threshold is None:
-            value = _env_float(ENV_COMPACT_VAR, 0.0, 1.0, DEFAULT_COMPACT_THRESHOLD)
-            _frozen_set(self, "compact_threshold", value)
-        elif not 0.0 <= self.compact_threshold <= 1.0:
-            raise ServiceError(
-                f"compact_threshold must lie in [0, 1], got {self.compact_threshold}"
-            )
+        for name, variable, minimum, default in (
+            ("shards", ENV_SHARDS, 1, os.cpu_count() or 1),
+            ("shard_min_population", ENV_MIN_POPULATION, 0, DEFAULT_MIN_POPULATION),
+            ("shard_retries", ENV_RETRIES, 0, DEFAULT_RETRIES),
+            ("cache_entries", ENV_CACHE_VAR, 0, DEFAULT_CAPACITY),
+            ("cache_cells", ENV_CELL_VAR, 0, DEFAULT_CELL_BUDGET),
+        ):
+            if getattr(self, name) is None:
+                _frozen_set(self, name, _env_int(variable, minimum, default))
+            else:
+                self._check_int(name, minimum)
+        self._resolve_cluster()
+        self._resolve_fault_plan()
         for name in ("measures", "tracked_measures"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, tuple):
@@ -287,24 +263,43 @@ class SessionConfig:
                         f"{name} must be an iterable of measure keys, got {value!r}"
                     )
                 _frozen_set(self, name, tuple(value))
-        if self.window_capacity < 0:
+        self._check_int("window_capacity", 0)
+        self._check_int("seed")
+        self._check_int("checkpoint_events", 1)
+        for name in ("auto_expire", "persist_fsync"):
+            if not isinstance(getattr(self, name), bool):
+                raise ServiceError(
+                    f"{name} must be true or false, got {getattr(self, name)!r}"
+                )
+        if not isinstance(self.grouping, GroupingParameters):
             raise ServiceError(
-                f"window_capacity must be >= 0, got {self.window_capacity}"
+                f"grouping must be GroupingParameters, got {self.grouping!r}"
             )
         if self.persist_dir is not None and not isinstance(self.persist_dir, str):
             _frozen_set(self, "persist_dir", str(self.persist_dir))
-        if self.checkpoint_events < 1:
+        age = self.checkpoint_age_s
+        if age is not None and not (
+            isinstance(age, (int, float))
+            and not isinstance(age, bool)
+            and math.isfinite(age)
+            and age > 0
+        ):
             raise ServiceError(
-                f"checkpoint_events must be >= 1, got {self.checkpoint_events}"
-            )
-        if self.checkpoint_age_s is not None and self.checkpoint_age_s <= 0:
-            raise ServiceError(
-                f"checkpoint_age_s must be positive, got {self.checkpoint_age_s}"
+                f"checkpoint_age_s must be a positive finite number, got {age!r}"
             )
 
     # ------------------------------------------------------------------ #
     # Field resolution (environment consulted exactly once, here)
     # ------------------------------------------------------------------ #
+    def _check_int(self, name: str, minimum: Optional[int] = None) -> None:
+        """Reject a non-integer (``bool``, ``float``, ``str``, …) or a value
+        below ``minimum``."""
+        value = getattr(self, name)
+        if not _is_int(value):
+            raise ServiceError(f"{name} must be an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ServiceError(f"{name} must be >= {minimum}, got {value}")
+
     def _resolve_backend(self, registered: tuple[str, ...]) -> None:
         backend = self.backend
         if backend is None:
@@ -318,95 +313,26 @@ class SessionConfig:
             )
         _frozen_set(self, "backend", backend)
 
-    def _resolve_sharding(self) -> None:
-        if self.shards is None:
-            value = _env_int(ENV_SHARDS, 1, os.cpu_count() or 1)
-            _frozen_set(self, "shards", value)
-        elif self.shards < 1:
-            raise ServiceError(f"shards must be >= 1, got {self.shards}")
-        explicit_executor = self.shard_executor is not None
-        if self.shard_executor is None:
-            executor = _env_choice(ENV_EXECUTOR, _EXECUTORS) or "thread"
-            _frozen_set(self, "shard_executor", executor)
-        elif self.shard_executor == "process":
-            raise ServiceError(
-                "shard_executor='process' is retired; for process isolation "
-                "start a repro.cluster.LocalCluster and pass "
-                "shard_executor='remote', cluster=local_cluster.spec()"
-            )
-        elif self.shard_executor not in _EXECUTORS:
-            raise ServiceError(
-                f"shard_executor must be 'thread' or 'remote', "
-                f"got {self.shard_executor!r}"
-            )
-        self._resolve_cluster(explicit_executor)
-        if self.shard_min_population is None:
-            value = _env_int(ENV_MIN_POPULATION, 0, DEFAULT_MIN_POPULATION)
-            _frozen_set(self, "shard_min_population", value)
-        elif self.shard_min_population < 0:
-            raise ServiceError(
-                f"shard_min_population must be >= 0, "
-                f"got {self.shard_min_population}"
-            )
-        if self.shard_retries is None:
-            value = _env_int(ENV_RETRIES, 0, DEFAULT_RETRIES)
-            _frozen_set(self, "shard_retries", value)
-        elif self.shard_retries < 0:
-            raise ServiceError(
-                f"shard_retries must be >= 0, got {self.shard_retries}"
-            )
-        if self.shard_hedge_ms is None:
-            value = _env_float(ENV_HEDGE_MS, 0.0, 3.6e6, 0.0)
-            _frozen_set(self, "shard_hedge_ms", value)
-        elif self.shard_hedge_ms < 0:
-            raise ServiceError(
-                f"shard_hedge_ms must be >= 0, got {self.shard_hedge_ms}"
-            )
-        self._resolve_fault_plan()
-
-    def _resolve_cluster(self, explicit_executor: bool) -> None:
-        """Normalise the cluster field and couple it to the executor kind.
-
-        ``cluster=...`` alone implies ``shard_executor="remote"`` — the
-        spec is useless otherwise — while an explicit *local* executor next
-        to a cluster is a contradiction and fails fast.  A remote executor
-        without a cluster falls back to ``REPRO_CLUSTER``; if that is unset
-        too, an explicit choice raises and an environment-driven one
-        degrades to ``thread`` like every other malformed knob.
-        """
+    def _resolve_cluster(self) -> None:
+        """Normalise the cluster field; a sharded config without one reads
+        ``REPRO_CLUSTER``, which is how that variable alone selects the
+        remote executor."""
         from ..cluster import ClusterError, ClusterSpec
 
-        if self.cluster is not None:
-            try:
-                _frozen_set(self, "cluster", ClusterSpec.from_spec(self.cluster))
-            except ClusterError as error:
-                raise ServiceError(f"invalid cluster: {error}") from error
-            if self.shard_executor != "remote":
-                if explicit_executor:
-                    raise ServiceError(
-                        f"cluster= requires shard_executor='remote', "
-                        f"got {self.shard_executor!r}"
-                    )
-                _frozen_set(self, "shard_executor", "remote")
-        elif self.shard_executor == "remote":
-            cluster = _env_spec(
-                ENV_CLUSTER,
-                ClusterSpec.from_spec,
-                ClusterError,
-                "a JSON cluster spec or 'host:port,...' list",
-            )
-            if cluster is not None:
+        if self.cluster is None:
+            if self.backend == "sharded":
+                cluster = _env_spec(
+                    ENV_CLUSTER,
+                    ClusterSpec.from_spec,
+                    ClusterError,
+                    "a JSON cluster spec or 'host:port,...' list",
+                )
                 _frozen_set(self, "cluster", cluster)
-            elif explicit_executor:
-                raise ServiceError(
-                    "shard_executor='remote' needs a cluster "
-                    "(pass cluster=... or set REPRO_CLUSTER)"
-                )
-            else:
-                _warn_ignored_env(
-                    ENV_EXECUTOR, "remote", "'remote' with REPRO_CLUSTER set"
-                )
-                _frozen_set(self, "shard_executor", "thread")
+            return
+        try:
+            _frozen_set(self, "cluster", ClusterSpec.from_spec(self.cluster))
+        except ClusterError as error:
+            raise ServiceError(f"invalid cluster: {error}") from error
 
     def _resolve_fault_plan(self) -> None:
         plan = self.fault_plan
@@ -420,20 +346,6 @@ class SessionConfig:
         except ValueError as error:
             raise ServiceError(f"invalid fault_plan: {error}") from error
         _frozen_set(self, "fault_plan", plan if plan.rules else None)
-
-    def _resolve_cache(self) -> None:
-        if self.cache_entries is None:
-            value = _env_int(ENV_CACHE_VAR, 0, DEFAULT_CAPACITY)
-            _frozen_set(self, "cache_entries", value)
-        elif self.cache_entries < 0:
-            raise ServiceError(
-                f"cache_entries must be >= 0, got {self.cache_entries}"
-            )
-        if self.cache_cells is None:
-            value = _env_int(ENV_CELL_VAR, 0, DEFAULT_CELL_BUDGET)
-            _frozen_set(self, "cache_cells", value)
-        elif self.cache_cells < 0:
-            raise ServiceError(f"cache_cells must be >= 0, got {self.cache_cells}")
 
     # ------------------------------------------------------------------ #
     # Serialisation
@@ -462,28 +374,23 @@ class SessionConfig:
     def from_dict(cls, payload: dict[str, object]) -> "SessionConfig":
         """Rebuild a config from :meth:`as_dict` output."""
         arguments = dict(payload)
-        # Configs saved while the window kernel was an option carry the
-        # retired field; every session now runs the one window kernel.
-        arguments.pop("window_kernel", None)
-        # Likewise for the retired process-pool executor: a saved session
-        # that ran on it recovers on the thread executor, with identical
-        # results (every executor merges bit-identically).
-        if arguments.get("shard_executor") == "process":
-            arguments["shard_executor"] = "thread"
+        for name in _RETIRED_FIELDS:
+            arguments.pop(name, None)
         known = {spec.name for spec in fields(cls)}
         unknown = sorted(set(arguments) - known)
         if unknown:
             raise ServiceError(f"unknown SessionConfig fields: {unknown}")
         grouping = arguments.get("grouping")
         if isinstance(grouping, dict):
-            arguments["grouping"] = GroupingParameters(**grouping)
+            if not all(_is_int(value) for value in grouping.values()):
+                raise ServiceError(f"grouping values must be integers: {grouping}")
+            try:
+                arguments["grouping"] = GroupingParameters(**grouping)
+            except (TypeError, FlexError) as error:
+                raise ServiceError(f"invalid grouping: {error}") from error
         for name in ("measures", "tracked_measures"):
             if isinstance(arguments.get(name), list):
                 arguments[name] = tuple(arguments[name])
-        if "compact_threshold" in arguments and arguments["compact_threshold"] is None:
-            # Configs saved before the threshold was always resolved hold
-            # null where the variable was unset, i.e. the default.
-            arguments["compact_threshold"] = DEFAULT_COMPACT_THRESHOLD
         if "fault_plan" in arguments and arguments["fault_plan"] is None:
             # Likewise for the fault plan: null was saved when no plan was
             # in effect, which the empty spec now pins.

@@ -121,7 +121,6 @@ class FlexSession:
             auto_expire=config.auto_expire,
             tracked_measures=config.tracked_measures,
             backend=self._backend,
-            compact_threshold=config.compact_threshold,
         )
         self.requests_served = 0
         self._closed = False
@@ -179,11 +178,9 @@ class FlexSession:
             self._owns_backend = True
             return ShardedBackend(
                 shards=config.shards,
-                executor=config.shard_executor,
                 min_population=config.shard_min_population,
                 inner=inner,
                 retries=config.shard_retries,
-                hedge_ms=config.shard_hedge_ms,
                 faults=config.fault_plan,
                 cluster=config.cluster,
             )

@@ -43,7 +43,7 @@ from typing import Optional, Union
 from ..aggregation.alignment import aggregate_start_aligned
 from ..aggregation.base import AggregatedFlexOffer
 from ..aggregation.grouping import GroupingParameters
-from ..backend.dispatch import DEFAULT_COMPACT_THRESHOLD, get_backend
+from ..backend.dispatch import get_backend
 from ..core.flexoffer import FlexOffer
 from ..measures.base import FlexibilityMeasure
 from ..measures.setwise import FlexibilitySetReport, MeasureSpec, resolve_measures
@@ -160,8 +160,6 @@ class StreamingEngine:
         Backend selection (registered name or instance) for the engine's
         own bulk calls (:meth:`bulk_arrive`); ``None`` resolves the active
         backend per call, exactly as before.
-    compact_threshold:
-        Tombstone ratio at which the live matrix auto-compacts.
     """
 
     def __init__(
@@ -175,11 +173,9 @@ class StreamingEngine:
         on_expired: Optional[EngineHook] = None,
         tracked_measures: Optional[Iterable[str]] = None,
         backend=None,
-        compact_threshold: float = DEFAULT_COMPACT_THRESHOLD,
     ) -> None:
         self.parameters = parameters
         self._backend_spec = backend
-        self._compact_threshold = compact_threshold
         self.measures: list[FlexibilityMeasure] = resolve_measures(measures)
         self.auto_expire = auto_expire
         self.on_arrived = on_arrived
@@ -228,10 +224,7 @@ class StreamingEngine:
             from .live import LivePopulation
         except ImportError:  # pragma: no cover - exercised only without numpy
             return None
-        return LivePopulation(
-            [measure.key for measure in self.measures],
-            compact_threshold=self._compact_threshold,
-        )
+        return LivePopulation([measure.key for measure in self.measures])
 
     # ------------------------------------------------------------------ #
     # Event consumption

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..backend.matrix import DEFAULT_COMPACT_THRESHOLD, ProfileMatrix
+from ..backend.matrix import ProfileMatrix
 from ..core.flexoffer import FlexOffer
 
 __all__ = ["LivePopulation"]
@@ -63,12 +63,8 @@ def _float_or_zero(value) -> float:
 class LivePopulation:
     """Live matrix plus measure value columns, row-aligned and O(Δ)."""
 
-    def __init__(
-        self,
-        measure_keys: list[str],
-        compact_threshold: float = DEFAULT_COMPACT_THRESHOLD,
-    ) -> None:
-        self.matrix = ProfileMatrix([], compact_threshold=compact_threshold)
+    def __init__(self, measure_keys: list[str]) -> None:
+        self.matrix = ProfileMatrix([])
         self._keys = list(measure_keys)
         self._column_of = {key: index for index, key in enumerate(self._keys)}
         width = len(self._keys)

@@ -87,7 +87,7 @@ def _sharded_exercises_merge_paths():
     register_backend(tuned)
     cluster = LocalCluster(workers=4)
     remote = _RemoteSharded(
-        shards=3, executor="remote", min_population=1, cluster=cluster.spec()
+        shards=3, min_population=1, cluster=cluster.spec()
     )
     register_backend(remote)
     yield

@@ -5,9 +5,8 @@ of arrivals, evictions, expiries and assignments — including runs that cross
 the tombstone-ratio compaction threshold — the engine's live matrix is
 bit-identical to a fresh pack of the surviving population.  Also covered:
 the matrix mutation primitives themselves (append / tombstone / compact /
-snapshot), the compaction threshold (and that only the session config reads
-``REPRO_MATRIX_COMPACT``), the engine's memoised snapshot, and the engine's
-columnar fold against its dictionary path.
+snapshot), the compaction threshold, the engine's memoised snapshot, and the
+engine's columnar fold against its dictionary path.
 """
 
 from __future__ import annotations
@@ -76,7 +75,8 @@ def test_append_tombstone_compact_equal_fresh_pack():
 
     rng = random.Random(0)
     offers = [make_offer(rng, index) for index in range(40)]
-    matrix = ProfileMatrix(offers[:10], compact_threshold=1.0)
+    matrix = ProfileMatrix(offers[:10])
+    matrix.compact_threshold = 1.0
     matrix.append(offers[10:25])
     matrix.tombstone([0, 3, 11, 24])
     survivors = [
@@ -93,30 +93,13 @@ def test_tombstone_ratio_triggers_compaction():
 
     rng = random.Random(1)
     offers = [make_offer(rng, index) for index in range(10)]
-    matrix = ProfileMatrix(offers, compact_threshold=0.3)
+    matrix = ProfileMatrix(offers)
+    matrix.compact_threshold = 0.3
     assert matrix.tombstone([0]) is None  # 1/10 < 0.3
     assert matrix.tombstone([1]) is None  # 2/10 < 0.3
     kept = matrix.tombstone([2])  # 3/10 >= 0.3 -> compacts
     assert kept is not None and kept.tolist() == list(range(3, 10))
     assert matrix.dead_count == 0 and matrix.size == 7
-
-
-def test_compact_threshold_knob(monkeypatch):
-    from repro.backend.matrix import (
-        DEFAULT_COMPACT_THRESHOLD,
-        ProfileMatrix,
-    )
-    from repro.service import SessionConfig
-
-    assert ProfileMatrix([]).compact_threshold == DEFAULT_COMPACT_THRESHOLD
-    monkeypatch.setenv("REPRO_MATRIX_COMPACT", "0.75")
-    assert SessionConfig().compact_threshold == 0.75
-    assert ProfileMatrix([]).compact_threshold == DEFAULT_COMPACT_THRESHOLD
-    monkeypatch.setenv("REPRO_MATRIX_COMPACT", "nonsense")
-    with pytest.warns(RuntimeWarning):
-        assert SessionConfig().compact_threshold == DEFAULT_COMPACT_THRESHOLD
-    with pytest.raises(ValueError):
-        ProfileMatrix([], compact_threshold=1.5)
 
 
 def test_append_overflow_leaves_matrix_untouched():
@@ -138,7 +121,8 @@ def test_snapshot_is_frozen_and_stable_across_mutations():
 
     rng = random.Random(4)
     offers = [make_offer(rng, index) for index in range(12)]
-    matrix = ProfileMatrix(offers, compact_threshold=0.2)
+    matrix = ProfileMatrix(offers)
+    matrix.compact_threshold = 0.2
     frozen = matrix.snapshot()
     reference = {name: getattr(frozen, name).copy() for name in ARRAYS}
     matrix.append([make_offer(rng, 100 + index) for index in range(30)])

@@ -32,7 +32,6 @@ from repro.measures.setwise import resolve_measures
 from repro.service import SessionConfig
 from repro.service.config import (
     ENV_CLUSTER,
-    ENV_EXECUTOR,
     ENV_MIN_POPULATION,
     ENV_SHARDS,
 )
@@ -276,40 +275,37 @@ def test_environment_knobs(monkeypatch):
     """The shard knobs reach a session's backend through SessionConfig;
     the backend constructor itself keeps its plain defaults."""
     monkeypatch.setenv(ENV_SHARDS, "5")
-    monkeypatch.setenv(ENV_EXECUTOR, "remote")
     monkeypatch.setenv(ENV_CLUSTER, "127.0.0.1:7001,127.0.0.1:7002")
     monkeypatch.setenv(ENV_MIN_POPULATION, "17")
     config = SessionConfig(backend="sharded")
-    assert (config.shards, config.shard_executor) == (5, "remote")
+    assert config.shards == 5
     assert config.cluster.hosts == ("127.0.0.1:7001", "127.0.0.1:7002")
     assert config.shard_min_population == 17
     backend = ShardedBackend()
-    assert backend.executor_kind == "thread"
+    assert backend.executor_kind == "thread" and backend.cluster is None
     assert backend.min_population == DEFAULT_MIN_POPULATION
-    assert backend.retries == DEFAULT_RETRIES and backend.hedge_ms == 0.0
+    assert backend.retries == DEFAULT_RETRIES
 
 
 def test_malformed_environment_warns_and_defaults(monkeypatch):
     """Bad env knobs warn once, in SessionConfig, and fall back; the
     backend constructor never sees them."""
     monkeypatch.setenv(ENV_SHARDS, "four")
-    monkeypatch.setenv(ENV_EXECUTOR, "rocket")
+    monkeypatch.setenv(ENV_CLUSTER, "rocket")
     monkeypatch.setenv(ENV_MIN_POPULATION, "-3")
     with pytest.warns(RuntimeWarning) as caught:
         config = SessionConfig(backend="sharded")
     assert len(caught) == 3
     assert config.shards >= 1
-    assert config.shard_executor == "thread"
+    assert config.cluster is None
     assert config.shard_min_population == DEFAULT_MIN_POPULATION
 
 
 def test_explicit_arguments_fail_fast():
     with pytest.raises(BackendError):
         ShardedBackend(shards=0)
-    with pytest.raises(BackendError):
-        ShardedBackend(executor="rocket")
-    with pytest.raises(BackendError, match="LocalCluster"):
-        ShardedBackend(executor="process")  # retired: names the recipe
+    with pytest.raises(BackendError, match="invalid cluster spec"):
+        ShardedBackend(cluster="rocket")
     with pytest.raises(BackendError):
         ShardedBackend(min_population=-1)
     with pytest.raises(BackendError):

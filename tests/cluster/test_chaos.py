@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import build_population
 from repro.backend import ShardedBackend, get_backend, use_backend
+from repro.backend import sharded as sharded_module
 from repro.cluster import LocalCluster
 from repro.core.errors import BackendError
 from repro.faults import (
@@ -54,15 +55,18 @@ def golden():
         )
 
 
+@pytest.fixture(autouse=True)
+def no_retry_backoff(monkeypatch):
+    monkeypatch.setattr(sharded_module, "_RETRY_BACKOFF_S", 0.0)
+
+
 def remote_backend(cluster: LocalCluster, plan=None) -> ShardedBackend:
     # probe_interval_s=0 keeps demoted hosts immediately probe-eligible, so
     # the burn-down loop below measures the *plan's* window, not the clock.
     return ShardedBackend(
         shards=2,
-        executor="remote",
         min_population=1,
         retries=2,
-        retry_backoff_s=0.0,
         cluster=cluster.spec(probe_interval_s=0.0),
         faults=plan,
     )
@@ -182,8 +186,7 @@ def test_workers_never_inherit_the_drivers_chaos(monkeypatch, golden):
     # still evaluates — the workers never saw the driver's plan.
     with LocalCluster(workers=1) as cluster:
         backend = ShardedBackend(
-            shards=2, executor="remote", min_population=1,
-            cluster=cluster.spec(),
+            shards=2, min_population=1, cluster=cluster.spec(),
         )
         try:
             values = backend.measure_values(get_measure("time"), OFFERS)

@@ -1,14 +1,16 @@
 """ShardedBackend over the remote executor: differential equality with the
-reference backend, partial-failure recovery, hedging, and the serving path
-(session stats, gateway ``/healthz``)."""
+reference backend, partial-failure recovery, a slow shard, and the serving
+path (session stats, gateway ``/healthz``, a saved config)."""
 
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
 from repro.backend import ShardedBackend, get_backend
+from repro.backend import sharded as sharded_module
 from repro.cluster import ClusterSpec
 from repro.faults import CLUSTER_SEND, FaultPlan, FaultRule
 from repro.measures import evaluate_set, get_measure
@@ -21,7 +23,7 @@ from test_executor import dead_host
 @pytest.fixture
 def backend(cluster_spec):
     instance = ShardedBackend(
-        shards=3, executor="remote", min_population=1, cluster=cluster_spec
+        shards=3, min_population=1, cluster=cluster_spec
     )
     yield instance
     instance.close()
@@ -79,14 +81,14 @@ class TestDifferential:
 
 class TestResilience:
     def test_host_unavailable_recovers_without_a_pool_rebuild(
-        self, workers, population
+        self, workers, population, monkeypatch
     ):
+        monkeypatch.setattr(sharded_module, "_RETRY_BACKOFF_S", 0.0)
         spec = ClusterSpec(
             hosts=(dead_host(),), connect_timeout_s=0.5, probe_interval_s=30.0
         )
         backend = ShardedBackend(
-            shards=2, executor="remote", min_population=1, retries=1,
-            cluster=spec, retry_backoff_s=0.0,
+            shards=2, min_population=1, retries=1, cluster=spec
         )
         try:
             from repro.core.errors import BackendError
@@ -101,23 +103,23 @@ class TestResilience:
         finally:
             backend.close()
 
-    def test_hedging_covers_a_slow_remote_shard(self, cluster_spec, population):
-        # One delayed send: the straggler sleeps, the hedge wins, and the
-        # result is still bit-identical.
+    def test_a_slow_remote_shard_still_answers_bit_identically(
+        self, cluster_spec, population
+    ):
+        # One delayed send: the straggler sleeps, and the merged result
+        # waits for it and is still bit-identical.
         plan = FaultPlan(
             [FaultRule(CLUSTER_SEND, action="delay", delay_s=0.6, count=1)]
         )
         backend = ShardedBackend(
-            shards=2, executor="remote", min_population=1,
-            cluster=cluster_spec, hedge_ms=40.0, faults=plan,
+            shards=2, min_population=1, cluster=cluster_spec, faults=plan
         )
         try:
             offers = population(80)
             measure = get_measure("time")
             expected = get_backend("reference").measure_values(measure, offers)
             assert backend.measure_values(measure, offers) == expected
-            assert backend.hedges >= 1
-            assert backend.hedge_wins >= 1
+            assert plan.stats()["fired"] == {CLUSTER_SEND: 1}
         finally:
             backend.close()
 
@@ -128,13 +130,46 @@ class TestServingPath:
             backend="sharded", shards=2, shard_min_population=1,
             cluster=cluster_spec,
         )
-        assert config.shard_executor == "remote"
         with FlexSession(config) as session:
+            assert session._backend.executor_kind == "remote"
             session.ingest(population(120))
             session.evaluate()
             stats = session.stats()
         assert set(stats["cluster"]) == set(cluster_spec.hosts)
         assert all(row["state"] == "up" for row in stats["cluster"].values())
+
+    def test_a_saved_remote_config_recovers_on_the_cluster(
+        self, cluster_spec, population, tmp_path
+    ):
+        """A release with ``shard_executor`` saved ``"remote"`` next to the
+        cluster; the key is dropped on load and the cluster alone brings
+        the tenant back on the remote executor, with identical answers."""
+        from repro.server.registry import SessionRegistry
+
+        config = SessionConfig(
+            backend="sharded", shards=2, shard_min_population=1,
+            cluster=cluster_spec, persist_fsync=False,
+        )
+        registry = SessionRegistry(persist_root=str(tmp_path))
+        try:
+            session = registry.create("tenant", config)
+            session.ingest(population(60))
+            before = session.evaluate().values
+        finally:
+            registry.close()
+        path = tmp_path / "tenant" / "config.json"
+        payload = json.loads(path.read_text())
+        payload["shard_executor"] = "remote"
+        path.write_text(json.dumps(payload))
+
+        restarted = SessionRegistry(persist_root=str(tmp_path))
+        try:
+            recovered = restarted.get("tenant")
+            assert recovered.config.cluster == cluster_spec
+            assert recovered._backend.executor_kind == "remote"
+            assert recovered.evaluate().values == before
+        finally:
+            restarted.close()
 
     def test_local_sessions_report_no_cluster_block(self, population):
         with FlexSession(SessionConfig(backend="reference")) as session:

@@ -1,6 +1,7 @@
 """ClusterSpec validation/round-trip and its coupling into SessionConfig
-and ShardedBackend (explicit arguments fail fast, env knobs degrade, and
-only SessionConfig reads the environment)."""
+and ShardedBackend (a cluster selects the remote executor, explicit
+arguments fail fast, env knobs degrade, and only SessionConfig reads the
+environment)."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from repro.core.errors import BackendError
 from repro.cluster import ClusterSpec
 from repro.cluster.cluster import ClusterError
 from repro.service import FlexSession, ServiceError, SessionConfig
-from repro.service.config import ENV_CLUSTER, ENV_EXECUTOR
+from repro.service.config import ENV_CLUSTER
 
 
 class TestClusterSpec:
@@ -91,71 +92,46 @@ class TestClusterSpec:
             ClusterSpec.from_spec(payload)
 
     def test_from_env(self, monkeypatch):
-        # REPRO_CLUSTER is read by SessionConfig, for remote executors only.
-        def remote():
-            return SessionConfig(backend="sharded", shard_executor="remote")
+        # REPRO_CLUSTER is read by SessionConfig, for sharded configs only.
+        def sharded():
+            return SessionConfig(backend="sharded")
 
         for unset in (None, "   "):
             if unset is None:
                 monkeypatch.delenv(ENV_CLUSTER, raising=False)
             else:
                 monkeypatch.setenv(ENV_CLUSTER, unset)
-            with pytest.raises(ServiceError, match="needs a cluster"):
-                remote()
+            assert sharded().cluster is None
         monkeypatch.setenv(ENV_CLUSTER, "127.0.0.1:7001,127.0.0.1:7002")
-        assert remote().cluster == ClusterSpec(
+        assert sharded().cluster == ClusterSpec(
             hosts=("127.0.0.1:7001", "127.0.0.1:7002")
         )
-        assert SessionConfig(backend="sharded").cluster is None
+        assert SessionConfig(backend="reference").cluster is None
         monkeypatch.setenv(ENV_CLUSTER, json.dumps({"hosts": ["h:1"], "connections_per_host": 3}))
-        assert remote().cluster.connections_per_host == 3
+        assert sharded().cluster.connections_per_host == 3
 
     def test_from_env_degrades_on_malformed_values(self, monkeypatch):
         monkeypatch.setenv(ENV_CLUSTER, "not-a-cluster")
-        monkeypatch.setenv(ENV_EXECUTOR, "remote")
         with pytest.warns(RuntimeWarning, match=ENV_CLUSTER):
-            config = SessionConfig(backend="sharded")
+            config = SessionConfig(backend="sharded", shards=2)
         assert config.cluster is None
-        assert config.shard_executor == "thread"
+        with FlexSession(config) as session:
+            assert session._backend.executor_kind == "thread"
 
 
 class TestSessionConfigCoupling:
     def test_cluster_alone_implies_the_remote_executor(self):
         config = SessionConfig(backend="sharded", cluster="127.0.0.1:7001")
-        assert config.shard_executor == "remote"
         assert config.cluster == ClusterSpec(hosts=("127.0.0.1:7001",))
-
-    def test_explicit_local_executor_with_a_cluster_contradicts(self):
-        with pytest.raises(ServiceError, match="requires shard_executor='remote'"):
-            SessionConfig(
-                backend="sharded",
-                shard_executor="thread",
-                cluster="127.0.0.1:7001",
-            )
-
-    def test_explicit_remote_executor_without_a_cluster_fails_fast(
-        self, monkeypatch
-    ):
-        monkeypatch.delenv(ENV_CLUSTER, raising=False)
-        with pytest.raises(ServiceError, match="REPRO_CLUSTER"):
-            SessionConfig(backend="sharded", shard_executor="remote")
+        with FlexSession(config) as session:  # the pool dials lazily
+            assert session._backend.executor_kind == "remote"
 
     def test_remote_executor_reads_the_cluster_from_the_environment(
         self, monkeypatch
     ):
         monkeypatch.setenv(ENV_CLUSTER, "127.0.0.1:7001")
-        config = SessionConfig(backend="sharded", shard_executor="remote")
+        config = SessionConfig(backend="sharded")
         assert config.cluster == ClusterSpec(hosts=("127.0.0.1:7001",))
-
-    def test_env_driven_remote_without_a_cluster_degrades_to_thread(
-        self, monkeypatch
-    ):
-        monkeypatch.delenv(ENV_CLUSTER, raising=False)
-        monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "remote")
-        with pytest.warns(RuntimeWarning):
-            config = SessionConfig(backend="sharded")
-        assert config.shard_executor == "thread"
-        assert config.cluster is None
 
     def test_invalid_cluster_payload_is_a_service_error(self):
         with pytest.raises(ServiceError, match="invalid cluster"):
@@ -173,50 +149,25 @@ class TestSessionConfigCoupling:
             "connections_per_host": 3,
         }
         rebuilt = SessionConfig.from_dict(json.loads(json.dumps(payload)))
-        assert rebuilt.cluster == config.cluster
-        assert rebuilt.shard_executor == "remote"
+        assert rebuilt == config
 
 
 class TestShardedBackendCoupling:
-    def test_explicit_remote_without_a_cluster_fails_fast(self, monkeypatch):
-        monkeypatch.delenv(ENV_CLUSTER, raising=False)
-        with pytest.raises(BackendError, match="needs a cluster"):
-            ShardedBackend(executor="remote")
-
-    def test_env_remote_without_a_cluster_degrades_to_thread(self, monkeypatch):
-        # The degrade happens once, in SessionConfig; the backend built
-        # from that config is a thread backend, and a bare constructor
-        # never looks at the environment at all.
-        monkeypatch.delenv(ENV_CLUSTER, raising=False)
-        monkeypatch.setenv(ENV_EXECUTOR, "remote")
-        with pytest.warns(RuntimeWarning, match=ENV_EXECUTOR):
-            session = FlexSession(backend="sharded", shards=2)
-        with session:
-            assert session._backend.executor_kind == "thread"
-        backend = ShardedBackend()
-        assert backend.executor_kind == "thread"
-
-    def test_cluster_with_a_local_executor_contradicts(self):
-        with pytest.raises(BackendError, match="executor='remote'"):
-            ShardedBackend(executor="thread", cluster="127.0.0.1:7001")
-
     def test_invalid_cluster_spec_is_a_backend_error(self):
         with pytest.raises(BackendError, match="invalid cluster spec"):
-            ShardedBackend(executor="remote", cluster={"hosts": []})
+            ShardedBackend(cluster={"hosts": []})
 
     def test_remote_backend_reads_the_cluster_from_the_environment(
         self, monkeypatch
     ):
-        # Through its session's config; the constructor still needs cluster=.
+        # Through its session's config; a bare constructor runs threads.
         monkeypatch.setenv(ENV_CLUSTER, "127.0.0.1:7001")
-        with FlexSession(
-            backend="sharded", shards=2, shard_executor="remote"
-        ) as session:
+        with FlexSession(backend="sharded", shards=2) as session:
             assert session._backend.cluster == ClusterSpec(
                 hosts=("127.0.0.1:7001",)
             )
-        with pytest.raises(BackendError, match="needs a cluster"):
-            ShardedBackend(shards=2, executor="remote")
+            assert session._backend.executor_kind == "remote"
+        assert ShardedBackend(shards=2).executor_kind == "thread"
 
     def test_cluster_health_is_none_for_local_executors(self):
         backend = ShardedBackend(shards=2)

@@ -8,11 +8,10 @@ never a corrupt merge, never a wedged backend.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.backend import NUMPY_AVAILABLE, ShardedBackend, get_backend
+from repro.backend import sharded as sharded_module
 from repro.core import FlexOffer
 from repro.core.errors import BackendError
 from repro.faults import SHARD_RESULT, SHARD_SUBMIT, FaultInjected, FaultPlan, FaultRule
@@ -33,28 +32,15 @@ PRODUCT = get_measure("product")
 GOLDEN = get_backend("reference").measure_values(PRODUCT, OFFERS)
 
 
+@pytest.fixture(autouse=True)
+def no_retry_backoff(monkeypatch):
+    monkeypatch.setattr(sharded_module, "_RETRY_BACKOFF_S", 0.0)
+
+
 def sharded(plan=None, **kwargs) -> ShardedBackend:
     kwargs.setdefault("shards", 3)
     kwargs.setdefault("min_population", 1)
-    kwargs.setdefault("retry_backoff_s", 0.0)
     return ShardedBackend(faults=plan, **kwargs)
-
-
-class SlowMeasure(FlexibilityMeasure):
-    """A measure whose per-offer value stalls — the straggler generator."""
-
-    key = "chaos-slow-measure"
-    label = "Slow"
-    characteristics = MeasureCharacteristics(
-        captures_time=True,
-        captures_energy=False,
-        captures_time_and_energy=False,
-        captures_size=False,
-    )
-
-    def value(self, flex_offer: FlexOffer) -> float:
-        time.sleep(0.05)
-        return float(flex_offer.time_flexibility)
 
 
 class TestRetries:
@@ -104,7 +90,12 @@ class TestRetries:
         class Explosive(FlexibilityMeasure):
             key = "chaos-explosive-measure"
             label = "Explosive"
-            characteristics = SlowMeasure.characteristics
+            characteristics = MeasureCharacteristics(
+                captures_time=True,
+                captures_energy=False,
+                captures_time_and_energy=False,
+                captures_size=False,
+            )
 
             def value(self, flex_offer: FlexOffer) -> float:
                 raise ValueError(f"bad offer {flex_offer.name}")
@@ -140,28 +131,6 @@ class TestKill:
         try:
             assert backend.measure_values(PRODUCT, OFFERS) == GOLDEN
             assert backend.resilience_stats()["retried"] == 1
-        finally:
-            backend.close()
-
-
-class TestHedging:
-    def test_hedged_run_is_bit_identical(self):
-        backend = sharded(hedge_ms=1.0)
-        try:
-            slow = SlowMeasure()
-            expected = get_backend("reference").measure_values(slow, OFFERS)
-            assert backend.measure_values(slow, OFFERS) == expected
-            stats = backend.resilience_stats()
-            assert stats["hedges"] >= 1
-        finally:
-            backend.close()
-
-    def test_hedging_disabled_by_default(self):
-        backend = sharded()
-        try:
-            assert backend.resilience_stats()["hedge_ms"] == 0.0
-            assert backend.measure_values(PRODUCT, OFFERS) == GOLDEN
-            assert backend.resilience_stats()["hedges"] == 0
         finally:
             backend.close()
 

@@ -155,6 +155,53 @@ def test_bad_session_config_is_a_400():
     assert_error_body(scenario(run), 400, "bad-request")
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"checkpoint_events": "5"},
+        {"shards": "2"},
+        {"window_capacity": "3"},
+        {"checkpoint_age_s": "5"},
+        {"grouping": {"bogus": 1}},
+        {"grouping": {"earliest_start_tolerance": "a"}},
+        {"grouping": 5},
+        {"shards": 2.5},
+        {"shards": True},
+        {"auto_expire": "no"},
+        {"persist_fsync": 1},
+        {"seed": "x"},
+        {"checkpoint_age_s": float("nan")},
+        {"checkpoint_age_s": float("inf")},
+    ],
+    ids=repr,
+)
+def test_malformed_session_config_is_a_400(body):
+    """A wrongly typed config value is a client mistake: never a 500 and
+    never silently coerced into a session (``NaN``/``Infinity`` are not
+    JSON at all)."""
+
+    async def run(gateway, client):
+        raw = json.dumps({"backend": "reference", **body}).encode()
+        response = await gateway.handle("PUT", "/sessions/t", raw)
+        return response, gateway.registry.names()
+
+    response, names = scenario(run)
+    assert_error_body(response, 400, "bad-request")
+    assert names == []
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_literals_are_malformed_json(literal):
+    async def run(gateway, client):
+        await client.create_session("t", REFERENCE)
+        raw = ('{"kind": "evaluate", "measures": %s}' % literal).encode()
+        return await gateway.handle("POST", "/sessions/t/requests", raw)
+
+    response = scenario(run)
+    assert_error_body(response, 400, "bad-request")
+    assert "malformed JSON body" in response.payload["detail"]
+
+
 def test_oversized_payload_is_a_structured_413():
     async def run(gateway, client):
         big = {"kind": "evaluate", "padding": "x" * 4096}

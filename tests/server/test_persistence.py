@@ -1,5 +1,6 @@
 """Gateway/registry durability: checkpoint route, lazy tenant recovery,
-checkpoint-then-close eviction and the session-name path guard."""
+checkpoint-then-close eviction, the session-name path guard and the
+operator-only settings of a ``PUT`` body."""
 
 from __future__ import annotations
 
@@ -113,6 +114,58 @@ def test_invalid_session_names_are_400(tmp_path, name):
     gateway_scenario(scenario, persist_root=str(tmp_path))
 
 
+def test_a_put_body_may_not_choose_the_persist_dir(tmp_path):
+    """The directory a tenant writes to is the operator's ``persist_root``
+    plus the guarded name; a body naming its own ``persist_dir`` is
+    refused before anything touches the disk."""
+    root, elsewhere = tmp_path / "root", tmp_path / "elsewhere"
+    root.mkdir()
+
+    async def scenario(gateway):
+        client = GatewayClient.in_process(gateway)
+        refused = await client.create_session(
+            "acme", {**DURABLE, "persist_dir": str(elsewhere)}
+        )
+        assert refused.status == 400
+        assert refused.payload["error"] == "bad-request"
+        assert "persist_dir" in refused.payload["detail"]
+        assert gateway.registry.names() == []
+        await client.close()
+
+    gateway_scenario(scenario, persist_root=str(root))
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["root"]
+    assert list(root.iterdir()) == []
+
+
+def test_a_put_body_may_not_name_a_cluster(tmp_path):
+    """The hosts a gateway dials (and unpickles replies from) are the
+    operator's; a body naming a cluster is refused and never dialled."""
+    import socket
+
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        listener.setblocking(False)
+        host = "127.0.0.1:%d" % listener.getsockname()[1]
+
+        async def scenario(gateway):
+            client = GatewayClient.in_process(gateway)
+            for cluster in (host, {"hosts": [host]}):
+                refused = await client.create_session(
+                    "acme",
+                    {"backend": "sharded", "shards": 2, "cluster": cluster},
+                )
+                assert refused.status == 400
+                assert "cluster" in refused.payload["detail"]
+            assert gateway.registry.names() == []
+            await client.close()
+
+        gateway_scenario(scenario, persist_root=str(tmp_path))
+        with pytest.raises(BlockingIOError):
+            listener.accept()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_name_guard_applies_without_persistence_too():
     registry = SessionRegistry(
         max_sessions=2, default_config=SessionConfig(backend="reference")
@@ -218,10 +271,10 @@ def test_config_with_the_retired_window_kernel_key_recovers(tmp_path):
         restarted.close()
 
 
-def test_config_with_the_retired_process_executor_recovers(tmp_path):
-    """``config.json`` files of sessions that ran on the retired process
-    pool name ``"shard_executor": "process"``; recovery maps it to the
-    thread executor, with the same answers as before."""
+def _recover_with_saved_key(tmp_path, key, value):
+    """Run a durable sharded tenant, write ``key: value`` into its
+    ``config.json`` the way a release that had the option saved it, and
+    recover it: ``(answers before, recovered session, answers after)``."""
     config = SessionConfig(
         backend="sharded", shards=2, shard_min_population=1,
         persist_fsync=False,
@@ -230,22 +283,57 @@ def test_config_with_the_retired_process_executor_recovers(tmp_path):
     try:
         session = registry.create("tenant", config)
         session.stream(StreamRequest(events=arrival_events()))
-        evaluated = session.evaluate().values
-        aggregates = session.aggregate().aggregates
+        before = (session.evaluate().values, session.aggregate().aggregates)
     finally:
         registry.close()
     path = tmp_path / "tenant" / "config.json"
     payload = json.loads(path.read_text())
-    payload["shard_executor"] = "process"
+    payload[key] = value
     path.write_text(json.dumps(payload))
 
     restarted = SessionRegistry(persist_root=str(tmp_path))
+    recovered = restarted.get("tenant")
+    assert restarted.recovered == 1
+    after = (recovered.evaluate().values, recovered.aggregate().aggregates)
+    return before, restarted, recovered, after
+
+
+def test_config_with_the_retired_process_executor_recovers(
+    tmp_path, monkeypatch
+):
+    """``config.json`` files of sessions that ran on the retired process
+    pool name ``"shard_executor": "process"``; recovery runs them on the
+    thread executor, with the same answers as before."""
+    monkeypatch.delenv("REPRO_CLUSTER", raising=False)
+    before, restarted, recovered, after = _recover_with_saved_key(
+        tmp_path, "shard_executor", "process"
+    )
     try:
-        recovered = restarted.get("tenant")
-        assert restarted.recovered == 1
-        assert recovered.config.shard_executor == "thread"
-        assert recovered.evaluate().values == evaluated
-        assert recovered.aggregate().aggregates == aggregates
+        assert recovered._backend.executor_kind == "thread"
+        assert after == before
+    finally:
+        restarted.close()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("shard_executor", "thread"),
+        ("shard_hedge_ms", 5),
+        ("compact_threshold", 0.75),
+    ],
+)
+def test_config_with_a_retired_key_recovers(tmp_path, monkeypatch, key, value):
+    """Every retired option's key is dropped on load; the tenant recovers
+    on the thread executor with identical answers.  (A saved remote
+    config, which carries its cluster, is covered in the cluster suite.)"""
+    monkeypatch.delenv("REPRO_CLUSTER", raising=False)
+    before, restarted, recovered, after = _recover_with_saved_key(
+        tmp_path, key, value
+    )
+    try:
+        assert recovered._backend.executor_kind == "thread"
+        assert after == before
     finally:
         restarted.close()
 

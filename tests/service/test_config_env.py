@@ -4,14 +4,18 @@
 ``REPRO_*`` variables into values once, at construction.  Every backend,
 matrix, cache and engine constructor below them takes plain defaults, so a
 variable changed after a session was configured — or a malformed one —
-cannot reach a layer the config already resolved.  The guard test at the
-bottom keeps new environment reads from creeping back into those layers.
+cannot reach a layer the config already resolved.  The guard tests at the
+bottom keep new environment reads from creeping back into those layers,
+and pin the set of variables and ``SessionConfig`` fields, so an option
+cannot be added (or come back) without editing them.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -20,15 +24,13 @@ import pytest
 import repro
 from repro.backend import NUMPY_AVAILABLE, ShardedBackend, use_backend
 from repro.backend.cache import DEFAULT_CAPACITY, DEFAULT_CELL_BUDGET, MatrixCache
-from repro.backend.dispatch import DEFAULT_COMPACT_THRESHOLD
 from repro.backend.sharded import DEFAULT_MIN_POPULATION, DEFAULT_RETRIES
 from repro.core import FlexOffer
 from repro.faults import FaultPlan
 from repro.measures import evaluate_set
 from repro.persist import load_config
-from repro.service import FlexSession, SessionConfig, StreamRequest
-from repro.service.config import ServiceError
-from repro.stream import OfferArrived, OfferExpired, StreamingEngine, Tick
+from repro.service import SessionConfig
+from repro.stream import OfferArrived, StreamingEngine, Tick
 
 requires_numpy = pytest.mark.skipif(
     not NUMPY_AVAILABLE, reason="the live matrix needs NumPy"
@@ -40,15 +42,12 @@ FAULTS = {"seed": 3, "rules": [{"site": "wal.fsync", "after": 2}]}
 VALID = {
     "REPRO_BACKEND": "reference",
     "REPRO_SHARDS": "7",
-    "REPRO_SHARD_EXECUTOR": "remote",
     "REPRO_CLUSTER": "127.0.0.1:7001,127.0.0.1:7002",
     "REPRO_SHARD_MIN": "17",
     "REPRO_SHARD_RETRIES": "5",
-    "REPRO_SHARD_HEDGE_MS": "12.5",
     "REPRO_FAULTS": json.dumps(FAULTS),
     "REPRO_MATRIX_CACHE": "7",
     "REPRO_MATRIX_CACHE_CELLS": "1000",
-    "REPRO_MATRIX_COMPACT": "0.75",
 }
 
 #: A malformed value for every variable that degrades with a warning.
@@ -56,20 +55,47 @@ VALID = {
 #: ``SessionConfig`` and in ``get_backend()`` alike.
 MALFORMED = {
     "REPRO_SHARDS": "four",
-    "REPRO_SHARD_EXECUTOR": "rocket",
     "REPRO_CLUSTER": "not-a-cluster",
     "REPRO_SHARD_MIN": "-3",
     "REPRO_SHARD_RETRIES": "many",
-    "REPRO_SHARD_HEDGE_MS": "-1",
     "REPRO_FAULTS": "{broken",
     "REPRO_MATRIX_CACHE": "off",
     "REPRO_MATRIX_CACHE_CELLS": "lots",
-    "REPRO_MATRIX_COMPACT": "nonsense",
 }
+
+#: Variables of retired options, which every layer now ignores.
+RETIRED = {
+    "REPRO_SHARD_EXECUTOR": "remote",
+    "REPRO_SHARD_HEDGE_MS": "12.5",
+    "REPRO_MATRIX_COMPACT": "0.75",
+}
+
+#: Every ``SessionConfig`` field, in order.  An option added to (or
+#: brought back into) the config must be added here, in the same change.
+FIELDS = (
+    "backend",
+    "shards",
+    "shard_min_population",
+    "shard_retries",
+    "cluster",
+    "fault_plan",
+    "cache_entries",
+    "cache_cells",
+    "measures",
+    "tracked_measures",
+    "window_capacity",
+    "auto_expire",
+    "grouping",
+    "seed",
+    "persist_dir",
+    "persist_fsync",
+    "checkpoint_events",
+    "checkpoint_age_s",
+)
 
 
 def clear_environment(monkeypatch) -> None:
-    for variable in VALID:
+    for variable in (*VALID, *RETIRED):
         monkeypatch.delenv(variable, raising=False)
 
 
@@ -86,7 +112,6 @@ def lower_layer_state() -> dict:
             backend.cluster,
             backend.min_population,
             backend.retries,
-            backend.hedge_ms,
         ),
         "cache": (cache.capacity, cache.cell_budget),
         "engine_windows": engine.tracker.summary(),
@@ -110,7 +135,7 @@ def warned_variables(caught) -> set[str]:
 def test_lower_constructors_ignore_every_variable(monkeypatch):
     clear_environment(monkeypatch)
     clean = lower_layer_state()
-    for values in (VALID, MALFORMED):
+    for values in (VALID, MALFORMED, RETIRED):
         clear_environment(monkeypatch)
         for variable, value in values.items():
             monkeypatch.setenv(variable, value)
@@ -127,17 +152,17 @@ def test_session_config_picks_up_every_valid_variable(monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         config = SessionConfig()
+        sharded = SessionConfig(backend="sharded")
     assert caught == []
     assert config.backend == "reference"
     assert config.shards == 7
-    assert config.shard_executor == "remote"
-    assert config.cluster.hosts == ("127.0.0.1:7001", "127.0.0.1:7002")
+    # Only a sharded config reads the cluster, and then runs remote.
+    assert config.cluster is None
+    assert sharded.cluster.hosts == ("127.0.0.1:7001", "127.0.0.1:7002")
     assert config.shard_min_population == 17
     assert config.shard_retries == 5
-    assert config.shard_hedge_ms == 12.5
     assert config.fault_plan.spec() == FaultPlan.from_spec(FAULTS).spec()
     assert (config.cache_entries, config.cache_cells) == (7, 1000)
-    assert config.compact_threshold == 0.75
 
 
 def test_session_config_warns_on_every_malformed_variable(monkeypatch):
@@ -146,80 +171,46 @@ def test_session_config_warns_on_every_malformed_variable(monkeypatch):
         monkeypatch.setenv(variable, value)
     with pytest.warns(RuntimeWarning) as caught:
         config = SessionConfig()
-    # REPRO_CLUSTER is only consulted for a remote executor, and the
-    # malformed executor degraded to thread.
+    # REPRO_CLUSTER is only consulted for a sharded config.
     assert warned_variables(caught) == set(MALFORMED) - {"REPRO_CLUSTER"}
-    assert config.shards >= 1 and config.shard_executor == "thread"
+    assert config.shards >= 1
     assert config.cluster is None and config.fault_plan is None
     assert config.shard_min_population == DEFAULT_MIN_POPULATION
     assert config.shard_retries == DEFAULT_RETRIES
-    assert config.shard_hedge_ms == 0.0
     assert config.cache_entries == DEFAULT_CAPACITY
     assert config.cache_cells == DEFAULT_CELL_BUDGET
-    assert config.compact_threshold == DEFAULT_COMPACT_THRESHOLD
     clear_environment(monkeypatch)
     monkeypatch.setenv("REPRO_CLUSTER", MALFORMED["REPRO_CLUSTER"])
     with pytest.warns(RuntimeWarning, match="REPRO_CLUSTER"):
-        with pytest.raises(ServiceError, match="needs a cluster"):
-            SessionConfig(backend="sharded", shard_executor="remote")
+        config = SessionConfig(backend="sharded")
+    assert config.cluster is None
+
+
+def test_retired_variables_are_ignored(monkeypatch):
+    clear_environment(monkeypatch)
+    clean = SessionConfig(backend="sharded")
+    for variable, value in RETIRED.items():
+        monkeypatch.setenv(variable, value)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert SessionConfig(backend="sharded") == clean
+    assert caught == []
 
 
 # --------------------------------------------------------------------- #
 # Regressions: values resolved by the config must stay resolved.
 # --------------------------------------------------------------------- #
-@requires_numpy
-def test_rearmed_live_population_keeps_the_config_threshold(monkeypatch):
-    """An engine that degraded to the dict path re-arms its live matrix
-    once the population empties; the new matrix must use the session's
-    threshold, not whatever the environment says by then."""
-    monkeypatch.delenv("REPRO_MATRIX_COMPACT", raising=False)
-    with FlexSession(backend="numpy") as session:
-        unpackable = FlexOffer(0, 2, [(0, 1 << 41)])
-        session.stream(StreamRequest(events=[OfferArrived("big", unpackable)]))
-        assert session.engine._live is None
-        monkeypatch.setenv("REPRO_MATRIX_COMPACT", "0.9")
-        session.stream(StreamRequest(events=[OfferExpired("big")]))
-        assert session.engine._live is not None
-        assert (
-            session.engine._live.matrix.compact_threshold
-            == DEFAULT_COMPACT_THRESHOLD
-        )
-
-
-@requires_numpy
-def test_durable_config_pins_the_threshold_across_a_restart(
-    monkeypatch, tmp_path
-):
-    from repro.server.registry import SessionRegistry
-
-    monkeypatch.delenv("REPRO_MATRIX_COMPACT", raising=False)
-    registry = SessionRegistry(persist_root=str(tmp_path))
-    registry.create("tenant", SessionConfig(backend="numpy"))
-    registry.close()
-    saved = load_config(tmp_path / "tenant")
-    assert saved["compact_threshold"] == DEFAULT_COMPACT_THRESHOLD
-
-    monkeypatch.setenv("REPRO_MATRIX_COMPACT", "0.9")
-    restarted = SessionRegistry(persist_root=str(tmp_path))
-    try:
-        session = restarted.get("tenant")
-        assert session.config.compact_threshold == DEFAULT_COMPACT_THRESHOLD
-        assert (
-            session.engine._live.matrix.compact_threshold
-            == DEFAULT_COMPACT_THRESHOLD
-        )
-    finally:
-        restarted.close()
-
-
 def test_payload_with_a_null_threshold_loads_as_the_default(monkeypatch):
-    """Configs persisted before the threshold was always resolved hold
-    ``null``; they meant the default, whatever the environment says now."""
+    """Configs persisted while the compaction ratio was an option carry
+    ``compact_threshold`` (``null`` in the oldest ones); the key is
+    dropped and the session runs the one ratio, whatever the environment
+    says now."""
     monkeypatch.setenv("REPRO_MATRIX_COMPACT", "0.9")
-    payload = SessionConfig(backend="reference").as_dict()
-    payload["compact_threshold"] = None
-    config = SessionConfig.from_dict(payload)
-    assert config.compact_threshold == DEFAULT_COMPACT_THRESHOLD
+    config = SessionConfig(backend="reference")
+    for saved in (None, 0.25, 0.9):
+        payload = config.as_dict()
+        payload["compact_threshold"] = saved
+        assert SessionConfig.from_dict(payload) == config
 
 
 def test_durable_config_pins_no_fault_plan_across_a_restart(
@@ -257,7 +248,7 @@ def test_payload_with_a_null_fault_plan_loads_as_no_plan(monkeypatch):
 
 @requires_numpy
 def test_throwaway_numpy_matrices_do_not_read_the_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_MATRIX_COMPACT", "nonsense")
+    monkeypatch.setenv("REPRO_MATRIX_CACHE", "nonsense")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with use_backend("numpy"):
@@ -323,3 +314,25 @@ def test_only_the_configuration_layer_reads_the_environment():
                 continue
             offenders.append(f"{module}:{line} ({scope or 'module level'})")
     assert offenders == []
+
+
+def _repro_literals(tree: ast.AST) -> set[str]:
+    return {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and re.fullmatch(r"REPRO_[A-Z0-9_]+", node.value)
+    }
+
+
+def test_the_set_of_variables_is_pinned():
+    root = Path(repro.__file__).resolve().parent
+    named = set()
+    for path in sorted(root.rglob("*.py")):
+        named |= _repro_literals(ast.parse(path.read_text(encoding="utf-8")))
+    assert named == set(VALID)
+
+
+def test_the_session_config_fields_are_pinned():
+    assert tuple(spec.name for spec in dataclasses.fields(SessionConfig)) == FIELDS

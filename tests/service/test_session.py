@@ -96,13 +96,9 @@ class TestSessionConfig:
         with pytest.raises(ServiceError):
             SessionConfig(shards=0)
         with pytest.raises(ServiceError):
-            SessionConfig(shard_executor="fiber")
-        with pytest.raises(ServiceError):
             SessionConfig(cache_entries=-1)
         with pytest.raises(ServiceError):
             SessionConfig(cache_cells=-1)
-        with pytest.raises(ServiceError):
-            SessionConfig(compact_threshold=1.5)
         with pytest.raises(ServiceError):
             SessionConfig(window_capacity=-1)
         with pytest.raises(ServiceError):
@@ -133,20 +129,30 @@ class TestSessionConfig:
             SessionConfig.from_dict({"backend": "reference", "bogus": 1})
 
     def test_malformed_executor_env_degrades_to_thread(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "fiber")
-        with pytest.warns(RuntimeWarning, match="REPRO_SHARD_EXECUTOR"):
-            config = SessionConfig(backend="reference")
-        assert config.shard_executor == "thread"
+        """The retired ``REPRO_SHARD_EXECUTOR`` is ignored, whatever its
+        value: without a cluster a sharded session runs on threads."""
+        monkeypatch.delenv("REPRO_CLUSTER", raising=False)
+        for value in ("fiber", "remote"):
+            monkeypatch.setenv("REPRO_SHARD_EXECUTOR", value)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                config = SessionConfig(backend="sharded", shards=2)
+            assert config.cluster is None
+            with FlexSession(config) as session:
+                assert session._backend.executor_kind == "thread"
 
     def test_retired_process_executor(self, monkeypatch):
-        """An explicit ``process`` names the LocalCluster recipe; from the
-        environment it warns and falls back like any unknown value."""
-        with pytest.raises(ServiceError, match="LocalCluster"):
+        """``shard_executor`` is no longer a field; a saved config that
+        names the retired ``process`` pool loads and runs on threads."""
+        monkeypatch.delenv("REPRO_CLUSTER", raising=False)
+        with pytest.raises(TypeError, match="shard_executor"):
             SessionConfig(shard_executor="process")
-        monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "process")
-        with pytest.warns(RuntimeWarning, match="REPRO_SHARD_EXECUTOR"):
-            config = SessionConfig(backend="reference")
-        assert config.shard_executor == "thread"
+        payload = SessionConfig(backend="sharded", shards=2).as_dict()
+        payload["shard_executor"] = "process"
+        config = SessionConfig.from_dict(payload)
+        assert config == SessionConfig(backend="sharded", shards=2)
+        with FlexSession(config) as session:
+            assert session._backend.executor_kind == "thread"
 
 
 class TestRequestValidation:
@@ -467,7 +473,6 @@ _SCORING_BACKENDS = [
             "backend": "sharded",
             "shards": 2,
             "shard_min_population": 1,
-            "shard_executor": "thread",
         },
         id="sharded",
         marks=requires_numpy,
@@ -619,7 +624,7 @@ def test_interleaved_sessions_do_not_share_cache_entries():
 @requires_numpy
 def test_sharded_session_uses_instance_inner_backend():
     config = SessionConfig(
-        backend="sharded", shards=2, shard_min_population=1, shard_executor="thread"
+        backend="sharded", shards=2, shard_min_population=1
     )
     offers = population(30, seed=4)
     with FlexSession(config) as session:
@@ -647,7 +652,7 @@ def test_remote_executor_session_delegates_through_the_session_cache():
         session = FlexSession(config)
         try:
             assert session.backend_name == "sharded"
-            assert session.config.shard_executor == "remote"
+            assert session._backend.executor_kind == "remote"
             process_wide = matrix_cache.stats()
             served = session.evaluate(EvaluateRequest(offers=offers))
             assert served.stats.cache_hits + served.stats.cache_misses > 0

@@ -273,9 +273,10 @@ class TestInjectableState:
             baseline.apply(OfferArrived(f"o{index}", offer))
         assert engine.snapshot() == baseline.snapshot()
 
-    def test_engine_compact_threshold_parameter(self):
+    def test_engine_honours_the_live_matrix_compact_threshold(self):
         pytest.importorskip("numpy")
-        engine = StreamingEngine(measures=["time"], compact_threshold=0.0)
+        engine = StreamingEngine(measures=["time"])
+        engine._live.matrix.compact_threshold = 0.0
         for index in range(4):
             engine.apply(OfferArrived(f"o{index}", FlexOffer(0, 2, [(1, 3)])))
         engine.apply(OfferExpired("o1"))

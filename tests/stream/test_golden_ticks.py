@@ -92,8 +92,7 @@ def remote_backend_registered():
 
     with LocalCluster(workers=2) as cluster:
         backend = _RemoteSharded(
-            shards=3, executor="remote", min_population=1,
-            cluster=cluster.spec(),
+            shards=3, min_population=1, cluster=cluster.spec(),
         )
         register_backend(backend)
         try:
