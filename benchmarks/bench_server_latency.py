@@ -100,7 +100,6 @@ def test_saturated_gateway_rejects_with_429_and_bounded_queues():
     async def scenario():
         gateway = Gateway(
             GatewayConfig(
-                max_concurrency=1,
                 max_pending=1,
                 session_queue_depth=0,
                 workers=1,
@@ -124,18 +123,22 @@ def test_saturated_gateway_rejects_with_429_and_bounded_queues():
                 *(one(index) for index in range(flood))
             )
             await setup.close()
-            return responses, gateway.stats()
+            session_rejected = sum(
+                gateway.registry.entry(name).gate.rejected
+                for name in ("flood-a", "flood-b")
+            )
+            return responses, gateway.stats(), session_rejected
         finally:
             gateway.close()
 
-    responses, stats = asyncio.run(scenario())
+    responses, stats, session_rejected = asyncio.run(scenario())
     statuses = sorted({response.status for response in responses})
     rejected = [r for r in responses if r.status == 429]
     report(
         f"saturation flood ({flood} concurrent, 1 slot)",
         [
             f"statuses={statuses} rejected={len(rejected)}",
-            f"gate={stats['gate']}",
+            f"gate={stats['gate']} session_rejected={session_rejected}",
         ],
     )
     assert set(statuses) <= {200, 429}
@@ -143,8 +146,11 @@ def test_saturated_gateway_rejects_with_429_and_bounded_queues():
     assert all(r.retry_after is not None for r in rejected)
     assert all(r.payload["error"] == "saturated" for r in rejected)
     # The bounded-queue invariant: nothing ever waited beyond the limits.
+    # Each request is refused by its tenant's gate, or then refused or
+    # admitted by the global one.
     assert stats["gate"]["waiting"] == 0
-    assert stats["gate"]["rejected"] + stats["gate"]["admitted"] >= flood
+    gate = stats["gate"]
+    assert session_rejected + gate["rejected"] + gate["admitted"] >= flood
 
 
 def bench_records(gate_scale: bool = False) -> list:

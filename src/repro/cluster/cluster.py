@@ -1,7 +1,7 @@
 """Cluster topology: the spec that names hosts, and a loopback harness.
 
 :class:`ClusterSpec` is the configuration object for distributed shard
-execution — an ordered host list plus connection-management knobs.  It
+execution — an ordered host list plus the connect deadline.  It
 follows the same conventions every other config object in the library
 does: frozen, JSON :meth:`spec` round-trip (like
 :meth:`repro.faults.FaultPlan.spec`), explicit constructor arguments that
@@ -24,11 +24,12 @@ True
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -41,8 +42,17 @@ class ClusterError(FlexError):
     """Invalid cluster configuration or a harness-level failure."""
 
 
+#: Spec keys of earlier releases that saved configs and ``REPRO_CLUSTER``
+#: documents may still carry.  The connection pool size and the down-host
+#: probe interval are constants of :mod:`repro.cluster.executor` now;
+#: neither ever changed an answer.
+_RETIRED_KEYS = ("connections_per_host", "probe_interval_s")
+
+
 def _check_host(host: str) -> str:
     """Validate one ``host:port`` entry and normalise whitespace."""
+    if not isinstance(host, str):
+        raise ClusterError(f"cluster host {host!r} is not a 'host:port' string")
     entry = host.strip()
     address, colon, port = entry.rpartition(":")
     if not colon or not address:
@@ -60,32 +70,23 @@ def _check_host(host: str) -> str:
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    """Where the workers are, and how eagerly to talk to them.
+    """Where the workers are, and how long to wait for one to answer.
 
     Parameters
     ----------
     hosts:
         Ordered ``host:port`` worker addresses.  Order matters only as the
         round-robin starting arrangement; placement is least-outstanding.
-    connections_per_host:
-        Pooled-connection cap per host.  Shard-matrix interning is
-        per-connection, so fewer connections mean warmer caches while more
-        connections mean more in-flight shards per host.
     connect_timeout_s:
-        TCP connect deadline before a host is declared unreachable.
-    probe_interval_s:
-        How long a ``down`` host rests before one probe connection may
-        test it again (the persistence breaker's probe-gating, applied to
-        hosts).
+        TCP connect deadline before a host is declared unreachable: a
+        finite positive number of seconds.
     """
 
     hosts: Tuple[str, ...]
-    connections_per_host: int = 2
     connect_timeout_s: float = 5.0
-    probe_interval_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if isinstance(self.hosts, str):
+        if not isinstance(self.hosts, (list, tuple)):
             raise ClusterError(
                 "hosts must be a sequence of 'host:port' strings; "
                 "use ClusterSpec.from_spec() for the comma shorthand"
@@ -94,29 +95,23 @@ class ClusterSpec:
         if not checked:
             raise ClusterError("a cluster needs at least one host")
         object.__setattr__(self, "hosts", checked)
-        if self.connections_per_host < 1:
+        timeout = self.connect_timeout_s
+        if not (
+            isinstance(timeout, (int, float))
+            and not isinstance(timeout, bool)
+            and math.isfinite(timeout)
+            and timeout > 0
+        ):
             raise ClusterError(
-                f"connections_per_host must be >= 1, "
-                f"got {self.connections_per_host}"
-            )
-        if self.connect_timeout_s <= 0:
-            raise ClusterError(
-                f"connect_timeout_s must be > 0, got {self.connect_timeout_s}"
-            )
-        if self.probe_interval_s < 0:
-            raise ClusterError(
-                f"probe_interval_s must be >= 0, got {self.probe_interval_s}"
+                "connect_timeout_s must be a finite number > 0, "
+                f"got {timeout!r}"
             )
 
     def spec(self) -> dict:
         """A JSON-ready description (round-trips via :meth:`from_spec`)."""
         payload: dict = {"hosts": list(self.hosts)}
-        if self.connections_per_host != 2:
-            payload["connections_per_host"] = self.connections_per_host
         if self.connect_timeout_s != 5.0:
             payload["connect_timeout_s"] = self.connect_timeout_s
-        if self.probe_interval_s != 1.0:
-            payload["probe_interval_s"] = self.probe_interval_s
         return payload
 
     @classmethod
@@ -126,7 +121,8 @@ class ClusterSpec:
         """Rebuild a spec from :meth:`spec` output or shorthand.
 
         Accepts a spec dict, a bare host list, a JSON string of either,
-        or the ``"host:port,host:port"`` comma shorthand.
+        or the ``"host:port,host:port"`` comma shorthand.  A spec of an
+        earlier release loads with its retired keys dropped.
         """
         if isinstance(payload, ClusterSpec):
             return payload
@@ -147,22 +143,16 @@ class ClusterSpec:
             payload = {"hosts": list(payload)}
         if not isinstance(payload, dict):
             raise ClusterError(f"not a cluster spec: {payload!r}")
-        known = {
-            "hosts",
-            "connections_per_host",
-            "connect_timeout_s",
-            "probe_interval_s",
-        }
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(
+            set(payload) - {"hosts", "connect_timeout_s", *_RETIRED_KEYS}
+        )
         if unknown:
             raise ClusterError(f"unknown cluster-spec fields: {unknown}")
         if "hosts" not in payload:
             raise ClusterError("cluster spec is missing 'hosts'")
         return cls(
-            hosts=tuple(payload["hosts"]),
-            connections_per_host=int(payload.get("connections_per_host", 2)),
-            connect_timeout_s=float(payload.get("connect_timeout_s", 5.0)),
-            probe_interval_s=float(payload.get("probe_interval_s", 1.0)),
+            hosts=payload["hosts"],
+            connect_timeout_s=payload.get("connect_timeout_s", 5.0),
         )
 
 
@@ -268,10 +258,9 @@ class LocalCluster:
         """The ``host:port`` addresses the live workers bound."""
         return tuple(self._addresses)
 
-    def spec(self, **overrides) -> ClusterSpec:
+    def spec(self) -> ClusterSpec:
         """A :class:`ClusterSpec` over this cluster's workers."""
-        base = ClusterSpec(hosts=self.addresses)
-        return replace(base, **overrides) if overrides else base
+        return ClusterSpec(hosts=self.addresses)
 
     def kill(self, index: int) -> None:
         """Hard-kill worker ``index`` (SIGKILL); its address stays listed."""

@@ -62,6 +62,15 @@ __all__ = ["HostUnavailable", "RemoteShardExecutor"]
 #: Health states a host cycles through (also the wire order in health()).
 _UP, _SUSPECT, _DOWN = "up", "suspect", "down"
 
+#: Pooled connections kept per host.  Shard-matrix interning is
+#: per-connection, so fewer connections mean warmer caches while more
+#: mean more in-flight shards per host.
+CONNECTIONS_PER_HOST = 2
+
+#: Seconds a ``down`` host rests before one probe connection may test it
+#: again (the persistence breaker's probe-gating, applied to hosts).
+PROBE_INTERVAL_S = 1.0
+
 
 class HostUnavailable(BrokenExecutor):
     """Every cluster host refused this dispatch.
@@ -143,7 +152,7 @@ class RemoteShardExecutor:
     max_workers:
         Size of the inner thread pool driving socket I/O — the number of
         concurrently in-flight shards.  Defaults to
-        ``len(cluster.hosts) * cluster.connections_per_host``.
+        ``len(cluster.hosts) * CONNECTIONS_PER_HOST``.
     faults:
         Optional :class:`~repro.faults.FaultPlan`; the dispatch path fires
         ``cluster.connect`` before dialing, ``cluster.send`` before each
@@ -158,7 +167,7 @@ class RemoteShardExecutor:
     ) -> None:
         cluster = ClusterSpec.from_spec(cluster)
         if max_workers is None:
-            max_workers = len(cluster.hosts) * cluster.connections_per_host
+            max_workers = len(cluster.hosts) * CONNECTIONS_PER_HOST
         self.cluster = cluster
         self._faults = faults
         self._lock = threading.Lock()
@@ -349,9 +358,7 @@ class RemoteShardExecutor:
                 host.state = _SUSPECT
             else:
                 host.state = _DOWN
-            host.probe_after = (
-                time.monotonic() + self.cluster.probe_interval_s
-            )
+            host.probe_after = time.monotonic() + PROBE_INTERVAL_S
 
     def _mark_success(self, host: _Host) -> None:
         with self._lock:
@@ -398,10 +405,7 @@ class RemoteShardExecutor:
     def _checkin(self, host: _Host, connection: _Connection) -> None:
         """Return a healthy connection to the host's pool (capped)."""
         with self._lock:
-            if (
-                not self._closed
-                and len(host.idle) < self.cluster.connections_per_host
-            ):
+            if not self._closed and len(host.idle) < CONNECTIONS_PER_HOST:
                 host.idle.append(connection)
                 return
         connection.close()

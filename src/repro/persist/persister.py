@@ -171,8 +171,6 @@ class SessionPersister:
     checkpoint_age_s:
         Optional wall-clock age of the last snapshot that triggers one,
         for quiet sessions trickling single events.
-    keep_snapshots:
-        Snapshots retained (see :class:`~repro.persist.SnapshotStore`).
     clock:
         Monotonic time source (injectable for the age-policy tests).
     faults:
@@ -187,7 +185,6 @@ class SessionPersister:
         fsync: bool = True,
         checkpoint_events: int = 1024,
         checkpoint_age_s: Optional[float] = None,
-        keep_snapshots: int = 2,
         clock: Callable[[], float] = time.monotonic,
         faults: Optional[FaultPlan] = None,
     ) -> None:
@@ -205,9 +202,7 @@ class SessionPersister:
         self._clock = clock
         self._faults = faults
         self.wal = WriteAheadLog(self.directory, fsync=fsync, faults=faults)
-        self.snapshots = SnapshotStore(
-            self.directory, keep=keep_snapshots, fsync=fsync, faults=faults
-        )
+        self.snapshots = SnapshotStore(self.directory, fsync=fsync, faults=faults)
         latest = self.snapshots.paths()
         #: Guards every field the writer thread touches (the durable
         #: watermark, the checkpoint counter and the degraded state).

@@ -48,6 +48,12 @@ _SNAPSHOT_PREFIX = "snapshot-"
 _SNAPSHOT_SUFFIX = ".json"
 _TEMP_SUFFIX = ".tmp"
 
+#: Snapshots retained after a write; older ones are pruned.  The newest
+#: plus one fallback: that is what makes a corrupted newest snapshot a
+#: degradation (recover from the previous one plus a longer WAL tail)
+#: rather than a data loss.
+KEEP_SNAPSHOTS = 2
+
 
 def _canonical(state: dict) -> bytes:
     """The byte string a format-1 snapshot's CRC is computed over."""
@@ -65,11 +71,6 @@ class SnapshotStore:
         Where the ``snapshot-*.json`` files live (created if missing).
         Opening the store deletes any ``snapshot-*.json.tmp`` a killed
         writer left behind.
-    keep:
-        Snapshots retained after a write; older ones are pruned.  Keeping
-        more than one is what makes a corrupted newest snapshot a
-        degradation (recover from the previous one plus a longer WAL
-        tail) rather than a data loss.
     fsync:
         Whether writes fsync the temp file before the atomic rename, and
         the directory after it.
@@ -83,15 +84,11 @@ class SnapshotStore:
     def __init__(
         self,
         directory: Union[str, Path],
-        keep: int = 2,
         fsync: bool = True,
         faults: Optional[FaultPlan] = None,
     ) -> None:
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.keep = keep
         self.fsync = fsync
         self._faults = faults
         self.written = 0
@@ -137,10 +134,11 @@ class SnapshotStore:
         return path
 
     def prune(self) -> List[Path]:
-        """Drop all but the ``keep`` newest snapshots; returns the removals."""
+        """Drop all but the :data:`KEEP_SNAPSHOTS` newest snapshots;
+        returns the removals."""
         paths = self.paths()
         removed = []
-        for _, path in paths[: max(0, len(paths) - self.keep)]:
+        for _, path in paths[: max(0, len(paths) - KEEP_SNAPSHOTS)]:
             path.unlink()
             removed.append(path)
         return removed
@@ -205,4 +203,4 @@ class SnapshotStore:
             return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SnapshotStore({self.directory}, keep={self.keep})"
+        return f"SnapshotStore({self.directory})"

@@ -38,7 +38,6 @@ from .limits import (
     RequestTimeoutError,
     SaturatedError,
     SessionExistsError,
-    SessionGate,
     UnknownSessionError,
 )
 from .registry import SessionEntry, SessionRegistry
@@ -58,7 +57,6 @@ __all__ = [
     "SessionEntry",
     # backpressure
     "ConcurrencyGate",
-    "SessionGate",
     # errors
     "GatewayError",
     "BadRequestError",

@@ -22,13 +22,14 @@ dictionary tree alive.  Sessions are synchronous objects, so
 the submit runs on a worker-thread pool via ``loop.run_in_executor`` —
 safe because backend activation is thread-local (the PR 5 dispatch fix):
 each worker thread activates only the serving session's backend.
-Admission is gated twice before the pool is touched: the global
-:class:`~repro.server.limits.ConcurrencyGate` bounds in-flight work and
-the per-tenant :class:`~repro.server.limits.SessionGate` serialises one
-session's requests behind a bounded queue.  Saturation of either returns
-429 with ``Retry-After``; deadline overruns return 504 after a clean
-hand-off (the session is never released while a worker thread still owns
-it).
+Admission is gated twice before the pool is touched, by two
+:class:`~repro.server.limits.ConcurrencyGate` instances: first the
+tenant's own (``limit=1``), which serialises one session's requests
+behind a bounded queue, then the gateway's (``limit=workers``), which
+bounds in-flight work.  A request waiting behind its own tenant therefore
+holds no worker slot.  Saturation of either returns 429 with
+``Retry-After``; deadline overruns return 504 after a clean hand-off (the
+session is never released while a worker thread still owns it).
 
 Routes
 ------
@@ -76,6 +77,7 @@ from ..io.serialization import (
 from ..persist import PersistenceSuspendedError
 from ..service.config import ServiceError, SessionConfig, fault_plan_from_env
 from .limits import (
+    RETRY_AFTER_S,
     BadRequestError,
     ConcurrencyGate,
     GatewayError,
@@ -105,12 +107,6 @@ _REASONS = {
     504: "Gateway Timeout",
 }
 
-#: Session settings a tenant's ``PUT`` body may not carry: where the
-#: session writes (``persist_root``) and which hosts the gateway dials
-#: (``session_defaults`` / ``REPRO_CLUSTER``) belong to the operator.
-_OPERATOR_FIELDS = ("persist_dir", "cluster")
-
-
 def _reject_constant(name: str):
     """Decoder hook refusing the non-standard ``NaN``/``Infinity``."""
     raise ValueError(f"{name} is not valid JSON")
@@ -132,10 +128,9 @@ class GatewayConfig:
     max_sessions, idle_ttl:
         :class:`~repro.server.SessionRegistry` capacity cap and idle-TTL
         expiry (seconds; ``None`` disables expiry).
-    max_concurrency, max_pending:
-        Global admission: requests executing at once on the worker pool,
-        and the bounded wait queue behind them.  Defaults: worker count,
-        and ``32 * max_concurrency``.
+    max_pending:
+        Global admission: requests that may wait for one of the
+        ``workers`` slots before 429s start.  Default: ``32 * workers``.
     session_queue_depth:
         Per-tenant bounded queue depth (requests waiting behind the one
         executing before 429s start).
@@ -143,13 +138,11 @@ class GatewayConfig:
         Deadline for one request's execution phase; ``None`` disables.
     max_body_bytes:
         Largest accepted request body (413 beyond it).
-    retry_after_s:
-        The ``Retry-After`` hint on 429 responses.
     workers:
         Worker-thread pool size.  Default: ``min(32, cpu_count + 4)``.
     session_defaults:
-        :class:`~repro.service.SessionConfig` for tenants created without
-        an explicit config.
+        The tenants' :class:`~repro.service.SessionConfig`; a ``PUT`` body
+        is merged over it.
     persist_root:
         Directory under which each tenant persists (WAL + snapshots) as
         ``<persist_root>/<name>``; enables lazy recovery after restarts.
@@ -171,12 +164,10 @@ class GatewayConfig:
     port: int = 0
     max_sessions: int = 4096
     idle_ttl: Optional[float] = None
-    max_concurrency: Optional[int] = None
     max_pending: Optional[int] = None
     session_queue_depth: int = 8
     request_timeout_s: Optional[float] = 30.0
     max_body_bytes: int = 8 * 1024 * 1024
-    retry_after_s: float = 0.05
     workers: Optional[int] = None
     session_defaults: Optional[SessionConfig] = None
     access_log: Optional[Union[str, Path, Any]] = None
@@ -190,10 +181,8 @@ class GatewayConfig:
             object.__setattr__(
                 self, "workers", min(32, (os.cpu_count() or 1) + 4)
             )
-        if self.max_concurrency is None:
-            object.__setattr__(self, "max_concurrency", self.workers)
         if self.max_pending is None:
-            object.__setattr__(self, "max_pending", 32 * self.max_concurrency)
+            object.__setattr__(self, "max_pending", 32 * self.workers)
         if self.request_timeout_s is not None and self.request_timeout_s <= 0:
             raise ValueError(
                 f"request_timeout_s must be positive, got {self.request_timeout_s}"
@@ -321,13 +310,10 @@ class Gateway:
             idle_ttl=config.idle_ttl,
             default_config=config.session_defaults,
             queue_depth=config.session_queue_depth,
-            retry_after=config.retry_after_s,
             persist_root=config.persist_root,
         )
         self.gate = ConcurrencyGate(
-            limit=config.max_concurrency,
-            max_pending=config.max_pending,
-            retry_after=config.retry_after_s,
+            limit=config.workers, max_pending=config.max_pending
         )
         self._executor = ThreadPoolExecutor(
             max_workers=config.workers, thread_name_prefix="repro-gateway"
@@ -362,7 +348,7 @@ class Gateway:
             if retry_after is None and error.status in (429, 503):
                 # Every backoff-shaped rejection carries a hint, even
                 # when raised somewhere that had no gate to ask.
-                retry_after = self.config.retry_after_s
+                retry_after = RETRY_AFTER_S
             return Response(
                 error.status, error_to_dict(error), retry_after=retry_after
             )
@@ -374,7 +360,7 @@ class Gateway:
             # simply retry after the circuit breaker's next probe.
             self.failed += 1
             wrapped = ServiceUnavailableError(
-                str(error), retry_after=self.config.retry_after_s
+                str(error), retry_after=RETRY_AFTER_S
             )
             return Response(
                 wrapped.status,
@@ -459,13 +445,7 @@ class Gateway:
         if payload is not None:
             if not isinstance(payload, dict):
                 raise BadRequestError("session config must be a JSON object")
-            for setting in _OPERATOR_FIELDS:
-                if payload.get(setting) is not None:
-                    raise BadRequestError(
-                        f"a session body may not set {setting!r}; the "
-                        "gateway operator configures it"
-                    )
-            config = SessionConfig.from_dict(payload)
+            config = self.registry.tenant_config(payload)
         session = self.registry.create(name, config)
         return Response(
             201,
@@ -496,8 +476,8 @@ class Gateway:
             raise BadRequestError("request body must be a JSON object")
         request = request_from_dict(payload)
         entry = self.registry.entry(name)
-        async with self.gate.admit():
-            async with entry.gate.admit():
+        async with entry.gate.admit():
+            async with self.gate.admit():
                 result = await self._submit_on_worker(entry.session, request)
         entry.served += 1
         self.served += 1
@@ -506,13 +486,13 @@ class Gateway:
         return Response(200, result_envelope(result))
 
     async def _handle_checkpoint(self, name: str, body: bytes) -> Response:
-        """Snapshot a durable tenant on demand (both gates held, like a
-        request — a checkpoint must not run concurrently with a submit on
-        the same session)."""
+        """Snapshot a durable tenant on demand (both gates held, in the
+        same order as a request — a checkpoint must not run concurrently
+        with a submit on the same session)."""
         entry = self.registry.entry(name)
         loop = asyncio.get_running_loop()
-        async with self.gate.admit():
-            async with entry.gate.admit():
+        async with entry.gate.admit():
+            async with self.gate.admit():
                 stats = await loop.run_in_executor(
                     self._executor, entry.session.checkpoint
                 )

@@ -9,18 +9,17 @@ Both promises live here:
   The JSON error bodies round-trip through
   :func:`repro.io.error_to_dict` / :func:`repro.io.error_from_dict`, so a
   client can rebuild the typed error from a response body.
-* :class:`ConcurrencyGate` — the global admission semaphore.  At most
-  ``limit`` requests execute at once; at most ``max_pending`` more may
-  wait.  Anything beyond that is rejected immediately with a 429 and a
-  ``Retry-After`` hint instead of growing a queue.
-* :class:`SessionGate` — the per-tenant bounded queue.  A
-  :class:`~repro.service.FlexSession` is a synchronous, stateful object,
-  so its requests (``StreamRequest`` ingest in particular) execute one at
-  a time; up to ``depth`` requests may wait in line, the rest get a 429.
+* :class:`ConcurrencyGate` — bounded concurrency, bounded waiting.  At
+  most ``limit`` requests hold the gate at once; at most ``max_pending``
+  more may wait.  Anything beyond that is rejected immediately with a 429
+  and a ``Retry-After`` hint instead of growing a queue.  The gateway
+  uses one with ``limit=workers`` for its worker pool and one per tenant
+  with ``limit=1``: a :class:`~repro.service.FlexSession` is a
+  synchronous, stateful object, so its requests execute one at a time.
 
-Both gates are asyncio-native and lazily create their primitives inside
-the running loop (construction is therefore loop-free and safe on
-Python 3.9, where asyncio primitives bind a loop eagerly).
+The gate is asyncio-native and lazily creates its semaphore inside the
+running loop (construction is therefore loop-free and safe on Python
+3.9, where asyncio primitives bind a loop eagerly).
 """
 
 from __future__ import annotations
@@ -46,8 +45,11 @@ __all__ = [
     "InternalError",
     "error_class_for_code",
     "ConcurrencyGate",
-    "SessionGate",
+    "RETRY_AFTER_S",
 ]
+
+#: The ``Retry-After`` hint, in seconds, on every 429 and 503.
+RETRY_AFTER_S = 0.05
 
 
 class GatewayError(FlexError):
@@ -186,38 +188,38 @@ def error_class_for_code(code: str) -> type:
 
 
 class ConcurrencyGate:
-    """Global admission control: bounded concurrency, bounded waiting.
+    """Admission control: bounded concurrency, bounded waiting.
 
     ``limit`` requests run at once; up to ``max_pending`` more wait for a
     slot.  A request arriving beyond that is refused with
-    :class:`SaturatedError` (HTTP 429) carrying ``retry_after`` — the
-    queue never grows without bound.
+    :class:`SaturatedError` (HTTP 429) carrying :data:`RETRY_AFTER_S` —
+    the queue never grows without bound.
 
     >>> import asyncio
-    >>> gate = ConcurrencyGate(limit=1, max_pending=0, retry_after=0.5)
+    >>> gate = ConcurrencyGate(limit=1, max_pending=0)
     >>> async def occupied():
     ...     async with gate.admit():
     ...         try:
     ...             async with gate.admit():
     ...                 pass
     ...         except SaturatedError as error:
-    ...             return error.status, error.retry_after
+    ...             return error.status, error.retry_after, gate.busy
     >>> asyncio.run(occupied())
-    (429, 0.5)
+    (429, 0.05, True)
+    >>> gate.busy
+    False
     """
 
-    def __init__(
-        self, limit: int, max_pending: int, retry_after: float = 1.0
-    ) -> None:
+    def __init__(self, limit: int, max_pending: int) -> None:
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
         if max_pending < 0:
             raise ValueError(f"max_pending must be >= 0, got {max_pending}")
         self.limit = limit
         self.max_pending = max_pending
-        self.retry_after = retry_after
         self.admitted = 0
         self.rejected = 0
+        self._running = 0
         self._waiting = 0
         self._semaphore: Optional[asyncio.Semaphore] = None
 
@@ -225,6 +227,11 @@ class ConcurrencyGate:
     def waiting(self) -> int:
         """Requests currently queued for a slot (always <= ``max_pending``)."""
         return self._waiting
+
+    @property
+    def busy(self) -> bool:
+        """Whether a request holds the gate or waits for it."""
+        return self._running > 0 or self._waiting > 0
 
     @asynccontextmanager
     async def admit(self):
@@ -235,9 +242,9 @@ class ConcurrencyGate:
             if self._waiting >= self.max_pending:
                 self.rejected += 1
                 raise SaturatedError(
-                    f"gateway saturated: {self.limit} in flight, "
+                    f"saturated: {self.limit} in flight, "
                     f"{self._waiting} waiting",
-                    retry_after=self.retry_after,
+                    retry_after=RETRY_AFTER_S,
                 )
             self._waiting += 1
             try:
@@ -247,9 +254,11 @@ class ConcurrencyGate:
         else:
             await self._semaphore.acquire()
         self.admitted += 1
+        self._running += 1
         try:
             yield
         finally:
+            self._running -= 1
             self._semaphore.release()
 
     def stats(self) -> dict:
@@ -261,59 +270,3 @@ class ConcurrencyGate:
             "admitted": self.admitted,
             "rejected": self.rejected,
         }
-
-
-class SessionGate:
-    """Per-tenant bounded queue serialising one session's requests.
-
-    Sessions are synchronous objects; their requests execute strictly one
-    at a time on the worker pool.  Up to ``depth`` further requests may
-    queue behind the running one — a tenant flooding ``StreamRequest``
-    ingest beyond that receives 429s instead of growing the queue.
-    """
-
-    def __init__(self, depth: int, retry_after: float = 1.0) -> None:
-        if depth < 0:
-            raise ValueError(f"depth must be >= 0, got {depth}")
-        self.depth = depth
-        self.retry_after = retry_after
-        self.served = 0
-        self.rejected = 0
-        self._waiting = 0
-        self._lock: Optional[asyncio.Lock] = None
-
-    @property
-    def busy(self) -> bool:
-        """Whether a request is executing or queued on this session."""
-        return (self._lock is not None and self._lock.locked()) or self._waiting > 0
-
-    @property
-    def waiting(self) -> int:
-        """Requests queued behind the one executing (always <= ``depth``)."""
-        return self._waiting
-
-    @asynccontextmanager
-    async def admit(self):
-        """Hold the session for one request; 429 when the queue is full."""
-        if self._lock is None:
-            self._lock = asyncio.Lock()
-        if self._lock.locked():
-            if self._waiting >= self.depth:
-                self.rejected += 1
-                raise SaturatedError(
-                    f"session queue full ({self._waiting} waiting, "
-                    f"depth {self.depth})",
-                    retry_after=self.retry_after,
-                )
-            self._waiting += 1
-            try:
-                await self._lock.acquire()
-            finally:
-                self._waiting -= 1
-        else:
-            await self._lock.acquire()
-        try:
-            yield
-            self.served += 1
-        finally:
-            self._lock.release()

@@ -31,10 +31,11 @@ from typing import Callable, List, Optional
 from ..service.config import SessionConfig
 from ..service.session import FlexSession
 from .limits import (
+    RETRY_AFTER_S,
     BadRequestError,
+    ConcurrencyGate,
     RegistryFullError,
     SessionExistsError,
-    SessionGate,
     UnknownSessionError,
 )
 
@@ -44,14 +45,22 @@ __all__ = ["SessionEntry", "SessionRegistry"]
 #: plain path components: no separators, no leading dot, no traversal.
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$")
 
+#: Session settings a tenant's ``PUT`` body may not carry: where the
+#: session writes (``persist_root``) and which hosts the gateway dials
+#: (``session_defaults`` / ``REPRO_CLUSTER``) belong to the operator.
+_OPERATOR_FIELDS = ("persist_dir", "cluster")
+
 
 @dataclass
 class SessionEntry:
-    """One tenant's slot: the session, its queue gate and LRU bookkeeping."""
+    """One tenant's slot: the session, its queue gate and LRU bookkeeping.
+
+    ``gate`` admits one request at a time, with a bounded queue behind it.
+    """
 
     name: str
     session: FlexSession
-    gate: SessionGate
+    gate: ConcurrencyGate
     created_at: float
     last_used: float
     served: int = 0
@@ -83,8 +92,9 @@ class SessionRegistry:
     default_config:
         :class:`SessionConfig` for tenants created without an explicit
         config (``None`` resolves the environment defaults once, lazily).
-    queue_depth, retry_after:
-        Per-session :class:`SessionGate` parameters.
+    queue_depth:
+        Requests that may wait behind a tenant's running one before its
+        gate answers 429.
     persist_root:
         When set, every tenant becomes durable under
         ``<persist_root>/<name>`` (unless its config already carries an
@@ -112,7 +122,6 @@ class SessionRegistry:
         idle_ttl: Optional[float] = None,
         default_config: Optional[SessionConfig] = None,
         queue_depth: int = 8,
-        retry_after: float = 1.0,
         persist_root: Optional[str] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -123,7 +132,6 @@ class SessionRegistry:
         self.max_sessions = max_sessions
         self.idle_ttl = idle_ttl
         self.queue_depth = queue_depth
-        self.retry_after = retry_after
         self.persist_root = None if persist_root is None else str(persist_root)
         self._clock = clock
         self._default_config = default_config
@@ -143,15 +151,20 @@ class SessionRegistry:
     ) -> FlexSession:
         """Create (and register) the named tenant's session.
 
-        Raises :class:`SessionExistsError` on a name collision and
-        :class:`RegistryFullError` when the cap is reached and no idle
-        session can be evicted.
+        A name with a persisted ``config.json`` recovers under that saved
+        config; ``config`` may only restate it.  Raises
+        :class:`SessionExistsError` when the name is live or persisted
+        with another config, and :class:`RegistryFullError` when the cap
+        is reached and no idle session can be evicted.
         """
         with self._lock:
             self._check_name(name)
             self.sweep()
             if name in self._entries:
                 raise SessionExistsError(f"session {name!r} already exists")
+            recovered = self._recover(name, config)
+            if recovered is not None:
+                return recovered.session
             self._make_room()
             if config is None:
                 config = self._default()
@@ -160,6 +173,28 @@ class SessionRegistry:
                 self.recovered += 1
             self._insert(name, session)
             return session
+
+    def tenant_config(self, body: dict) -> SessionConfig:
+        """A tenant's config: its ``PUT`` body merged over the defaults.
+
+        The body names only the fields it changes; every other field
+        keeps its ``default_config`` value.  The operator's settings
+        (``persist_dir``, ``cluster``) may appear in the body only as
+        ``null``, and always keep the default's value.
+        """
+        for setting in _OPERATOR_FIELDS:
+            if body.get(setting) is not None:
+                raise BadRequestError(
+                    f"a session body may not set {setting!r}; the "
+                    "gateway operator configures it"
+                )
+        payload = self._default().as_dict()
+        payload.update(
+            (key, value)
+            for key, value in body.items()
+            if key not in _OPERATOR_FIELDS
+        )
+        return SessionConfig.from_dict(payload)
 
     def entry(self, name: str) -> SessionEntry:
         """The named tenant's entry; touches its LRU position.
@@ -357,7 +392,7 @@ class SessionRegistry:
                 raise RegistryFullError(
                     f"session cap reached ({self.max_sessions}) and "
                     "every session is busy",
-                    retry_after=self.retry_after,
+                    retry_after=RETRY_AFTER_S,
                 )
 
     def _insert(self, name: str, session: FlexSession) -> SessionEntry:
@@ -365,7 +400,7 @@ class SessionRegistry:
         entry = SessionEntry(
             name=name,
             session=session,
-            gate=SessionGate(self.queue_depth, self.retry_after),
+            gate=ConcurrencyGate(limit=1, max_pending=self.queue_depth),
             created_at=now,
             last_used=now,
         )
@@ -387,15 +422,19 @@ class SessionRegistry:
         payload["persist_dir"] = str(Path(self.persist_root) / name)
         return SessionConfig.from_dict(payload)
 
-    def _recover(self, name: str) -> Optional[SessionEntry]:
-        """Lazily revive a tenant from its persisted directory, or ``None``.
+    def _recover(
+        self, name: str, config: Optional[SessionConfig] = None
+    ) -> Optional[SessionEntry]:
+        """Revive a tenant from its persisted directory, or ``None``.
 
-        Called under the lock on an ``entry()`` miss.  The session is
-        rebuilt with the ``config.json`` persisted when it was first
-        created (with the directory itself re-pinned as ``persist_dir``),
-        so a recovered tenant runs the same backend, measures and budgets
-        it was configured with — and answers bit-identically to a process
-        that never restarted.
+        Called under the lock on an ``entry()`` miss and on ``create``.
+        The session is rebuilt with the ``config.json`` persisted when it
+        was first created (with the directory itself re-pinned as
+        ``persist_dir``), so a recovered tenant runs the same backend,
+        measures and budgets it was configured with — and answers
+        bit-identically to a process that never restarted.  A ``create``
+        ``config`` that differs from the saved one is refused: the live
+        session would diverge from the one the next restart recovers.
         """
         if self.persist_root is None:
             return None
@@ -407,9 +446,15 @@ class SessionRegistry:
         if payload is None:
             return None
         payload["persist_dir"] = str(directory)
-        config = SessionConfig.from_dict(payload)
+        saved = SessionConfig.from_dict(payload)
+        if config is not None and (
+            self._persistent_config(name, config).as_dict() != saved.as_dict()
+        ):
+            raise SessionExistsError(
+                f"session {name!r} is persisted with another config"
+            )
         self._make_room()
-        session = FlexSession(config)
+        session = FlexSession(saved)
         self.recovered += 1
         return self._insert(name, session)
 

@@ -23,6 +23,7 @@ from conftest import build_population
 from repro.backend import ShardedBackend, get_backend, use_backend
 from repro.backend import sharded as sharded_module
 from repro.cluster import LocalCluster
+from repro.cluster import executor as executor_module
 from repro.core.errors import BackendError
 from repro.faults import (
     CLUSTER_CONNECT,
@@ -56,18 +57,20 @@ def golden():
 
 
 @pytest.fixture(autouse=True)
-def no_retry_backoff(monkeypatch):
+def no_waiting(monkeypatch):
     monkeypatch.setattr(sharded_module, "_RETRY_BACKOFF_S", 0.0)
+    # A zero probe interval keeps demoted hosts immediately probe-eligible,
+    # so the burn-down loop below measures the *plan's* window, not the
+    # clock.
+    monkeypatch.setattr(executor_module, "PROBE_INTERVAL_S", 0.0)
 
 
 def remote_backend(cluster: LocalCluster, plan=None) -> ShardedBackend:
-    # probe_interval_s=0 keeps demoted hosts immediately probe-eligible, so
-    # the burn-down loop below measures the *plan's* window, not the clock.
     return ShardedBackend(
         shards=2,
         min_population=1,
         retries=2,
-        cluster=cluster.spec(probe_interval_s=0.0),
+        cluster=cluster.spec(),
         faults=plan,
     )
 

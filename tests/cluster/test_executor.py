@@ -9,6 +9,7 @@ import pytest
 
 from conftest import start_worker
 from repro.cluster import ClusterSpec, HostUnavailable, RemoteShardExecutor
+from repro.cluster import executor as executor_module
 from repro.cluster.executor import _Connection, _Host, _RemoteRaise
 from repro.cluster.framing import WireError, recv_frame, send_frame, shard_key
 from repro.core import FlexOffer, flexoffer_area_size
@@ -65,7 +66,7 @@ class TestFuturesContract:
     def test_default_pool_size_matches_the_cluster(self, cluster_spec):
         pool = RemoteShardExecutor(cluster_spec)
         try:
-            expected = len(cluster_spec.hosts) * cluster_spec.connections_per_host
+            expected = len(cluster_spec.hosts) * executor_module.CONNECTIONS_PER_HOST
             assert pool._pool._max_workers == expected
         finally:
             pool.shutdown()
@@ -114,11 +115,12 @@ class TestPlacementAndInterning:
 
 
 class TestHealth:
-    def test_a_dead_host_is_evicted_and_work_still_completes(self, workers):
+    def test_a_dead_host_is_evicted_and_work_still_completes(
+        self, workers, monkeypatch
+    ):
+        monkeypatch.setattr(executor_module, "PROBE_INTERVAL_S", 30.0)
         spec = ClusterSpec(
-            hosts=(dead_host(), workers[0].address),
-            connect_timeout_s=2.0,
-            probe_interval_s=30.0,
+            hosts=(dead_host(), workers[0].address), connect_timeout_s=2.0
         )
         pool = RemoteShardExecutor(spec)
         try:
@@ -148,10 +150,9 @@ class TestHealth:
         finally:
             pool.shutdown()
 
-    def test_down_hosts_are_probe_gated(self):
-        spec = ClusterSpec(
-            hosts=(dead_host(),), connect_timeout_s=0.5, probe_interval_s=60.0
-        )
+    def test_down_hosts_are_probe_gated(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "PROBE_INTERVAL_S", 60.0)
+        spec = ClusterSpec(hosts=(dead_host(),), connect_timeout_s=0.5)
         pool = RemoteShardExecutor(spec)
         try:
             with pytest.raises(HostUnavailable):
@@ -183,7 +184,10 @@ class TestHealth:
         finally:
             pool.shutdown()
 
-    def test_a_peer_that_talks_garbage_counts_as_a_failure(self, workers):
+    def test_a_peer_that_talks_garbage_counts_as_a_failure(
+        self, workers, monkeypatch
+    ):
+        monkeypatch.setattr(executor_module, "PROBE_INTERVAL_S", 30.0)
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))
         listener.listen(4)
@@ -197,9 +201,7 @@ class TestHealth:
 
         thread = threading.Thread(target=bad_peer, daemon=True)
         thread.start()
-        spec = ClusterSpec(
-            hosts=(address, workers[0].address), probe_interval_s=30.0
-        )
+        spec = ClusterSpec(hosts=(address, workers[0].address))
         pool = RemoteShardExecutor(spec)
         try:
             # Work completes on the healthy host; the impostor is demoted.

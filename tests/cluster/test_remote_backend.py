@@ -12,6 +12,7 @@ import pytest
 from repro.backend import ShardedBackend, get_backend
 from repro.backend import sharded as sharded_module
 from repro.cluster import ClusterSpec
+from repro.cluster import executor as executor_module
 from repro.faults import CLUSTER_SEND, FaultPlan, FaultRule
 from repro.measures import evaluate_set, get_measure
 from repro.server import Gateway, GatewayConfig
@@ -84,9 +85,8 @@ class TestResilience:
         self, workers, population, monkeypatch
     ):
         monkeypatch.setattr(sharded_module, "_RETRY_BACKOFF_S", 0.0)
-        spec = ClusterSpec(
-            hosts=(dead_host(),), connect_timeout_s=0.5, probe_interval_s=30.0
-        )
+        monkeypatch.setattr(executor_module, "PROBE_INTERVAL_S", 30.0)
+        spec = ClusterSpec(hosts=(dead_host(),), connect_timeout_s=0.5)
         backend = ShardedBackend(
             shards=2, min_population=1, retries=1, cluster=spec
         )
@@ -171,6 +171,41 @@ class TestServingPath:
         finally:
             restarted.close()
 
+    def test_a_spec_with_the_retired_keys_answers_bit_identically(
+        self, cluster_spec, population, monkeypatch
+    ):
+        """A saved ``config.json`` cluster or a ``REPRO_CLUSTER`` document
+        of a release that had per-spec pool sizes and probe intervals
+        still loads, with the keys dropped, and answers like the
+        reference backend."""
+        from repro.service.config import ENV_CLUSTER
+
+        document = {
+            **cluster_spec.spec(),
+            "connections_per_host": 3,
+            "probe_interval_s": 0.0,
+        }
+        assert ClusterSpec.from_spec(json.dumps(document)) == cluster_spec
+        saved = SessionConfig(
+            backend="sharded", shards=2, shard_min_population=1
+        ).as_dict()
+        monkeypatch.setenv(ENV_CLUSTER, json.dumps(document))
+        configs = (
+            SessionConfig.from_dict({**saved, "cluster": document}),
+            SessionConfig(backend="sharded", shards=2, shard_min_population=1),
+        )
+        offers = population(120)
+        from repro.backend import use_backend
+
+        with use_backend("reference"):
+            expected = evaluate_set(offers).values
+        for config in configs:
+            assert config.cluster == cluster_spec
+            with FlexSession(config) as session:
+                assert session._backend.executor_kind == "remote"
+                session.ingest(offers)
+                assert session.evaluate().values == expected
+
     def test_local_sessions_report_no_cluster_block(self, population):
         with FlexSession(SessionConfig(backend="reference")) as session:
             session.ingest(population(10))
@@ -211,10 +246,12 @@ class TestServingPath:
         finally:
             gateway.close()
 
-    def test_worst_host_state_wins_in_the_merge(self, workers, population):
+    def test_worst_host_state_wins_in_the_merge(
+        self, workers, population, monkeypatch
+    ):
+        monkeypatch.setattr(executor_module, "PROBE_INTERVAL_S", 30.0)
         spec = ClusterSpec(
-            hosts=(workers[0].address, dead_host()),
-            connect_timeout_s=0.5, probe_interval_s=30.0,
+            hosts=(workers[0].address, dead_host()), connect_timeout_s=0.5
         )
         config = SessionConfig(
             backend="sharded", shards=2, shard_min_population=1, cluster=spec

@@ -21,9 +21,7 @@ class TestClusterSpec:
     def test_defaults_and_host_normalisation(self):
         spec = ClusterSpec(hosts=("127.0.0.1:7001", " 127.0.0.1:7002 "))
         assert spec.hosts == ("127.0.0.1:7001", "127.0.0.1:7002")
-        assert spec.connections_per_host == 2
         assert spec.connect_timeout_s == 5.0
-        assert spec.probe_interval_s == 1.0
 
     @pytest.mark.parametrize(
         "hosts",
@@ -41,10 +39,8 @@ class TestClusterSpec:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("connections_per_host", 0),
             ("connect_timeout_s", 0.0),
             ("connect_timeout_s", -1.0),
-            ("probe_interval_s", -0.1),
         ],
     )
     def test_invalid_knobs_fail_fast(self, field, value):
@@ -52,12 +48,7 @@ class TestClusterSpec:
             ClusterSpec(hosts=("127.0.0.1:7001",), **{field: value})
 
     def test_spec_round_trip_keeps_non_default_knobs(self):
-        spec = ClusterSpec(
-            hosts=("a:1", "b:2"),
-            connections_per_host=4,
-            connect_timeout_s=0.5,
-            probe_interval_s=0.0,
-        )
+        spec = ClusterSpec(hosts=("a:1", "b:2"), connect_timeout_s=0.5)
         payload = spec.spec()
         assert payload["hosts"] == ["a:1", "b:2"]
         assert ClusterSpec.from_spec(payload) == spec
@@ -84,7 +75,7 @@ class TestClusterSpec:
             ("{not json", "malformed"),
             (17, "not a cluster spec"),
             ({"hosts": ["a:1"], "zap": 1}, "unknown cluster-spec fields"),
-            ({"connections_per_host": 2}, "missing 'hosts'"),
+            ({"connect_timeout_s": 2}, "missing 'hosts'"),
         ],
     )
     def test_from_spec_rejects_malformed_payloads(self, payload, match):
@@ -107,8 +98,8 @@ class TestClusterSpec:
             hosts=("127.0.0.1:7001", "127.0.0.1:7002")
         )
         assert SessionConfig(backend="reference").cluster is None
-        monkeypatch.setenv(ENV_CLUSTER, json.dumps({"hosts": ["h:1"], "connections_per_host": 3}))
-        assert sharded().cluster.connections_per_host == 3
+        monkeypatch.setenv(ENV_CLUSTER, json.dumps({"hosts": ["h:1"], "connect_timeout_s": 3}))
+        assert sharded().cluster.connect_timeout_s == 3
 
     def test_from_env_degrades_on_malformed_values(self, monkeypatch):
         monkeypatch.setenv(ENV_CLUSTER, "not-a-cluster")
@@ -141,12 +132,12 @@ class TestSessionConfigCoupling:
         config = SessionConfig(
             backend="sharded",
             shards=2,
-            cluster=ClusterSpec(hosts=("127.0.0.1:7001",), connections_per_host=3),
+            cluster=ClusterSpec(hosts=("127.0.0.1:7001",), connect_timeout_s=3.0),
         )
         payload = config.as_dict()
         assert payload["cluster"] == {
             "hosts": ["127.0.0.1:7001"],
-            "connections_per_host": 3,
+            "connect_timeout_s": 3.0,
         }
         rebuilt = SessionConfig.from_dict(json.loads(json.dumps(payload)))
         assert rebuilt == config

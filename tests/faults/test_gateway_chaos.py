@@ -17,6 +17,7 @@ from repro.faults import (
     FaultRule,
 )
 from repro.server.app import Gateway, GatewayConfig, GatewayServer
+from repro.server.limits import RETRY_AFTER_S
 from repro.service import SessionConfig
 
 OFFER = {"earliest_start": 0, "latest_start": 2, "slices": [[1, 2]]}
@@ -88,7 +89,7 @@ class TestDispatchFaults:
                     )
                 ]
             )
-            gate = gateway(fault_plan=plan, retry_after_s=0.25)
+            gate = gateway(fault_plan=plan)
             try:
                 assert (await gate.handle("PUT", "/sessions/t")).status == 201
                 response = await gate.handle("POST", "/sessions/t/requests", EVALUATE)
@@ -97,7 +98,7 @@ class TestDispatchFaults:
                 # hint every 429 promises.
                 assert response.status == 429
                 assert response.payload["error"] == "saturated"
-                assert response.retry_after == 0.25
+                assert response.retry_after == RETRY_AFTER_S
             finally:
                 gate.close()
 

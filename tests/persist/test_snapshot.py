@@ -11,8 +11,8 @@ from repro.persist import FORMAT_VERSION, SnapshotStore
 from corruption import flip_byte, snapshot_files, tear_tail, write_format1_snapshot
 
 
-def store(directory, keep: int = 2) -> SnapshotStore:
-    return SnapshotStore(directory, keep=keep, fsync=False)
+def store(directory) -> SnapshotStore:
+    return SnapshotStore(directory, fsync=False)
 
 
 def test_write_latest_roundtrip(persist_dir):
@@ -48,7 +48,7 @@ def test_opening_the_store_deletes_a_killed_writers_temp_file(persist_dir):
 
 
 def test_prune_keeps_the_newest(persist_dir):
-    snapshots = store(persist_dir, keep=2)
+    snapshots = store(persist_dir)
     for seq in (1, 5, 9):
         snapshots.write(seq, {"seq": seq})
     assert [seq for seq, _ in snapshots.paths()] == [5, 9]
@@ -56,7 +56,7 @@ def test_prune_keeps_the_newest(persist_dir):
 
 
 def test_corrupted_newest_falls_back_to_the_previous(persist_dir):
-    snapshots = store(persist_dir, keep=2)
+    snapshots = store(persist_dir)
     snapshots.write(3, {"seq": 3})
     snapshots.write(8, {"seq": 8})
     newest = snapshot_files(persist_dir)[-1]
@@ -65,7 +65,7 @@ def test_corrupted_newest_falls_back_to_the_previous(persist_dir):
 
 
 def test_truncated_newest_falls_back_to_the_previous(persist_dir):
-    snapshots = store(persist_dir, keep=2)
+    snapshots = store(persist_dir)
     snapshots.write(3, {"seq": 3})
     snapshots.write(8, {"seq": 8})
     tear_tail(snapshot_files(persist_dir)[-1], drop_bytes=10)
@@ -154,11 +154,6 @@ def test_mismatched_filename_seq_is_skipped(persist_dir):
     path = snapshots.write(4, {"value": 10})
     path.rename(path.with_name("snapshot-000000000009.json"))
     assert snapshots.latest() is None
-
-
-def test_keep_must_be_positive(persist_dir):
-    with pytest.raises(ValueError):
-        SnapshotStore(persist_dir, keep=0)
 
 
 def test_non_finite_state_is_rejected_at_write(persist_dir):

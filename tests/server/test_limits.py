@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
@@ -12,8 +13,8 @@ from repro.server import (
     GatewayClient,
     GatewayConfig,
     SaturatedError,
-    SessionGate,
 )
+from repro.server.limits import RETRY_AFTER_S
 from repro.service import EvaluateRequest, SessionConfig, StreamRequest
 from repro.stream import Tick
 
@@ -23,12 +24,10 @@ def test_gate_parameter_validation():
         ConcurrencyGate(limit=0, max_pending=1)
     with pytest.raises(ValueError):
         ConcurrencyGate(limit=1, max_pending=-1)
-    with pytest.raises(ValueError):
-        SessionGate(depth=-1)
 
 
 def test_concurrency_gate_admits_up_to_limit_then_queues_then_rejects():
-    gate = ConcurrencyGate(limit=2, max_pending=1, retry_after=0.5)
+    gate = ConcurrencyGate(limit=2, max_pending=1)
     events = []
 
     async def holder(name, hold):
@@ -48,7 +47,7 @@ def test_concurrency_gate_admits_up_to_limit_then_queues_then_rejects():
         with pytest.raises(SaturatedError) as excinfo:
             async with gate.admit():
                 pass  # pragma: no cover - rejected before entry
-        assert excinfo.value.retry_after == 0.5
+        assert excinfo.value.retry_after == RETRY_AFTER_S
         assert gate.rejected == 1
         hold.set()
         await asyncio.gather(first, second, third)
@@ -61,7 +60,9 @@ def test_concurrency_gate_admits_up_to_limit_then_queues_then_rejects():
 
 
 def test_session_gate_serialises_and_bounds_the_queue():
-    gate = SessionGate(depth=1, retry_after=0.1)
+    """A tenant's gate is a one-slot ConcurrencyGate: requests run one at
+    a time, ``max_pending`` of them queue, and ``busy`` covers both."""
+    gate = ConcurrencyGate(limit=1, max_pending=1)
     order = []
 
     async def user(name, delay):
@@ -81,7 +82,7 @@ def test_session_gate_serialises_and_bounds_the_queue():
                 pass  # pragma: no cover - rejected before entry
         await asyncio.gather(first, second)
         assert order == ["first", "second"]
-        assert gate.served == 2
+        assert gate.admitted == 2
         assert gate.rejected == 1
         assert not gate.busy
 
@@ -98,7 +99,6 @@ def test_stream_ingest_flood_on_one_session_is_bounded():
     async def scenario():
         gateway = Gateway(
             GatewayConfig(
-                max_concurrency=flood,
                 max_pending=flood + 8,
                 session_queue_depth=depth,
                 session_defaults=SessionConfig(backend="reference"),
@@ -155,7 +155,7 @@ def test_global_and_session_gates_compose():
     async def scenario():
         gateway = Gateway(
             GatewayConfig(
-                max_concurrency=4,
+                workers=4,
                 max_pending=64,
                 session_queue_depth=2,
                 session_defaults=SessionConfig(backend="reference"),
@@ -196,6 +196,53 @@ def test_global_and_session_gates_compose():
     assert quiet_statuses == [200, 200, 200]
     assert 429 in noisy_statuses  # the noisy tenant sheds its own flood
     assert 200 in noisy_statuses  # but still gets served
+
+
+def test_a_request_queued_behind_its_tenant_holds_no_worker_slot():
+    """A request takes its tenant's gate before a worker slot, so a slow
+    tenant's queue waits at its own gate: with two workers, another
+    tenant's request runs at once and finishes before the slow tenant's
+    first one does."""
+
+    async def scenario():
+        gateway = Gateway(
+            GatewayConfig(
+                workers=2, session_defaults=SessionConfig(backend="reference")
+            )
+        )
+        try:
+            setup = GatewayClient.in_process(gateway)
+            await setup.create_session("slow")
+            await setup.create_session("quiet")
+            entry = gateway.registry.entry("slow")
+            real_submit = entry.session.submit
+
+            def sluggish(request):
+                time.sleep(0.3)
+                return real_submit(request)
+
+            entry.session.submit = sluggish
+            finished = []
+
+            async def submit_to(name):
+                client = GatewayClient.in_process(gateway)
+                response = await client.submit(name, EvaluateRequest())
+                await client.close()
+                finished.append(name)
+                return response.status
+
+            slow = [asyncio.ensure_future(submit_to("slow")) for _ in range(3)]
+            await asyncio.sleep(0.05)  # all three are at their gates
+            quiet = await submit_to("quiet")
+            statuses = await asyncio.gather(*slow)
+            await setup.close()
+            return finished, [quiet, *statuses]
+        finally:
+            gateway.close()
+
+    finished, statuses = asyncio.run(scenario())
+    assert statuses == [200, 200, 200, 200]
+    assert finished[0] == "quiet"
 
 
 def test_timeout_disabled_runs_to_completion():

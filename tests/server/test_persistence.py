@@ -1,6 +1,7 @@
 """Gateway/registry durability: checkpoint route, lazy tenant recovery,
-checkpoint-then-close eviction, the session-name path guard and the
-operator-only settings of a ``PUT`` body."""
+checkpoint-then-close eviction, the session-name path guard, the
+operator-only settings of a ``PUT`` body and its merge over the
+operator's defaults."""
 
 from __future__ import annotations
 
@@ -164,6 +165,86 @@ def test_a_put_body_may_not_name_a_cluster(tmp_path):
         with pytest.raises(BlockingIOError):
             listener.accept()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_put_body_is_merged_over_the_session_defaults():
+    """A body names only what it changes: every other field, the
+    operator's cluster included, keeps its ``session_defaults`` value."""
+    defaults = SessionConfig(
+        backend="reference", checkpoint_events=7, window_capacity=3
+    )
+    clustered = SessionConfig(
+        backend="sharded", shards=2, cluster="127.0.0.1:1"
+    )
+
+    async def scenario(gateway):
+        client = GatewayClient.in_process(gateway)
+        created = await client.create_session("b", {"seed": 5})
+        await client.close()
+        return created
+
+    created = gateway_scenario(scenario, session_defaults=defaults)
+    assert created.status == 201
+    assert created.payload["config"] == {**defaults.as_dict(), "seed": 5}
+
+    created = gateway_scenario(scenario, session_defaults=clustered)
+    assert created.status == 201
+    assert created.payload["backend"] == "sharded"
+    assert created.payload["config"]["cluster"] == {"hosts": ["127.0.0.1:1"]}
+
+    async def null_cluster(gateway):
+        client = GatewayClient.in_process(gateway)
+        created = await client.create_session(
+            "b", {**clustered.as_dict(), "cluster": None, "shards": 3}
+        )
+        await client.close()
+        return created
+
+    created = gateway_scenario(null_cluster, session_defaults=clustered)
+    assert created.status == 201
+    assert created.payload["config"]["cluster"] == {"hosts": ["127.0.0.1:1"]}
+    assert created.payload["config"]["shards"] == 3
+
+
+def test_a_put_cannot_re_create_a_persisted_tenant_under_another_config(
+    tmp_path,
+):
+    """A tenant that is on disk but not live comes back under its saved
+    ``config.json``: a body that restates it (or no body) recovers it, a
+    body that differs is a 409 — the live session would otherwise diverge
+    from the one the next restart recovers."""
+    saved = {**DURABLE, "auto_expire": False}
+
+    async def scenario(gateway):
+        client = GatewayClient.in_process(gateway)
+        await client.create_session("acme", saved)
+        await client.submit("acme", StreamRequest(events=arrival_events()))
+        await client.evict_session("acme")
+
+        refused = await client.create_session(
+            "acme", {**saved, "auto_expire": True}
+        )
+        assert refused.status == 409
+        assert refused.payload["error"] == "session-exists"
+        assert gateway.registry.names() == []
+
+        restated = await client.create_session("acme", saved)
+        assert restated.status == 201
+        assert restated.payload["config"]["auto_expire"] is False
+        assert (await client.session_stats("acme")).payload["live"] == len(
+            offers()
+        )
+        await client.evict_session("acme")
+
+        bare = await client.create_session("acme")
+        assert bare.status == 201
+        assert bare.payload["config"]["auto_expire"] is False
+        assert gateway.registry.recovered == 2
+        await client.close()
+
+    gateway_scenario(scenario, persist_root=str(tmp_path))
+    saved_config = json.loads((tmp_path / "acme" / "config.json").read_text())
+    assert saved_config["auto_expire"] is False
 
 
 def test_name_guard_applies_without_persistence_too():

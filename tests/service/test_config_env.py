@@ -6,8 +6,9 @@ matrix, cache and engine constructor below them takes plain defaults, so a
 variable changed after a session was configured — or a malformed one —
 cannot reach a layer the config already resolved.  The guard tests at the
 bottom keep new environment reads from creeping back into those layers,
-and pin the set of variables and ``SessionConfig`` fields, so an option
-cannot be added (or come back) without editing them.
+and pin the set of variables and the fields of ``SessionConfig``,
+``GatewayConfig`` and ``ClusterSpec``, so an option cannot be added (or
+come back) without editing them.
 """
 
 from __future__ import annotations
@@ -25,10 +26,12 @@ import repro
 from repro.backend import NUMPY_AVAILABLE, ShardedBackend, use_backend
 from repro.backend.cache import DEFAULT_CAPACITY, DEFAULT_CELL_BUDGET, MatrixCache
 from repro.backend.sharded import DEFAULT_MIN_POPULATION, DEFAULT_RETRIES
+from repro.cluster import ClusterSpec
 from repro.core import FlexOffer
 from repro.faults import FaultPlan
 from repro.measures import evaluate_set
 from repro.persist import load_config
+from repro.server import GatewayConfig
 from repro.service import SessionConfig
 from repro.stream import OfferArrived, StreamingEngine, Tick
 
@@ -92,6 +95,26 @@ FIELDS = (
     "checkpoint_events",
     "checkpoint_age_s",
 )
+
+#: Every ``GatewayConfig`` field, in order (same rule as ``FIELDS``).
+GATEWAY_FIELDS = (
+    "host",
+    "port",
+    "max_sessions",
+    "idle_ttl",
+    "max_pending",
+    "session_queue_depth",
+    "request_timeout_s",
+    "max_body_bytes",
+    "workers",
+    "session_defaults",
+    "access_log",
+    "persist_root",
+    "fault_plan",
+)
+
+#: Every ``ClusterSpec`` field, in order (same rule as ``FIELDS``).
+CLUSTER_FIELDS = ("hosts", "connect_timeout_s")
 
 
 def clear_environment(monkeypatch) -> None:
@@ -336,3 +359,13 @@ def test_the_set_of_variables_is_pinned():
 
 def test_the_session_config_fields_are_pinned():
     assert tuple(spec.name for spec in dataclasses.fields(SessionConfig)) == FIELDS
+
+
+def test_the_gateway_config_fields_are_pinned():
+    names = tuple(spec.name for spec in dataclasses.fields(GatewayConfig))
+    assert names == GATEWAY_FIELDS
+
+
+def test_the_cluster_spec_fields_are_pinned():
+    names = tuple(spec.name for spec in dataclasses.fields(ClusterSpec))
+    assert names == CLUSTER_FIELDS

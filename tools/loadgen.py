@@ -227,7 +227,6 @@ async def run_load(
     host: Optional[str] = None,
     port: Optional[int] = None,
     workers: Optional[int] = None,
-    max_concurrency: Optional[int] = None,
     max_pending: Optional[int] = None,
     session_queue_depth: int = 8,
     request_timeout_s: Optional[float] = 30.0,
@@ -282,7 +281,6 @@ async def run_load(
         config = GatewayConfig(
             max_sessions=max(tenants + 8, 16),
             workers=workers,
-            max_concurrency=max_concurrency,
             max_pending=tenants + 64 if max_pending is None else max_pending,
             session_queue_depth=session_queue_depth,
             request_timeout_s=request_timeout_s,
@@ -410,7 +408,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--host", default=None, help="external gateway host")
     parser.add_argument("--port", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--max-concurrency", type=int, default=None)
     parser.add_argument("--max-pending", type=int, default=None)
     parser.add_argument("--access-log", default=None)
     parser.add_argument(
@@ -446,7 +443,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             host=args.host,
             port=args.port,
             workers=args.workers,
-            max_concurrency=args.max_concurrency,
             max_pending=args.max_pending,
             access_log=args.access_log,
             fault_rate=args.fault_rate,
