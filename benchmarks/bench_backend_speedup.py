@@ -12,11 +12,16 @@ area-based ones included) at 100 / 1k / 10k offers:
 * ``feasible_profiles`` — extreme-assignment profiles (min and max);
 * ``aggregate`` — one start-aligned aggregate over the whole population;
 * ``bulk_ingest`` — streaming-engine ingestion of the population
-  (``bulk_arrive`` vs. per-event ``apply``).
+  (``bulk_arrive`` vs. per-event ``apply``);
+* ``live_earliest_schedule`` — a live ``earliest`` schedule request on a
+  session holding a narrow population (a ``numpy`` session against a
+  ``reference`` one).
 
 Both backends produce *identical* results (the conformance suite pins
-that); the point here is the wall-clock ratio.  The acceptance gate asserts
-the NumPy backend wins by ≥10x on at least one hot path at the 10k scale.
+that); the point here is the wall-clock ratio.  The acceptance gates
+assert the NumPy backend wins by ≥10x on at least one hot path at the 10k
+scale, and that the live ``earliest`` schedule of 10k narrow offers is
+≥2.5x faster on a ``numpy`` session than on a ``reference`` one.
 
 Run standalone::
 
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import json
 import random
+import statistics
 import time
 
 import pytest
@@ -39,9 +45,15 @@ from repro.aggregation import aggregate_start_aligned
 from repro.backend import NUMPY_AVAILABLE, get_backend, use_backend
 from repro.core import FlexOffer, batch_feasible_profiles
 from repro.measures import evaluate_set, get_measure
+from repro.service import FlexSession, ScheduleRequest, SessionConfig
 from repro.stream import OfferArrived, StreamingEngine
 
 SCALES = [100, 1_000, 10_000]
+
+#: Live-schedule gate: a ``numpy`` session must serve a live ``earliest``
+#: schedule of 10k narrow offers this many times faster than a
+#: ``reference`` one.
+LIVE_SCHEDULE_SPEEDUP = 2.5
 
 #: Measures the streaming-ingestion comparison maintains.
 ENGINE_MEASURES = ["time", "energy", "product", "vector", "series", "assignments"]
@@ -75,6 +87,55 @@ def synthetic_population(size: int, seed: int = 0) -> list[FlexOffer]:
             )
         )
     return population
+
+
+def narrow_population(size: int, seed: int = 0) -> list[FlexOffer]:
+    """1–2 slice profiles with a time flexibility of at most 2 (the shape
+    of ``bench_sharded_scaling.py``'s population)."""
+    rng = random.Random(seed)
+    population = []
+    for index in range(size):
+        earliest = rng.randrange(0, 96)
+        slices = [(1, 1 + rng.randint(0, 4))]
+        if rng.random() < 0.5:
+            slices.append((0, rng.randint(1, 3)))
+        profile_min = sum(s[0] for s in slices)
+        profile_max = sum(s[1] for s in slices)
+        cmin = rng.randint(profile_min, profile_max)
+        population.append(
+            FlexOffer(
+                earliest,
+                earliest + rng.randint(0, 2),
+                slices,
+                cmin,
+                rng.randint(cmin, profile_max),
+                name=f"offer-{index}",
+            )
+        )
+    return population
+
+
+def live_schedule_speedup(size: int, repeats: int = 5) -> dict[str, float]:
+    """``{reference, numpy, speedup}``: median seconds of a live
+    ``earliest`` schedule request on a session of each backend."""
+    population = narrow_population(size)
+    row: dict[str, float] = {}
+    schedules = {}
+    for backend in ("reference", "numpy"):
+        config = SessionConfig(backend=backend, measures=("time", "energy"))
+        with FlexSession(config) as session:
+            session.ingest(population)
+            request = ScheduleRequest("earliest")
+            session.schedule(request)  # warm: lazily cached derived state
+            times = []
+            for _ in range(repeats):
+                elapsed, result = _timed(lambda: session.schedule(request))
+                times.append(elapsed)
+        row[backend] = statistics.median(times)
+        schedules[backend] = result.schedule
+    assert schedules["reference"] == schedules["numpy"]
+    row["speedup"] = row["reference"] / row["numpy"] if row["numpy"] else 0.0
+    return row
 
 
 def _timed(operation) -> tuple[float, object]:
@@ -143,7 +204,9 @@ def bench_records(gate_scale: bool = False) -> list[dict]:
     """
     scale = 10_000 if gate_scale else 1_000
     records = []
-    for operation, row in compare_backends(scale).items():
+    rows = compare_backends(scale)
+    rows["live_earliest_schedule"] = live_schedule_speedup(scale)
+    for operation, row in rows.items():
         elapsed = row["numpy"]
         records.append(
             {
@@ -161,6 +224,7 @@ def bench_records(gate_scale: bool = False) -> list[dict]:
 def main() -> None:
     for size in SCALES:
         results = compare_backends(size)
+        results["live_earliest_schedule"] = live_schedule_speedup(size)
         print(f"\n=== backend speedup @ {size} offers ===")
         for operation, row in results.items():
             print(
@@ -180,6 +244,19 @@ def test_numpy_backend_wins_10x_on_a_10k_hot_path():
         f"({best[1]['reference'] * 1e3:.1f} ms -> {best[1]['numpy'] * 1e3:.1f} ms)"
     )
     assert best[1]["speedup"] >= 10.0, results
+
+
+@pytest.mark.skipif(not NUMPY_AVAILABLE, reason="NumPy backend not available")
+def test_a_live_earliest_schedule_is_faster_on_a_numpy_session():
+    """Acceptance gate: a live ``earliest`` schedule of 10k narrow offers
+    is ≥2.5x faster on a ``numpy`` session than on a ``reference`` one."""
+    row = live_schedule_speedup(10_000)
+    print(
+        f"\nlive earliest schedule @ 10k: reference "
+        f"{row['reference'] * 1e3:.1f} ms -> numpy {row['numpy'] * 1e3:.1f} ms "
+        f"({row['speedup']:.2f}x)"
+    )
+    assert row["speedup"] >= LIVE_SCHEDULE_SPEEDUP, row
 
 
 if __name__ == "__main__":

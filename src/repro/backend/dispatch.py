@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import abc
 import os
+import sys
 import threading
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -56,10 +57,31 @@ __all__ = [
     "get_backend",
     "use_backend",
     "ENV_VAR",
+    "is_packed",
+    "population_offers",
 ]
 
 #: Environment variable naming the default backend for the process.
 ENV_VAR = "REPRO_BACKEND"
+
+
+def is_packed(population) -> bool:
+    """Whether a population argument is a packed
+    :class:`~repro.backend.matrix.ProfileMatrix` (such as the streaming
+    engine's live matrix) rather than a sequence of offers.
+
+    Never imports NumPy: without the matrix module loaded, no matrix
+    exists.
+    """
+    matrix = sys.modules.get(f"{__package__}.matrix")
+    return matrix is not None and isinstance(population, matrix.ProfileMatrix)
+
+
+def population_offers(population) -> Sequence["FlexOffer"]:
+    """The offers of a population argument: a packed matrix's row-aligned
+    ``offers``, or the sequence itself."""
+    return population.offers if is_packed(population) else population
+
 
 class ComputeBackend(abc.ABC):
     """The bulk operations a compute backend must provide.
@@ -190,10 +212,20 @@ class ComputeBackend(abc.ABC):
     @abc.abstractmethod
     def feasible_profiles(
         self, flex_offers: Sequence["FlexOffer"], target: str
-    ) -> list[tuple[int, ...]]:
+    ) -> tuple[list[tuple[int, ...]], list[bool]]:
         """Greedy minimal-total (``"min"``) or maximal-total (``"max"``)
         profiles satisfying each offer's total constraints, in profile order
-        — the bulk form of the extreme-assignment constructors."""
+        — the bulk form of the extreme-assignment constructors — and their
+        screen.
+
+        ``flex_offers`` is a sequence of offers or a packed
+        :class:`~repro.backend.matrix.ProfileMatrix` (see
+        :func:`is_packed`), which is used as it is.  Returns
+        ``(profiles, feasible)``: ``feasible[i]`` is the
+        :meth:`assignment_feasibility` verdict of ``profiles[i]`` started at
+        the target's start time (the earliest start for ``"min"``, the
+        latest for ``"max"``).
+        """
 
     @abc.abstractmethod
     def assignment_feasibility(

@@ -92,6 +92,25 @@ def _support_mask(measure: "FlexibilityMeasure", matrix: ProfileMatrix) -> np.nd
     )
 
 
+def _screen(
+    matrix: ProfileMatrix, starts: np.ndarray, packed: np.ndarray
+) -> np.ndarray:
+    """Per-offer Definition 2 verdicts of packed candidate assignments.
+
+    ``starts`` holds one start time per row and ``packed`` the candidate
+    values in the matrix's slice layout; the three predicates are those of
+    :func:`~repro.core.assignment.assignment_violations`: the start lies in
+    ``[tes, tls]``, every value in its slice's range, the total in
+    ``[cmin, cmax]``.
+    """
+    start_ok = (matrix.tes <= starts) & (starts <= matrix.tls)
+    in_range = (matrix.amin <= packed) & (packed <= matrix.amax)
+    slices_ok = matrix._reduce(np.logical_and, in_range)
+    totals = matrix._reduce(np.add, packed)
+    total_ok = (matrix.cmin <= totals) & (totals <= matrix.cmax)
+    return start_ok & slices_ok & total_ok
+
+
 class NumpyBackend(ComputeBackend):
     """Bulk operations over packed ``(amin, amax)`` arrays.
 
@@ -243,20 +262,27 @@ class NumpyBackend(ComputeBackend):
     # Assignments
     # ------------------------------------------------------------------ #
     def feasible_profiles(
-        self, flex_offers: Sequence[FlexOffer], target: str
-    ) -> list[tuple[int, ...]]:
+        self,
+        flex_offers: Union[Sequence[FlexOffer], ProfileMatrix],
+        target: str,
+    ) -> tuple[list[tuple[int, ...]], list[bool]]:
         if target not in ("min", "max"):
             raise ValueError(f"unknown target {target!r}")
         try:
-            # Packed directly, not through the cache: the bulk schedulers
+            # A matrix (the engine's live one) is used as it is; offers are
+            # packed directly, not through the cache: the bulk schedulers
             # feed this with one-shot candidate populations (a fresh list
             # per offer / per generation), which would churn the shared LRU
             # out of its genuinely reusable whole-population entries.
-            matrix = ProfileMatrix(flex_offers)
+            matrix = (
+                flex_offers
+                if isinstance(flex_offers, ProfileMatrix)
+                else ProfileMatrix(flex_offers)
+            )
         except OverflowError:
             return _FALLBACK.feasible_profiles(flex_offers, target)
         if matrix.size == 0:
-            return []
+            return [], []
         room = matrix.amax - matrix.amin  # headroom == slack per slice
         # Room already consumed by earlier slices of the same offer (the
         # greedy scalar loop consumes capacity strictly in profile order).
@@ -269,10 +295,15 @@ class NumpyBackend(ComputeBackend):
         if target == "min":
             need = matrix.cmin - matrix.profile_min  # deficit per offer
             bump = np.clip(need[matrix.owner] - consumed, 0, room)
-            return matrix.profiles(matrix.amin + bump)
-        surplus = matrix.profile_max - matrix.cmax
-        drop = np.clip(surplus[matrix.owner] - consumed, 0, room)
-        return matrix.profiles(matrix.amax - drop)
+            packed = matrix.amin + bump
+            starts = matrix.tes
+        else:
+            surplus = matrix.profile_max - matrix.cmax
+            drop = np.clip(surplus[matrix.owner] - consumed, 0, room)
+            packed = matrix.amax - drop
+            starts = matrix.tls
+        feasible = _screen(matrix, starts, packed)
+        return matrix.profiles(packed), feasible.tolist()
 
     def assignment_feasibility(
         self,
@@ -309,12 +340,7 @@ class NumpyBackend(ComputeBackend):
             # Candidate values are caller-supplied: keep their running totals
             # inside the exactly-representable range too.
             return _FALLBACK.assignment_feasibility(flex_offers, starts, profiles)
-        start_ok = (matrix.tes <= start_times) & (start_times <= matrix.tls)
-        in_range = (matrix.amin <= packed) & (packed <= matrix.amax)
-        slices_ok = matrix._reduce(np.logical_and, in_range)
-        totals = matrix._reduce(np.add, packed)
-        total_ok = (matrix.cmin <= totals) & (totals <= matrix.cmax)
-        return (start_ok & slices_ok & total_ok).tolist()
+        return _screen(matrix, start_times, packed).tolist()
 
     # ------------------------------------------------------------------ #
     # Scheduling objectives

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING, ClassVar
 
 from ..core.flexoffer import FlexOffer
-from .dispatch import ComputeBackend, register_backend
+from .dispatch import ComputeBackend, population_offers, register_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..measures.base import FlexibilityMeasure
@@ -94,10 +94,22 @@ class ReferenceBackend(ComputeBackend):
     # ------------------------------------------------------------------ #
     def feasible_profiles(
         self, flex_offers: Sequence[FlexOffer], target: str
-    ) -> list[tuple[int, ...]]:
-        from ..core.assignment import _feasible_profile
+    ) -> tuple[list[tuple[int, ...]], list[bool]]:
+        from ..core.assignment import _feasible_profile, assignment_violations
 
-        return [_feasible_profile(flex_offer, target) for flex_offer in flex_offers]
+        offers = population_offers(flex_offers)
+        profiles = [_feasible_profile(flex_offer, target) for flex_offer in offers]
+        feasible = [
+            not assignment_violations(
+                flex_offer,
+                flex_offer.earliest_start
+                if target == "min"
+                else flex_offer.latest_start,
+                profile,
+            )
+            for flex_offer, profile in zip(offers, profiles)
+        ]
+        return profiles, feasible
 
     def assignment_feasibility(
         self,

@@ -9,7 +9,9 @@ results exactly:
 * per-offer results (``measure_values``, ``per_offer_values``,
   ``feasible_profiles``, ``assignment_feasibility``, ``measure_support``)
   concatenate in shard order — bit-identical to the single-process result
-  because shards preserve population order;
+  because shards preserve population order.  An already packed
+  ``feasible_profiles`` population (the engine's live matrix) is not
+  sharded: it runs on the inner backend in the calling thread;
 * set values combine the *concatenated* per-offer value lists through the
   measure's :meth:`~repro.measures.base.FlexibilityMeasure.combine_values`
   hook — the same list, in the same order, a single-process backend would
@@ -81,6 +83,7 @@ from ..faults.plan import SHARD_RESULT, SHARD_SUBMIT, FaultInjected, FaultPlan
 from .dispatch import (
     ComputeBackend,
     get_backend,
+    is_packed,
     register_backend,
 )
 
@@ -196,7 +199,7 @@ def _shard_aggregate(inner: str, flex_offers):
 
 
 def _shard_profiles(inner: str, flex_offers, target: str):
-    """One shard's extreme feasible profiles."""
+    """One shard's extreme feasible profiles and their verdicts."""
     return get_backend(inner).feasible_profiles(flex_offers, target)
 
 
@@ -605,20 +608,27 @@ class ShardedBackend(ComputeBackend):
     # ------------------------------------------------------------------ #
     def feasible_profiles(
         self, flex_offers: Sequence[FlexOffer], target: str
-    ) -> list[tuple[int, ...]]:
+    ) -> tuple[list[tuple[int, ...]], list[bool]]:
         if target not in ("min", "max"):
             raise ValueError(f"unknown target {target!r}")
+        if is_packed(flex_offers):
+            # Already packed (the engine's live matrix): one kernel pass in
+            # the calling thread.  Thread shards would only add GIL
+            # hand-offs, and remote shards would re-ship packed offers.
+            return self.inner.feasible_profiles(flex_offers, target)
         flex_offers = list(flex_offers)
         if self._delegates(flex_offers):
             return self.inner.feasible_profiles(flex_offers, target)
         inner = self._worker_ref()
         profiles: list[tuple[int, ...]] = []
-        for shard in self._map(
+        feasible: list[bool] = []
+        for shard_profiles, shard_feasible in self._map(
             _shard_profiles,
             [(inner, chunk, target) for chunk in self._partition(flex_offers)],
         ):
-            profiles.extend(shard)
-        return profiles
+            profiles.extend(shard_profiles)
+            feasible.extend(shard_feasible)
+        return profiles, feasible
 
     def assignment_feasibility(
         self,

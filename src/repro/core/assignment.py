@@ -166,7 +166,8 @@ class Assignment:
         """Construct without re-running Definition 2 validation.
 
         For callers that already established validity in bulk — a ``True``
-        verdict from :func:`batch_assignment_feasibility` for exactly this
+        verdict from :func:`batch_assignment_feasibility` (or from a
+        backend's ``feasible_profiles`` screen) for exactly this
         ``(flex_offer, start_time, values)`` triple — re-validating inside
         ``__init__`` would repeat the per-slice scan per object and undo the
         batch win.  The schedulers use this after screening a whole
@@ -226,7 +227,7 @@ def batch_feasible_profiles(
 
     if target not in ("min", "max"):
         raise ValueError(f"unknown target {target!r}")
-    return get_backend().feasible_profiles(list(flex_offers), target)
+    return get_backend().feasible_profiles(list(flex_offers), target)[0]
 
 
 def batch_assignment_feasibility(

@@ -22,7 +22,6 @@ from typing import Optional
 
 from .assignment import Assignment
 from .flexoffer import FlexOffer
-from .timeseries import TimeSeries
 
 __all__ = [
     "count_assignments",
@@ -122,14 +121,6 @@ def enumerate_assignments(
                 return
             yield Assignment(flex_offer, start_time, profile)
             produced += 1
-
-
-def assignment_series(
-    flex_offer: FlexOffer, limit: Optional[int] = None
-) -> Iterator[TimeSeries]:
-    """Lazily yield the time-series view of every valid assignment."""
-    for assignment in enumerate_assignments(flex_offer, limit=limit):
-        yield assignment.series
 
 
 @lru_cache(maxsize=4096)

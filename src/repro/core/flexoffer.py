@@ -189,11 +189,6 @@ class FlexOffer:
         """First time unit *after* the profile when started as early as possible."""
         return self.earliest_start + self.duration
 
-    @property
-    def latest_end(self) -> int:
-        """First time unit *after* the profile when started as late as possible."""
-        return self.latest_start + self.duration
-
     def time_horizon(self) -> range:
         """All absolute time units that any assignment of the flex-offer may touch."""
         return range(self.earliest_start, self.latest_start + self.duration)

@@ -61,7 +61,7 @@ __all__ = [
     "result_to_dict",
     "result_from_dict",
     "result_envelope",
-    "wire_default",
+    "payload_json",
     "error_to_dict",
     "error_from_dict",
 ]
@@ -113,11 +113,8 @@ def wire_safe(payload: Any) -> Any:
     built by the ``*_to_dict`` serialisers already encode their numeric
     fields and do not need this pass: the gateway's ``Response.encode``
     serialises every payload directly and falls back to this copy only
-    when strict encoding refuses a non-finite float.  Typed items left in
-    a payload (a schedule's assignments, see :func:`result_envelope`) pass
-    through the copy untouched; the encoder converts them one at a time
-    through :func:`wire_default`, whose output is already sentinel-encoded,
-    so the bytes are the same as for the fully materialised tree.
+    when strict encoding refuses a non-finite float (see
+    :func:`payload_json`).
     """
     if isinstance(payload, float):
         return float_to_wire(payload)
@@ -138,6 +135,20 @@ def flexoffer_to_dict(flex_offer: FlexOffer) -> dict[str, Any]:
         "total_energy_min": flex_offer.cmin,
         "total_energy_max": flex_offer.cmax,
     }
+
+
+def _flexoffer_json(flex_offer: FlexOffer) -> str:
+    """``json.dumps(flexoffer_to_dict(flex_offer))``, computed once per offer.
+
+    Cached on the frozen instance, the way :attr:`FlexOffer.fingerprint`
+    is: the offer never changes, so neither does its text.  The cache is a
+    ``str``, which the cyclic garbage collector does not track.
+    """
+    text = flex_offer.__dict__.get("_wire_json")
+    if text is None:
+        text = json.dumps(flexoffer_to_dict(flex_offer), allow_nan=False)
+        object.__setattr__(flex_offer, "_wire_json", text)
+    return text
 
 
 def flexoffer_from_dict(payload: dict[str, Any]) -> FlexOffer:
@@ -584,38 +595,93 @@ def result_to_dict(result) -> dict[str, Any]:
     raise SerializationError(f"not a serialisable service result: {result!r}")
 
 
-def wire_default(value: Any) -> Any:
-    """The ``json.dumps(default=...)`` hook for typed items in a payload.
+class ScheduleEnvelope(dict):
+    """A schedule result's :func:`result_to_dict` document with an empty
+    ``"assignments"`` array, plus the schedule's own assignments.
 
-    An :class:`~repro.core.Assignment` renders through
-    :func:`assignment_to_dict`, so the encoder converts it when it reaches
-    it and the dictionaries die right after they are written.  Any other
-    type raises the ``TypeError`` ``json.dumps`` raises without a hook.
+    :func:`payload_json` writes the assignments into the array as text, so
+    the document never holds a dictionary tree per assignment.
     """
-    if isinstance(value, Assignment):
-        return assignment_to_dict(value)
-    raise TypeError(
-        f"Object of type {value.__class__.__name__} is not JSON serializable"
-    )
+
+    __slots__ = ("assignments",)
+
+    def __init__(self, document: dict[str, Any], assignments) -> None:
+        super().__init__(document)
+        self.assignments = assignments
+
+
+#: How every :class:`ScheduleEnvelope` text starts, up to the point where
+#: its assignments go.
+_ASSIGNMENTS_AT = '{"kind": "schedule", "schedule": {"assignments": ['
 
 
 def result_envelope(result) -> dict[str, Any]:
     """:func:`result_to_dict` without a schedule's per-assignment tree.
 
-    A schedule's ``"assignments"`` is the schedule's own assignment tuple;
-    every other field, and every other result kind, is exactly
-    :func:`result_to_dict`.  Encoded with ``default=``:func:`wire_default`
-    it gives the same JSON as :func:`result_to_dict`, but the assignments
-    are converted one at a time during encoding instead of all being held
-    as dictionaries at once.  This is the gateway's submit payload.
+    Every result kind but a schedule gets exactly :func:`result_to_dict`.
+    A schedule gets a :class:`ScheduleEnvelope`, whose
+    :func:`payload_json` text equals the JSON of :func:`result_to_dict`.
+    This is the gateway's submit payload.
     """
     from ..service.results import ScheduleResult
 
     if isinstance(result, ScheduleResult):
-        return _schedule_result_to_dict(
-            result, {"assignments": result.schedule.assignments}
+        return ScheduleEnvelope(
+            _schedule_result_to_dict(result, {"assignments": []}),
+            result.schedule.assignments,
         )
     return result_to_dict(result)
+
+
+def _assignments_json(assignments: Sequence[Assignment]) -> str:
+    """The items of the JSON array of :func:`assignment_to_dict` over the
+    assignments, each written from its offer's cached text.
+
+    Int start times and values print exactly as ``json`` prints them;
+    any other value sends the whole array through :func:`assignment_to_dict`.
+    """
+    types = {type(assignment.start_time) for assignment in assignments}
+    types.update(
+        type(value) for assignment in assignments for value in assignment.values
+    )
+    if not types <= {int}:
+        return ", ".join(
+            json.dumps(assignment_to_dict(assignment), allow_nan=False)
+            for assignment in assignments
+        )
+    offer_json = _flexoffer_json
+    return ", ".join(
+        [
+            f'{{"flex_offer": {offer_json(assignment.flex_offer)}, '
+            f'"start_time": {assignment.start_time}, '
+            f'"values": {list(assignment.values)}}}'
+            for assignment in assignments
+        ]
+    )
+
+
+def payload_json(payload: dict[str, Any]) -> str:
+    """Strict JSON text of a gateway payload.
+
+    The payload is serialised with ``allow_nan=False`` directly; only when
+    that refuses a non-finite float is it re-encoded through
+    :func:`wire_safe`, so the text always equals that of
+    ``wire_safe(payload)``.  A :class:`ScheduleEnvelope`'s assignments are
+    spliced into its array, each written from its offer's cached text, so
+    the result equals the text of the full :func:`result_to_dict` tree.
+    """
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError:
+        text = json.dumps(wire_safe(payload), allow_nan=False)
+    if not isinstance(payload, ScheduleEnvelope):
+        return text
+    cut = len(_ASSIGNMENTS_AT)
+    if text[:cut] != _ASSIGNMENTS_AT:
+        raise SerializationError("not a schedule envelope document")
+    return "".join(
+        (text[:cut], _assignments_json(payload.assignments), text[cut:])
+    )
 
 
 def result_from_dict(payload: dict[str, Any]):

@@ -39,6 +39,7 @@ from .persister import (
     PersistenceSuspendedError,
     RecoveryStats,
     SessionPersister,
+    StateCorruptError,
     load_config,
     save_config,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "RecoveryStats",
     "SessionPersister",
     "SnapshotStore",
+    "StateCorruptError",
     "WalRecord",
     "WriteAheadLog",
     "load_config",

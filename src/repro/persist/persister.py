@@ -68,6 +68,7 @@ __all__ = [
     "PersistenceSuspendedError",
     "RecoveryStats",
     "SessionPersister",
+    "StateCorruptError",
     "load_config",
     "save_config",
 ]
@@ -76,6 +77,15 @@ _CONFIG_FILE = "config.json"
 
 #: Name of the transient file the resume circuit breaker writes.
 _PROBE_FILE = ".probe"
+
+
+class StateCorruptError(PersistError):
+    """Raised when persisted state exists but cannot be read.
+
+    Nothing is recovered and no file is modified, so an operator can
+    inspect the directory.  The gateway answers HTTP 503 with the
+    ``state-corrupt`` error code.
+    """
 
 
 class PersistenceSuspendedError(PersistError):
@@ -109,14 +119,23 @@ def save_config(directory: Union[str, Path], payload: dict) -> Path:
 
 
 def load_config(directory: Union[str, Path]) -> Optional[dict]:
-    """The persisted ``config.json`` payload, or ``None`` when absent/bad."""
+    """The persisted ``config.json`` payload, or ``None`` when there is none.
+
+    Raises :class:`StateCorruptError` when the file exists but does not
+    read as a JSON object: the state beside it was written under that
+    config, so it is refused rather than recovered under a guess.
+    """
     path = Path(directory) / _CONFIG_FILE
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, ValueError):
+    except FileNotFoundError:
         return None
-    return payload if isinstance(payload, dict) else None
+    except (OSError, ValueError) as error:
+        raise StateCorruptError(f"{path} is unreadable: {error}") from error
+    if not isinstance(payload, dict):
+        raise StateCorruptError(f"{path} does not hold a JSON object")
+    return payload
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ Two deterministic baselines:
   imbalance against a reference profile — a fast constructive heuristic for
   the flex-offer scheduling problem of Scenario 1.
 
-Both schedulers consume the bulk assignment APIs
-(:func:`~repro.core.assignment.batch_feasible_profiles`,
+Both schedulers consume bulk assignment operations (the backend's
+``feasible_profiles`` and
 :func:`~repro.core.assignment.batch_assignment_feasibility`), which dispatch
 through the active compute backend — so large populations transparently gain
 the NumPy / sharded speedups without any scheduler-side configuration.
@@ -26,7 +26,6 @@ from typing import Optional
 from ..core.assignment import (
     Assignment,
     batch_assignment_feasibility,
-    batch_feasible_profiles,
     validate_assignment,
 )
 from ..core.flexoffer import FlexOffer
@@ -42,9 +41,9 @@ class EarliestStartScheduler(Scheduler):
 
     The scheduler discards the reference profile; it exists as the
     no-flexibility-used baseline for the E-SCHED experiment.  The minimal
-    feasible profiles of the whole population are computed in one
-    :func:`batch_feasible_profiles` call (one vectorized pass under the
-    NumPy and sharded backends), equivalent to
+    feasible profiles of the whole population, and their Definition 2
+    screen, come from one backend ``feasible_profiles`` call (one
+    vectorized pass under the NumPy and sharded backends), equivalent to
     :meth:`Assignment.earliest_minimum` per offer.
     """
 
@@ -60,24 +59,28 @@ class EarliestStartScheduler(Scheduler):
         Parameters
         ----------
         flex_offers:
-            The flex-offers to schedule.
+            The flex-offers to schedule: a sequence, or a packed
+            :class:`~repro.backend.matrix.ProfileMatrix` (the streaming
+            engine's live matrix), whose offers are scheduled in row order
+            without packing them again.
         reference:
             Accepted for interface compatibility and ignored.
         """
-        flex_offers = list(flex_offers)
-        profiles = batch_feasible_profiles(flex_offers, "min")
-        starts = [flex_offer.earliest_start for flex_offer in flex_offers]
-        # Screen in bulk too, so construction can take the trusted fast path
-        # instead of re-running the per-slice scalar validation per offer
-        # (any infeasible profile — impossible by construction — still gets
-        # the validating constructor's diagnostic).
-        feasible = batch_assignment_feasibility(flex_offers, starts, profiles)
+        from ..backend.dispatch import get_backend, is_packed, population_offers
+
+        if not is_packed(flex_offers):
+            flex_offers = list(flex_offers)
+        profiles, feasible = get_backend().feasible_profiles(flex_offers, "min")
+        # The backend screened its own output, so construction takes the
+        # trusted fast path instead of re-running the per-slice scalar
+        # validation per offer; an infeasible profile (impossible by
+        # construction) still gets the validating constructor's diagnostic.
         assignments = [
-            Assignment.trusted(flex_offer, start, values)
+            Assignment.trusted(flex_offer, flex_offer.earliest_start, values)
             if valid
-            else Assignment(flex_offer, start, values)
-            for flex_offer, start, values, valid in zip(
-                flex_offers, starts, profiles, feasible
+            else Assignment(flex_offer, flex_offer.earliest_start, values)
+            for flex_offer, values, valid in zip(
+                population_offers(flex_offers), profiles, feasible
             )
         ]
         return Schedule(tuple(assignments))

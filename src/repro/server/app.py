@@ -15,10 +15,10 @@ Request path
 :func:`~repro.io.request_from_dict` →
 :meth:`~repro.service.FlexSession.submit` →
 :func:`~repro.io.result_envelope`, the :func:`~repro.io.result_to_dict`
-document with a schedule's assignments left as the schedule's own
-assignment tuple: the encoder renders them one at a time through
-:func:`~repro.io.wire_default`, so a large schedule never holds its whole
-dictionary tree alive.  Sessions are synchronous objects, so
+document with a schedule's assignments left out of the dictionary tree:
+the encoder (:func:`~repro.io.payload_json`) writes each one as text from
+its offer's cached wire text, so a large schedule never builds a
+dictionary per assignment.  Sessions are synchronous objects, so
 the submit runs on a worker-thread pool via ``loop.run_in_executor`` —
 safe because backend activation is thread-local (the PR 5 dispatch fix):
 each worker thread activates only the serving session's backend.
@@ -68,13 +68,12 @@ from ..faults.plan import GATEWAY_DISPATCH, FaultPlan
 from ..io.csv_io import RequestStatsLog
 from ..io.serialization import (
     error_to_dict,
+    payload_json,
     request_from_dict,
     result_envelope,
     result_to_dict,  # noqa: F401 - unused here; gatewaybench/tracing.py wraps it by name
-    wire_default,
-    wire_safe,
 )
-from ..persist import PersistenceSuspendedError
+from ..persist import PersistenceSuspendedError, StateCorruptError
 from ..service.config import ServiceError, SessionConfig, fault_plan_from_env
 from .limits import (
     RETRY_AFTER_S,
@@ -87,6 +86,7 @@ from .limits import (
     PayloadTooLargeError,
     RequestTimeoutError,
     ServiceUnavailableError,
+    StateCorruptedError,
 )
 from .registry import SessionRegistry
 
@@ -217,27 +217,18 @@ class Response:
     def encode(self, close: bool = False) -> bytes:
         """The full HTTP/1.1 response bytes for this payload.
 
-        Strict JSON: non-finite floats anywhere in the payload (a window
-        summary over an infinite measure value, say) leave as the
+        The body is :func:`~repro.io.payload_json`: strict JSON, in which
+        non-finite floats anywhere in the payload (a window summary over
+        an infinite measure value, say) leave as the
         :func:`~repro.io.float_to_wire` sentinels instead of the invalid
-        ``NaN``/``Infinity`` literals ``allow_nan=True`` would emit.  The
-        payload is serialised directly; only when that refuses a
-        non-finite float is it re-encoded through :func:`~repro.io.wire_safe`,
-        so typed ``*_to_dict`` bodies skip the deep copy and every body
-        stays byte-identical to encoding ``wire_safe(payload)``.  Typed
-        items in the payload (the assignments of a
-        :func:`~repro.io.result_envelope`) convert one at a time through
-        the :func:`~repro.io.wire_default` hook on both encodes; the bytes
-        equal those of the fully materialised :func:`~repro.io.result_to_dict`
-        tree.
+        ``NaN``/``Infinity`` literals ``allow_nan=True`` would emit; every
+        body is byte-identical to encoding ``wire_safe(payload)``.  The
+        assignments of a schedule's :func:`~repro.io.result_envelope` are
+        spliced in as text, each written from its offer's cached wire
+        text; the bytes equal those of the fully materialised
+        :func:`~repro.io.result_to_dict` tree.
         """
-        try:
-            text = json.dumps(self.payload, default=wire_default, allow_nan=False)
-        except ValueError:
-            text = json.dumps(
-                wire_safe(self.payload), default=wire_default, allow_nan=False
-            )
-        body = text.encode("utf-8")
+        body = payload_json(self.payload).encode("utf-8")
         reason = _REASONS.get(self.status, "Unknown")
         lines = [
             f"HTTP/1.1 {self.status} {reason}",
@@ -367,6 +358,12 @@ class Gateway:
                 error_to_dict(wrapped),
                 retry_after=wrapped.retry_after,
             )
+        except StateCorruptError as error:
+            # Also ahead of the FlexError branch: a tenant whose persisted
+            # state cannot be read is refused, not a client mistake.
+            self.failed += 1
+            wrapped = StateCorruptedError(str(error))
+            return Response(wrapped.status, error_to_dict(wrapped))
         except (SerializationError, ServiceError, FlexError) as error:
             # Library-level rejections of a well-formed HTTP request:
             # malformed wire payloads, unknown schedulers, invalid

@@ -41,6 +41,7 @@ __all__ = [
     "SaturatedError",
     "RegistryFullError",
     "ServiceUnavailableError",
+    "StateCorruptedError",
     "RequestTimeoutError",
     "InternalError",
     "error_class_for_code",
@@ -145,6 +146,18 @@ class ServiceUnavailableError(GatewayError):
     code = "degraded"
 
 
+class StateCorruptedError(GatewayError):
+    """503 — the tenant's persisted state exists but cannot be read.
+
+    The tenant is refused, not forgotten and not re-created, until an
+    operator repairs its directory; nothing in it is overwritten.  No
+    ``Retry-After``: retrying cannot help.
+    """
+
+    status = 503
+    code = "state-corrupt"
+
+
 class RequestTimeoutError(GatewayError):
     """504 — the request exceeded the gateway's execution deadline."""
 
@@ -172,6 +185,7 @@ _ERRORS_BY_CODE = {
         SaturatedError,
         RegistryFullError,
         ServiceUnavailableError,
+        StateCorruptedError,
         RequestTimeoutError,
         InternalError,
     )

@@ -435,6 +435,9 @@ class SessionRegistry:
         bit-identically to a process that never restarted.  A ``create``
         ``config`` that differs from the saved one is refused: the live
         session would diverge from the one the next restart recovers.
+        An unreadable ``config.json`` raises
+        :class:`~repro.persist.StateCorruptError`: the tenant is neither
+        forgotten nor re-created under ``config``.
         """
         if self.persist_root is None:
             return None

@@ -352,7 +352,15 @@ class FlexSession:
         population = len(self.engine) if live else len(request.offers)
         with self._serve("schedule", population) as finish:
             scheduler = scheduler_class(**options)
-            offers = self.engine.live_offers() if live else list(request.offers)
+            offers = None
+            if live and scheduler_class is EarliestStartScheduler:
+                # The engine's packed live matrix: scheduled as it is,
+                # never packed again.  None without the packed state.
+                offers = self.engine.live_matrix()
+            if offers is None:
+                offers = (
+                    self.engine.live_offers() if live else list(request.offers)
+                )
             schedule = scheduler.schedule(offers, request.reference)
             # One batch_objectives pass through the session's backend:
             # bit-identical to objective.of_schedule(schedule).

@@ -85,14 +85,6 @@ class OnlineGridIndex:
         except KeyError:
             raise StreamError(f"offer {offer_id!r} is not in the index") from None
 
-    def cell_members(self, key: CellKey) -> list[tuple[str, FlexOffer]]:
-        """``(offer_id, offer)`` pairs of one cell, in arrival order."""
-        return list(self._cells.get(key, {}).items())
-
-    def cell_keys(self) -> list[CellKey]:
-        """All non-empty cells, in the sorted order the batch grouping uses."""
-        return sorted(self._cells)
-
     def __contains__(self, offer_id: str) -> bool:
         return offer_id in self._locations
 

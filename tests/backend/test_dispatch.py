@@ -214,7 +214,7 @@ def test_register_backend_rejects_bad_backends():
             return 0, [], []
 
         def feasible_profiles(self, flex_offers, target):  # pragma: no cover
-            return []
+            return [], []
 
         def assignment_feasibility(self, flex_offers, starts, values):
             return []  # pragma: no cover
@@ -351,7 +351,7 @@ def test_numpy_backend_empty_population():
     assert skipped == []
     assert values == {"time": 0.0, "absolute_area": 0.0}
     assert backend.per_offer_values(measures, []) == []
-    assert backend.feasible_profiles([], "min") == []
+    assert backend.feasible_profiles([], "min") == ([], [])
     assert backend.assignment_feasibility([], [], []) == []
 
 

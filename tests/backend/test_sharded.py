@@ -100,7 +100,7 @@ def test_feasible_profiles_and_feasibility_concatenate(sharded):
     with pytest.raises(ValueError):
         sharded.feasible_profiles(OFFERS, "median")
     starts = [flex_offer.earliest_start for flex_offer in OFFERS]
-    values = reference.feasible_profiles(OFFERS, "min")
+    values, _ = reference.feasible_profiles(OFFERS, "min")
     bad_values = list(values)
     bad_values[-1] = tuple(v + 1000 for v in bad_values[-1])  # last shard fails
     assert sharded.assignment_feasibility(OFFERS, starts, values) == [True] * len(

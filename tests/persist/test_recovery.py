@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 from repro.backend import NUMPY_AVAILABLE
 from repro.faults import WAL_FSYNC, FaultPlan, FaultRule
 from repro.io import event_to_dict
-from repro.persist import PersistError, SessionPersister, load_config, save_config
+from repro.persist import (
+    PersistError,
+    SessionPersister,
+    StateCorruptError,
+    load_config,
+    save_config,
+)
 from repro.service import FlexSession, ServiceError, SessionConfig, StreamRequest
 from repro.stream import OfferArrived, StreamingEngine, Tick, population_events
 from repro.workloads import neighbourhood_scenario
@@ -721,6 +727,17 @@ def test_config_sidecar_roundtrip(persist_dir):
     save_config(persist_dir, {"backend": "numpy"})
     assert load_config(persist_dir) == payload
     assert load_config(persist_dir / "missing") is None
+
+
+@pytest.mark.parametrize(
+    "content", [b"{torn", b"[1, 2]", b"\xff\xfe", b""], ids=["torn", "list", "bytes", "empty"]
+)
+def test_an_unreadable_config_sidecar_is_corrupt_state(persist_dir, content):
+    persist_dir.mkdir(parents=True, exist_ok=True)
+    (persist_dir / "config.json").write_bytes(content)
+    with pytest.raises(StateCorruptError, match="config.json"):
+        load_config(persist_dir)
+    assert issubclass(StateCorruptError, PersistError)
 
 
 # --------------------------------------------------------------------- #

@@ -470,3 +470,55 @@ def test_lru_cap_eviction_also_checkpoints(tmp_path):
         assert len(registry) == 2
     finally:
         registry.close()
+
+
+# --------------------------------------------------------------------- #
+# A torn config.json is refused, not forgotten
+# --------------------------------------------------------------------- #
+def _tenant_files(directory):
+    return {
+        path.relative_to(directory): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.mark.parametrize(
+    "route",
+    ["get", "post-request", "put-with-body", "put-without-body"],
+)
+def test_a_torn_config_is_refused_not_forgotten(tmp_path, route):
+    """A durable tenant whose ``config.json`` cannot be read answers 503
+    ``state-corrupt`` naming the file: never a 404, never a recovery under
+    a ``PUT`` body's config, and no file in its directory changes."""
+
+    async def first_run(gateway):
+        client = GatewayClient.in_process(gateway)
+        await client.create_session("acme", {**DURABLE, "seed": 42})
+        await client.submit("acme", StreamRequest(events=arrival_events()))
+        await client.close()
+
+    gateway_scenario(first_run, persist_root=str(tmp_path))
+    directory = tmp_path / "acme"
+    (directory / "config.json").write_text("{torn")
+    before = _tenant_files(directory)
+
+    async def second_run(gateway):
+        client = GatewayClient.in_process(gateway)
+        if route == "get":
+            response = await client.session_stats("acme")
+        elif route == "post-request":
+            response = await client.submit("acme", StreamRequest(events=(Tick(5),)))
+        elif route == "put-with-body":
+            response = await client.create_session("acme", {**DURABLE, "seed": 7})
+        else:
+            response = await client.create_session("acme")
+        assert gateway.registry.names() == []
+        await client.close()
+        return response
+
+    response = gateway_scenario(second_run, persist_root=str(tmp_path))
+    assert response.status == 503
+    assert response.payload["error"] == "state-corrupt"
+    assert str(directory / "config.json") in response.payload["detail"]
+    assert _tenant_files(directory) == before

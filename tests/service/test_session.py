@@ -713,7 +713,7 @@ def test_request_duration_covers_live_population_reads(kind, monkeypatch):
 
     with FlexSession(backend="reference") as session:
         session.ingest(population(5, seed=23))
-        for name in ("report", "live_offers"):
+        for name in ("report", "live_offers", "live_matrix"):
             original = getattr(session.engine, name)
 
             def slow(*args, _original=original, **kwargs):
