@@ -15,7 +15,11 @@ area-based ones included) at 100 / 1k / 10k offers:
   (``bulk_arrive`` vs. per-event ``apply``);
 * ``live_earliest_schedule`` — a live ``earliest`` schedule request on a
   session holding a narrow population (a ``numpy`` session against a
-  ``reference`` one).
+  ``reference`` one);
+* ``live_earliest_schedule_wire`` — the same request plus the text of its
+  response body (:func:`~repro.io.payload_json` of its
+  :func:`~repro.io.result_envelope`), the gateway's path; recorded only,
+  no gate.
 
 Both backends produce *identical* results (the conformance suite pins
 that); the point here is the wall-clock ratio.  The acceptance gates
@@ -44,6 +48,7 @@ import pytest
 from repro.aggregation import aggregate_start_aligned
 from repro.backend import NUMPY_AVAILABLE, get_backend, use_backend
 from repro.core import FlexOffer, batch_feasible_profiles
+from repro.io import payload_json, result_envelope
 from repro.measures import evaluate_set, get_measure
 from repro.service import FlexSession, ScheduleRequest, SessionConfig
 from repro.stream import OfferArrived, StreamingEngine
@@ -115,9 +120,12 @@ def narrow_population(size: int, seed: int = 0) -> list[FlexOffer]:
     return population
 
 
-def live_schedule_speedup(size: int, repeats: int = 5) -> dict[str, float]:
+def live_schedule_speedup(
+    size: int, repeats: int = 5, wire: bool = False
+) -> dict[str, float]:
     """``{reference, numpy, speedup}``: median seconds of a live
-    ``earliest`` schedule request on a session of each backend."""
+    ``earliest`` schedule request on a session of each backend, with the
+    text of its response body when ``wire`` is set."""
     population = narrow_population(size)
     row: dict[str, float] = {}
     schedules = {}
@@ -126,10 +134,17 @@ def live_schedule_speedup(size: int, repeats: int = 5) -> dict[str, float]:
         with FlexSession(config) as session:
             session.ingest(population)
             request = ScheduleRequest("earliest")
-            session.schedule(request)  # warm: lazily cached derived state
+
+            def serve():
+                result = session.schedule(request)
+                if wire:
+                    payload_json(result_envelope(result))
+                return result
+
+            serve()  # warm: lazily cached derived state and offer texts
             times = []
             for _ in range(repeats):
-                elapsed, result = _timed(lambda: session.schedule(request))
+                elapsed, result = _timed(serve)
                 times.append(elapsed)
         row[backend] = statistics.median(times)
         schedules[backend] = result.schedule
@@ -206,6 +221,7 @@ def bench_records(gate_scale: bool = False) -> list[dict]:
     records = []
     rows = compare_backends(scale)
     rows["live_earliest_schedule"] = live_schedule_speedup(scale)
+    rows["live_earliest_schedule_wire"] = live_schedule_speedup(scale, wire=True)
     for operation, row in rows.items():
         elapsed = row["numpy"]
         records.append(
@@ -225,10 +241,13 @@ def main() -> None:
     for size in SCALES:
         results = compare_backends(size)
         results["live_earliest_schedule"] = live_schedule_speedup(size)
+        results["live_earliest_schedule_wire"] = live_schedule_speedup(
+            size, wire=True
+        )
         print(f"\n=== backend speedup @ {size} offers ===")
         for operation, row in results.items():
             print(
-                f"  {operation:22s} reference {row['reference'] * 1e3:9.2f} ms   "
+                f"  {operation:27s} reference {row['reference'] * 1e3:9.2f} ms   "
                 f"numpy {row['numpy'] * 1e3:8.2f} ms   {row['speedup']:7.1f}x"
             )
         print(json.dumps({"scale": size, "results": results}))

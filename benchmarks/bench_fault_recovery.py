@@ -41,8 +41,10 @@ except ImportError:  # pragma: no cover - loaded by path (bench_to_json)
 #: Populations for the overhead measurement (smoke, gate).
 SCALES = [2_000, 20_000]
 
-#: Median-of-N timing; the 5% gate needs a stable central estimate.
-REPEATS = 7
+#: Bare/guarded call pairs of the overhead measurement.  The two calls of
+#: a pair run back to back, in an order flipped on every pair, so host
+#: drift hits both sides alike; the gate reads the median per-pair ratio.
+PAIRS = 41
 
 #: The overhead gate: guarded / bare, fault-free.
 MAX_OVERHEAD_RATIO = 1.05
@@ -80,14 +82,31 @@ def guarded_backend(**kwargs) -> ShardedBackend:
     return ShardedBackend(retries=2, faults=plan, **kwargs)
 
 
-def median_seconds(backend, offers, repeats: int = REPEATS) -> float:
+def seconds(backend, offers) -> float:
+    start = time.perf_counter()
+    backend.measure_values(MEASURE, offers)
+    return time.perf_counter() - start
+
+
+def median_seconds(backend, offers, repeats: int) -> float:
     backend.measure_values(MEASURE, offers)  # warm the pool + caches
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        backend.measure_values(MEASURE, offers)
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples)
+    return statistics.median(seconds(backend, offers) for _ in range(repeats))
+
+
+def paired_seconds(bare, guarded, offers, pairs: int = PAIRS):
+    """``(bare, guarded)`` seconds of ``pairs`` back-to-back call pairs,
+    the bare call first on even pairs and second on odd ones."""
+    bare.measure_values(MEASURE, offers)  # warm the pools + caches
+    guarded.measure_values(MEASURE, offers)
+    bare_samples, guarded_samples = [], []
+    for index in range(pairs):
+        if index % 2 == 0:
+            bare_samples.append(seconds(bare, offers))
+            guarded_samples.append(seconds(guarded, offers))
+        else:
+            guarded_samples.append(seconds(guarded, offers))
+            bare_samples.append(seconds(bare, offers))
+    return bare_samples, guarded_samples
 
 
 def run_overhead(size: int) -> dict:
@@ -97,16 +116,19 @@ def run_overhead(size: int) -> dict:
     try:
         expected = get_backend("reference").measure_values(MEASURE, offers)
         assert guarded.measure_values(MEASURE, offers) == expected
-        bare_s = median_seconds(bare, offers)
-        guarded_s = median_seconds(guarded, offers)
+        bare_samples, guarded_samples = paired_seconds(bare, guarded, offers)
     finally:
         bare.close()
         guarded.close()
+    ratios = [
+        guarded_s / bare_s for bare_s, guarded_s in zip(bare_samples, guarded_samples)
+    ]
     return {
         "population": size,
-        "bare_seconds": round(bare_s, 5),
-        "guarded_seconds": round(guarded_s, 5),
-        "overhead_ratio": round(guarded_s / bare_s, 4),
+        "pairs": len(ratios),
+        "bare_seconds": round(statistics.median(bare_samples), 5),
+        "guarded_seconds": round(statistics.median(guarded_samples), 5),
+        "overhead_ratio": round(statistics.median(ratios), 4),
     }
 
 
@@ -177,7 +199,8 @@ def test_fault_free_overhead_gate(size):
     report(f"Fault-plane overhead, fault-free ({size} offers)", [
         f"bare (retries=0, no plan) : {results['bare_seconds'] * 1e3:>9.2f} ms",
         f"guarded (retries=2, plan) : {results['guarded_seconds'] * 1e3:>9.2f} ms",
-        f"ratio                     : {results['overhead_ratio']:.3f}",
+        f"median per-pair ratio     : {results['overhead_ratio']:.3f} "
+        f"({results['pairs']} pairs)",
     ])
     print(json.dumps(results, indent=2))
     # The acceptance gate applies at the larger scale, where per-call cost

@@ -59,6 +59,7 @@ __all__ = [
     "ENV_VAR",
     "is_packed",
     "population_offers",
+    "schedule_pairs",
 ]
 
 #: Environment variable naming the default backend for the process.
@@ -81,6 +82,21 @@ def population_offers(population) -> Sequence["FlexOffer"]:
     """The offers of a population argument: a packed matrix's row-aligned
     ``offers``, or the sequence itself."""
     return population.offers if is_packed(population) else population
+
+
+def schedule_pairs(schedule) -> Sequence[tuple[int, Sequence[int]]]:
+    """The ``(start_time, values)`` pairs of a
+    :meth:`ComputeBackend.batch_objectives` schedule argument: a
+    :class:`~repro.scheduling.Schedule`'s assignments, or the pairs
+    themselves."""
+    from ..scheduling.base import Schedule
+
+    if isinstance(schedule, Schedule):
+        return [
+            (assignment.start_time, assignment.values)
+            for assignment in schedule.assignments
+        ]
+    return schedule
 
 
 class ComputeBackend(abc.ABC):
@@ -227,6 +243,19 @@ class ComputeBackend(abc.ABC):
         latest for ``"max"``).
         """
 
+    def packed_feasible_profiles(self, matrix, target: str):
+        """:meth:`feasible_profiles` of a packed population, left packed.
+
+        Returns ``(values, feasible)``: the profiles as one ``int64`` array
+        in ``matrix``'s slice layout (offer ``i``'s values at
+        ``values[matrix.offsets[i]:matrix.offsets[i + 1]]``) and the
+        per-offer verdicts as a ``bool`` array, both equal to what
+        :meth:`feasible_profiles` returns for ``matrix``.  The default
+        returns ``None``: the backend computes on Python objects, and
+        callers use :meth:`feasible_profiles` instead.
+        """
+        return None
+
     @abc.abstractmethod
     def assignment_feasibility(
         self,
@@ -249,7 +278,9 @@ class ComputeBackend(abc.ABC):
         """Imbalance objective of many schedules in one bulk call.
 
         Each schedule is a sequence of ``(start_time, values)`` assignment
-        pairs; ``reference`` is the optional supply
+        pairs or a :class:`~repro.scheduling.Schedule` (whose packed
+        columns a vectorizing backend reads as they are); ``reference`` is
+        the optional supply
         :class:`~repro.core.timeseries.TimeSeries` the schedules should
         track and ``metric`` is ``"absolute"`` (L1 imbalance energy) or
         ``"squared"`` (peak-penalising).  Per schedule the result equals
@@ -267,7 +298,10 @@ class ComputeBackend(abc.ABC):
         results: list[float] = []
         for schedule in schedules:
             load = TimeSeries.sum_of(
-                [TimeSeries(start, tuple(values)) for start, values in schedule]
+                [
+                    TimeSeries(start, tuple(values))
+                    for start, values in schedule_pairs(schedule)
+                ]
             )
             deviation = load if reference is None else load - reference
             if metric == "absolute":

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..core.flexoffer import FlexOffer
 from .cache import cached_matrix
-from .dispatch import ComputeBackend, register_backend
+from .dispatch import ComputeBackend, register_backend, schedule_pairs
 from .matrix import DENSE_CELL_LIMIT, VALUE_LIMIT, ProfileMatrix
 from .reference import ReferenceBackend
 
@@ -283,6 +283,14 @@ class NumpyBackend(ComputeBackend):
             return _FALLBACK.feasible_profiles(flex_offers, target)
         if matrix.size == 0:
             return [], []
+        packed, feasible = self.packed_feasible_profiles(matrix, target)
+        return matrix.profiles(packed), feasible.tolist()
+
+    def packed_feasible_profiles(
+        self, matrix: ProfileMatrix, target: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if target not in ("min", "max"):
+            raise ValueError(f"unknown target {target!r}")
         room = matrix.amax - matrix.amin  # headroom == slack per slice
         # Room already consumed by earlier slices of the same offer (the
         # greedy scalar loop consumes capacity strictly in profile order).
@@ -302,8 +310,7 @@ class NumpyBackend(ComputeBackend):
             drop = np.clip(surplus[matrix.owner] - consumed, 0, room)
             packed = matrix.amax - drop
             starts = matrix.tls
-        feasible = _screen(matrix, starts, packed)
-        return matrix.profiles(packed), feasible.tolist()
+        return packed, _screen(matrix, starts, packed)
 
     def assignment_feasibility(
         self,
@@ -356,37 +363,69 @@ class NumpyBackend(ComputeBackend):
         The expensive part of the scalar path — building one
         ``TimeSeries`` per assignment and summing them per schedule — is
         replaced by a single ``np.add.at`` scatter of every assignment's
-        values into a ``(schedules × horizon)`` int64 grid.  The final
-        per-schedule fold stays a sequential Python reduction over the
-        (small) deviation row, in time order, so the float results match
-        the scalar objective bit-for-bit; columns outside a schedule's own
-        span are exact zeros and leave the fold unchanged.  Inputs the
-        packed representation cannot evaluate exactly (non-int or oversized
-        values, negative starts the scalar ``TimeSeries`` would reject,
-        schedules so large their column sums could leave int64) take the
-        scalar fallback.
+        values into a ``(schedules × horizon)`` int64 grid.  A packed
+        :class:`~repro.scheduling.Schedule` contributes its columns as
+        they are; every other schedule is flattened into Python lists
+        first.  The final per-schedule fold stays a sequential Python
+        reduction over the (small) deviation row, in time order, so the
+        float results match the scalar objective bit-for-bit; columns
+        outside a schedule's own span are exact zeros and leave the fold
+        unchanged.  Inputs the packed representation cannot evaluate
+        exactly (non-int or oversized values, negative starts the scalar
+        ``TimeSeries`` would reject, schedules so large their column sums
+        could leave int64) take the scalar fallback.
         """
+        from ..scheduling.base import Schedule
+
         if metric not in ("absolute", "squared"):
             raise ValueError(f"unknown imbalance metric {metric!r}")
-        schedules = [list(schedule) for schedule in schedules]
+        schedules = [
+            schedule if isinstance(schedule, Schedule) else list(schedule)
+            for schedule in schedules
+        ]
         if not schedules:
             return []
-        starts = [start for schedule in schedules for start, _ in schedule]
-        durations = [
-            len(values) for schedule in schedules for _, values in schedule
-        ]
-        flat: list[int] = []
-        for schedule in schedules:
-            for _, values in schedule:
-                flat.extend(values)
-        any_empty = any(not schedule for schedule in schedules)
         scalar = super().batch_objectives
+        count = len(schedules)
+        lengths: list[int] = []
+        # The schedules built from assignments, flattened into lists ...
+        starts: list[int] = []
+        durations: list[int] = []
+        flat: list[int] = []
+        rows: list[int] = []
+        # ... and the columns of the packed ones, as arrays.
+        start_parts: list[np.ndarray] = []
+        duration_parts: list[np.ndarray] = []
+        value_parts: list[np.ndarray] = []
+        row_parts: list[np.ndarray] = []
+        for row, schedule in enumerate(schedules):
+            columns = schedule.columns if isinstance(schedule, Schedule) else None
+            if columns is not None:
+                column_starts, values, offsets = columns
+                start_parts.append(column_starts)
+                duration_parts.append(np.diff(offsets))
+                value_parts.append(values)
+                row_parts.append(np.full(len(column_starts), row, dtype=np.int64))
+                lengths.append(len(column_starts))
+                continue
+            pairs = schedule_pairs(schedule)
+            lengths.append(len(pairs))
+            rows.extend([row] * len(pairs))
+            for start, values in pairs:
+                starts.append(start)
+                durations.append(len(values))
+                flat.extend(values)
+        if max(lengths) > (1 << 21):
+            # Column sums accumulate per schedule; beyond ~2M assignments a
+            # single column could leave the exactly-representable range.
+            return scalar(schedules, reference, metric)
         # Validation mirrors the scalar TimeSeries path exactly — non-int
         # (and bool) entries and negative starts are rejected, magnitudes
         # must stay in the exact-sum range — but runs at C speed: a
         # ``set(map(type, ...))`` sweep distinguishes bool from int (they
         # are distinct types), the int64 conversion raises ``OverflowError``
         # on unbounded Python ints, and the bound checks are vectorized.
+        # Packed columns are int64 arrays already and skip the type sweep.
         try:
             if starts and set(map(type, starts)) != {int}:
                 return scalar(schedules, reference, metric)
@@ -396,13 +435,17 @@ class NumpyBackend(ComputeBackend):
             flat_array = np.asarray(flat, dtype=np.int64)
         except OverflowError:
             return scalar(schedules, reference, metric)
-        if starts and int(start_array.min()) < 0:
+        start_array = np.concatenate([start_array, *start_parts])
+        duration_array = np.concatenate(
+            [np.asarray(durations, dtype=np.int64), *duration_parts]
+        )
+        flat_array = np.concatenate([flat_array, *value_parts])
+        assignment_rows = np.concatenate(
+            [np.asarray(rows, dtype=np.int64), *row_parts]
+        )
+        if start_array.size and int(start_array.min()) < 0:
             return scalar(schedules, reference, metric)
-        if flat and int(np.abs(flat_array).max()) > VALUE_LIMIT:
-            return scalar(schedules, reference, metric)
-        if max((len(schedule) for schedule in schedules), default=0) > (1 << 21):
-            # Column sums accumulate per schedule; beyond ~2M assignments a
-            # single column could leave the exactly-representable range.
+        if flat_array.size and int(np.abs(flat_array).max()) > VALUE_LIMIT:
             return scalar(schedules, reference, metric)
         reference_values = tuple(reference.values) if reference is not None else ()
         reference_ints = all(type(value) is int for value in reference_values)
@@ -410,37 +453,34 @@ class NumpyBackend(ComputeBackend):
             max(map(abs, reference_values)) > VALUE_LIMIT
         ):
             return scalar(schedules, reference, metric)
-        duration_array = np.asarray(durations, dtype=np.int64)
         # The global grid covers every schedule's load span (and 0 for the
         # empty-schedule anchor) plus the reference span — a superset of
         # each schedule's own union span, with the extra columns exactly 0.
-        low = int(start_array.min()) if starts else 0
-        if any_empty or not starts:
+        any_starts = bool(start_array.size)
+        low = int(start_array.min()) if any_starts else 0
+        if not all(lengths):
             low = min(low, 0)
         high = (
-            int((start_array + duration_array).max()) - 1 if starts else low - 1
+            int((start_array + duration_array).max()) - 1
+            if any_starts
+            else low - 1
         )
         if reference is not None:
             low = min(low, reference.start)
             high = max(high, reference.end)
         horizon = high - low + 1
-        count = len(schedules)
         if horizon <= 0:
             return [0.0] * count
         if count * horizon > DENSE_CELL_LIMIT:
             return scalar(schedules, reference, metric)
         dense = np.zeros((count, horizon), dtype=np.int64)
-        if flat:
-            segment = np.zeros(len(durations), dtype=np.int64)
+        if flat_array.size:
+            segment = np.zeros(len(duration_array), dtype=np.int64)
             np.cumsum(duration_array[:-1], out=segment[1:])
-            within = np.arange(len(flat), dtype=np.int64) - np.repeat(
+            within = np.arange(flat_array.size, dtype=np.int64) - np.repeat(
                 segment, duration_array
             )
             columns = np.repeat(start_array - low, duration_array) + within
-            assignment_rows = np.repeat(
-                np.arange(count, dtype=np.int64),
-                [len(schedule) for schedule in schedules],
-            )
             np.add.at(
                 dense,
                 (np.repeat(assignment_rows, duration_array), columns),

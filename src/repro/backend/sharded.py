@@ -11,7 +11,8 @@ results exactly:
   concatenate in shard order — bit-identical to the single-process result
   because shards preserve population order.  An already packed
   ``feasible_profiles`` population (the engine's live matrix) is not
-  sharded: it runs on the inner backend in the calling thread;
+  sharded: it runs on the inner backend in the calling thread, as does
+  ``packed_feasible_profiles``;
 * set values combine the *concatenated* per-offer value lists through the
   measure's :meth:`~repro.measures.base.FlexibilityMeasure.combine_values`
   hook — the same list, in the same order, a single-process backend would
@@ -629,6 +630,11 @@ class ShardedBackend(ComputeBackend):
             profiles.extend(shard_profiles)
             feasible.extend(shard_feasible)
         return profiles, feasible
+
+    def packed_feasible_profiles(self, matrix, target: str):
+        # Packed already: one kernel pass on the inner backend in the
+        # calling thread, like feasible_profiles on a matrix.
+        return self.inner.packed_feasible_profiles(matrix, target)
 
     def assignment_feasibility(
         self,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from typing import Any
 
 from ..aggregation.base import AggregatedFlexOffer
@@ -149,6 +149,15 @@ def _flexoffer_json(flex_offer: FlexOffer) -> str:
         text = json.dumps(flexoffer_to_dict(flex_offer), allow_nan=False)
         object.__setattr__(flex_offer, "_wire_json", text)
     return text
+
+
+def _flexoffer_texts(flex_offers: Iterable[FlexOffer]) -> list[str]:
+    """:func:`_flexoffer_json` of every offer, with the cache read inline
+    (the call per offer is most of the cost on a cached population)."""
+    return [
+        flex_offer.__dict__.get("_wire_json") or _flexoffer_json(flex_offer)
+        for flex_offer in flex_offers
+    ]
 
 
 def flexoffer_from_dict(payload: dict[str, Any]) -> FlexOffer:
@@ -597,17 +606,17 @@ def result_to_dict(result) -> dict[str, Any]:
 
 class ScheduleEnvelope(dict):
     """A schedule result's :func:`result_to_dict` document with an empty
-    ``"assignments"`` array, plus the schedule's own assignments.
+    ``"assignments"`` array, plus the schedule itself.
 
-    :func:`payload_json` writes the assignments into the array as text, so
-    the document never holds a dictionary tree per assignment.
+    :func:`payload_json` writes the schedule's assignments into the array
+    as text, so the document never holds a dictionary tree per assignment.
     """
 
-    __slots__ = ("assignments",)
+    __slots__ = ("schedule",)
 
-    def __init__(self, document: dict[str, Any], assignments) -> None:
+    def __init__(self, document: dict[str, Any], schedule: Schedule) -> None:
         super().__init__(document)
-        self.assignments = assignments
+        self.schedule = schedule
 
 
 #: How every :class:`ScheduleEnvelope` text starts, up to the point where
@@ -628,18 +637,39 @@ def result_envelope(result) -> dict[str, Any]:
     if isinstance(result, ScheduleResult):
         return ScheduleEnvelope(
             _schedule_result_to_dict(result, {"assignments": []}),
-            result.schedule.assignments,
+            result.schedule,
         )
     return result_to_dict(result)
 
 
-def _assignments_json(assignments: Sequence[Assignment]) -> str:
+def _assignments_json(schedule: Schedule) -> str:
     """The items of the JSON array of :func:`assignment_to_dict` over the
-    assignments, each written from its offer's cached text.
+    schedule's assignments, each written from its offer's cached text.
 
-    Int start times and values print exactly as ``json`` prints them;
-    any other value sends the whole array through :func:`assignment_to_dict`.
+    A :meth:`Schedule.packed` schedule is written from its ``int64``
+    columns, without building its assignments.  Otherwise int start times
+    and values print exactly as ``json`` prints them, and any other value
+    sends the whole array through :func:`assignment_to_dict`.
     """
+    columns = schedule.columns
+    if columns is not None:
+        starts, values, offsets = columns
+        flat = values.tolist()
+        bounds = offsets.tolist()
+        return ", ".join(
+            [
+                f'{{"flex_offer": {text}, '
+                f'"start_time": {start}, '
+                f'"values": {flat[low:high]}}}'
+                for text, start, low, high in zip(
+                    _flexoffer_texts(schedule.flex_offers),
+                    starts.tolist(),
+                    bounds,
+                    bounds[1:],
+                )
+            ]
+        )
+    assignments = schedule.assignments
     types = {type(assignment.start_time) for assignment in assignments}
     types.update(
         type(value) for assignment in assignments for value in assignment.values
@@ -649,13 +679,13 @@ def _assignments_json(assignments: Sequence[Assignment]) -> str:
             json.dumps(assignment_to_dict(assignment), allow_nan=False)
             for assignment in assignments
         )
-    offer_json = _flexoffer_json
+    texts = _flexoffer_texts(assignment.flex_offer for assignment in assignments)
     return ", ".join(
         [
-            f'{{"flex_offer": {offer_json(assignment.flex_offer)}, '
+            f'{{"flex_offer": {text}, '
             f'"start_time": {assignment.start_time}, '
             f'"values": {list(assignment.values)}}}'
-            for assignment in assignments
+            for text, assignment in zip(texts, assignments)
         ]
     )
 
@@ -680,7 +710,7 @@ def payload_json(payload: dict[str, Any]) -> str:
     if text[:cut] != _ASSIGNMENTS_AT:
         raise SerializationError("not a schedule envelope document")
     return "".join(
-        (text[:cut], _assignments_json(payload.assignments), text[cut:])
+        (text[:cut], _assignments_json(payload.schedule), text[cut:])
     )
 
 

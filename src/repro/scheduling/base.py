@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import abc
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from typing import Optional
 
 from ..core.assignment import Assignment
@@ -23,25 +22,96 @@ from ..core.timeseries import TimeSeries
 __all__ = ["Schedule", "Scheduler"]
 
 
-@dataclass(frozen=True)
 class Schedule:
-    """One valid assignment per scheduled flex-offer."""
+    """One valid assignment per scheduled flex-offer.
 
-    assignments: tuple[Assignment, ...]
+    A schedule is built from its assignments, or, by :meth:`packed`, from
+    the columns of a packed population: the scheduled offers, one start
+    time per offer, and the values of every offer in one flat array laid
+    out like a :class:`~repro.backend.matrix.ProfileMatrix` (offer ``i``'s
+    values at ``values[offsets[i]:offsets[i + 1]]``).  A packed schedule
+    builds its :class:`~repro.core.Assignment` objects once, on the first
+    read of :attr:`assignments`; the objective and the wire encoder read
+    the columns instead.  Both forms compare, hash and iterate alike.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignments", tuple(self.assignments))
+    __slots__ = ("_assignments", "_offers", "_columns")
+
+    def __init__(self, assignments: Iterable[Assignment]) -> None:
+        """A schedule of the given (valid) assignments, in order."""
+        self._assignments: Optional[tuple[Assignment, ...]] = tuple(assignments)
+        self._offers: Optional[tuple[FlexOffer, ...]] = None
+        self._columns = None
+
+    @classmethod
+    def packed(
+        cls, offers: Sequence[FlexOffer], starts, values, offsets
+    ) -> "Schedule":
+        """A schedule held as columns, whose assignments are already valid.
+
+        ``starts``, ``values`` and ``offsets`` are integer arrays with a
+        ``tolist()`` method (NumPy ``int64`` arrays from a backend's
+        screen).  The caller vouches for every row, as for
+        :meth:`Assignment.trusted`, and must not mutate the arrays.
+        """
+        schedule = object.__new__(cls)
+        schedule._assignments = None
+        schedule._offers = tuple(offers)
+        schedule._columns = (starts, values, offsets)
+        return schedule
+
+    @property
+    def assignments(self) -> tuple[Assignment, ...]:
+        """The assignments, in schedule order (built once for a packed
+        schedule; concurrent first reads build equal tuples)."""
+        assignments = self._assignments
+        if assignments is None:
+            starts, values, offsets = self._columns
+            flat = values.tolist()
+            bounds = offsets.tolist()
+            trusted = Assignment.trusted
+            assignments = tuple(
+                [
+                    trusted(flex_offer, start, flat[low:high])
+                    for flex_offer, start, low, high in zip(
+                        self._offers, starts.tolist(), bounds, bounds[1:]
+                    )
+                ]
+            )
+            self._assignments = assignments
+        return assignments
+
+    @property
+    def columns(self):
+        """``(starts, values, offsets)`` of a :meth:`packed` schedule, else
+        ``None``."""
+        return self._columns
 
     def __len__(self) -> int:
-        return len(self.assignments)
+        if self._offers is not None:
+            return len(self._offers)
+        return len(self._assignments)
 
     def __iter__(self):
         return iter(self.assignments)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.assignments == other.assignments
+
+    def __hash__(self) -> int:
+        return hash((self.assignments,))
+
+    def __repr__(self) -> str:
+        return f"Schedule(assignments={self.assignments!r})"
+
     @property
     def flex_offers(self) -> tuple[FlexOffer, ...]:
         """The scheduled flex-offers, in schedule order."""
-        return tuple(assignment.flex_offer for assignment in self.assignments)
+        if self._offers is not None:
+            return self._offers
+        return tuple(assignment.flex_offer for assignment in self._assignments)
 
     def total_load(self) -> TimeSeries:
         """The aggregate load of the schedule (sum of assignment series)."""

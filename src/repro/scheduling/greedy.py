@@ -44,7 +44,10 @@ class EarliestStartScheduler(Scheduler):
     feasible profiles of the whole population, and their Definition 2
     screen, come from one backend ``feasible_profiles`` call (one
     vectorized pass under the NumPy and sharded backends), equivalent to
-    :meth:`Assignment.earliest_minimum` per offer.
+    :meth:`Assignment.earliest_minimum` per offer.  On a packed population
+    whose rows all pass the screen, a backend that computes on packed
+    arrays (``packed_feasible_profiles``) yields a :meth:`Schedule.packed`
+    schedule, whose assignments are only built if someone reads them.
     """
 
     name = "earliest-start"
@@ -68,9 +71,22 @@ class EarliestStartScheduler(Scheduler):
         """
         from ..backend.dispatch import get_backend, is_packed, population_offers
 
-        if not is_packed(flex_offers):
+        backend = get_backend()
+        if is_packed(flex_offers):
+            packed = backend.packed_feasible_profiles(flex_offers, "min")
+            if packed is not None:
+                values, feasible = packed
+                if feasible.all():
+                    # Every row passed the screen: keep the kernel's output.
+                    return Schedule.packed(
+                        flex_offers.offers,
+                        flex_offers.tes,
+                        values,
+                        flex_offers.offsets,
+                    )
+        else:
             flex_offers = list(flex_offers)
-        profiles, feasible = get_backend().feasible_profiles(flex_offers, "min")
+        profiles, feasible = backend.feasible_profiles(flex_offers, "min")
         # The backend screened its own output, so construction takes the
         # trusted fast path instead of re-running the per-slice scalar
         # validation per offer; an infeasible profile (impossible by

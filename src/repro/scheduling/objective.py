@@ -96,12 +96,17 @@ class ImbalanceObjective:
         evolutionary scheduler scores a whole generation, the
         hill-climbing scheduler its restart initials, and
         ``FlexSession.schedule`` the ``objective_value`` of the schedule
-        it returns.
+        it returns.  A :meth:`Schedule.packed` schedule is passed as it
+        is, so the NumPy backend reads its columns and no assignment is
+        built; any other schedule is passed as ``(start_time, values)``
+        pairs.
         """
         from ..backend.dispatch import get_backend
 
         payload = [
-            [
+            schedule
+            if schedule.columns is not None
+            else [
                 (assignment.start_time, assignment.values)
                 for assignment in schedule.assignments
             ]

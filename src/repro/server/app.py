@@ -18,7 +18,8 @@ Request path
 document with a schedule's assignments left out of the dictionary tree:
 the encoder (:func:`~repro.io.payload_json`) writes each one as text from
 its offer's cached wire text, so a large schedule never builds a
-dictionary per assignment.  Sessions are synchronous objects, so
+dictionary per assignment (nor, when the schedule is packed, an
+assignment).  Sessions are synchronous objects, so
 the submit runs on a worker-thread pool via ``loop.run_in_executor`` —
 safe because backend activation is thread-local (the PR 5 dispatch fix):
 each worker thread activates only the serving session's backend.

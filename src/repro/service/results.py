@@ -41,7 +41,8 @@ class RequestStats:
         Name of the compute backend that served the request.
     duration_s:
         Wall-clock seconds spent inside the session serving it, including
-        its reads of the live population.
+        its set-up (the scheduler, objective or market it builds) and its
+        reads of the live population.
     population:
         Number of flex-offers the request operated on.
     cache_hits, cache_misses:

@@ -326,31 +326,39 @@ class FlexSession:
             )
 
     def schedule(self, request: Optional[ScheduleRequest] = None) -> ScheduleResult:
-        """Schedule the live (or an explicit) population."""
+        """Schedule the live (or an explicit) population.
+
+        The request's timer covers everything the request does: resolving
+        the scheduler, its options and the objective, reading the live
+        population, scheduling and scoring.
+        """
         request = request if request is not None else ScheduleRequest()
-        try:
-            scheduler_class, seeded, takes_objective = _SCHEDULERS[request.scheduler]
-        except KeyError:
-            raise ServiceError(
-                f"unknown scheduler {request.scheduler!r}; "
-                f"available: {sorted(_SCHEDULERS)}"
-            ) from None
-        options = dict(request.options)
-        objective = ImbalanceObjective(request.metric, request.reference)
-        if takes_objective:
-            objective = options.setdefault("objective", objective)
-        if seeded:
-            options.setdefault("seed", self.config.seed)
-        # Score with the objective the scheduler actually optimises: a
-        # caller-supplied options["objective"] wins inside the scheduler,
-        # and an explicit request reference overrides its reference there
-        # (the Scheduler.schedule contract) — mirror both here so
-        # ``objective_value`` always measures the optimised objective.
-        if request.reference is not None:
-            objective = ImbalanceObjective(objective.metric, request.reference)
         live = request.offers is None
         population = len(self.engine) if live else len(request.offers)
         with self._serve("schedule", population) as finish:
+            try:
+                scheduler_class, seeded, takes_objective = _SCHEDULERS[
+                    request.scheduler
+                ]
+            except KeyError:
+                raise ServiceError(
+                    f"unknown scheduler {request.scheduler!r}; "
+                    f"available: {sorted(_SCHEDULERS)}"
+                ) from None
+            options = dict(request.options)
+            objective = ImbalanceObjective(request.metric, request.reference)
+            if takes_objective:
+                objective = options.setdefault("objective", objective)
+            if seeded:
+                options.setdefault("seed", self.config.seed)
+            # Score with the objective the scheduler actually optimises: a
+            # caller-supplied options["objective"] wins inside the
+            # scheduler, and an explicit request reference overrides its
+            # reference there (the Scheduler.schedule contract) — mirror
+            # both here so ``objective_value`` always measures the
+            # optimised objective.
+            if request.reference is not None:
+                objective = ImbalanceObjective(objective.metric, request.reference)
             scheduler = scheduler_class(**options)
             offers = None
             if live and scheduler_class is EarliestStartScheduler:
@@ -375,13 +383,13 @@ class FlexSession:
     def trade(self, request: Optional[TradeRequest] = None) -> TradeResult:
         """Price and clear a book of lots (live aggregates by default)."""
         request = request if request is not None else TradeRequest()
-        pricer = FlexibilityPricer(
-            measure=request.measure,
-            energy_price=request.energy_price,
-            premium_per_unit=request.premium_per_unit,
-        )
-        market = TradingSession(pricer, budget=request.budget)
         with self._serve("trade", 0) as finish:
+            pricer = FlexibilityPricer(
+                measure=request.measure,
+                energy_price=request.energy_price,
+                premium_per_unit=request.premium_per_unit,
+            )
+            market = TradingSession(pricer, budget=request.budget)
             if request.lots is None:
                 lots: list[Union[FlexOffer, AggregatedFlexOffer]] = list(
                     self.engine.aggregates()

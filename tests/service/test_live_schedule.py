@@ -3,8 +3,11 @@
 A live ``earliest`` request hands the engine's frozen live
 :class:`~repro.backend.matrix.ProfileMatrix` to the scheduler, whose
 backend computes the minimal profiles and screens them on those arrays:
-nothing is packed again.  The schedule must equal the reference
-scheduler over ``live_offers()`` through arrivals, expiries (tombstoned
+nothing is packed again, and on a NumPy-backed session the schedule stays
+packed (:meth:`~repro.scheduling.Schedule.packed`) through the objective
+and the wire text, building no :class:`~repro.core.Assignment`.  The
+schedule, its objective value and its wire text must equal the reference
+scheduler's over ``live_offers()`` through arrivals, expiries (tombstoned
 and compacted rows), ``auto_expire`` ticks and offers whose ``cmin``
 forces top-ups, and a row that fails the screen must still reach the
 validating :class:`~repro.core.Assignment` constructor.
@@ -12,13 +15,16 @@ validating :class:`~repro.core.Assignment` constructor.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backend import NUMPY_AVAILABLE, use_backend
-from repro.core import FlexOffer, InvalidAssignmentError
-from repro.scheduling import EarliestStartScheduler
+from repro.core import Assignment, FlexOffer, InvalidAssignmentError, TimeSeries
+from repro.io import payload_json, result_envelope, result_to_dict
+from repro.scheduling import EarliestStartScheduler, ImbalanceObjective
 from repro.service import FlexSession, ScheduleRequest, StreamRequest
 from repro.stream import OfferArrived, OfferExpired
 
@@ -75,9 +81,46 @@ steps = st.lists(
 )
 
 
+#: References whose float columns make the objective's fold order matter.
+references = st.one_of(
+    st.none(),
+    st.builds(
+        TimeSeries,
+        st.integers(min_value=0, max_value=8),
+        st.lists(
+            st.one_of(
+                st.integers(min_value=-4, max_value=4),
+                st.sampled_from([0.1, 0.7, 2.5, 1e16, -1e16, 3e17]),
+            ),
+            min_size=1,
+            max_size=8,
+        ).map(tuple),
+    ),
+)
+
+
 def expected_schedule(session):
     with use_backend("reference"):
         return EarliestStartScheduler().schedule(session.engine.live_offers())
+
+
+def expected_objective(schedule, metric="absolute", reference=None):
+    """The reference objective value, as a live schedule reports it (an
+    empty schedule reports 0.0)."""
+    if not len(schedule):
+        return 0.0
+    with use_backend("reference"):
+        return ImbalanceObjective(metric, reference).of_schedule(schedule)
+
+
+def assert_served_like_the_reference(served, expected, metric, reference):
+    """Schedule, objective bits and wire text of a live earliest result."""
+    assert served.schedule == expected
+    value = expected_objective(expected, metric, reference)
+    assert served.objective_value.hex() == float(value).hex()
+    assert payload_json(result_envelope(served)) == json.dumps(
+        result_to_dict(served), allow_nan=False
+    )
 
 
 @settings(
@@ -89,10 +132,13 @@ def expected_schedule(session):
     plan=steps,
     threshold=st.sampled_from([0.0, 0.25, 1.0]),
     auto_expire=st.booleans(),
+    metric=st.sampled_from(["absolute", "squared"]),
+    reference=references,
 )
 def test_live_earliest_schedule_equals_the_reference_scheduler(
-    plan, threshold, auto_expire
+    plan, threshold, auto_expire, metric, reference
 ):
+    request = ScheduleRequest("earliest", metric=metric, reference=reference)
     for config in BACKENDS.values():
         with FlexSession(
             measures=MEASURES, auto_expire=auto_expire, **config
@@ -122,8 +168,12 @@ def test_live_earliest_schedule_equals_the_reference_scheduler(
                     clock += step[1]
                     session.tick(clock)
                 else:
-                    served = session.schedule(ScheduleRequest("earliest"))
-                    assert served.schedule == expected_schedule(session)
+                    assert_served_like_the_reference(
+                        session.schedule(request),
+                        expected_schedule(session),
+                        metric,
+                        reference,
+                    )
 
 
 @pytest.fixture
@@ -179,6 +229,78 @@ def test_a_live_schedule_packs_nothing(config, sweeps, monkeypatch):
         assert served.schedule == expected_schedule(session)
 
 
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts :class:`Assignment` constructions, trusted or validated."""
+    calls = []
+    trusted = Assignment.trusted.__func__
+    post_init = Assignment.__post_init__
+
+    def counted_trusted(cls, flex_offer, start_time, values):
+        calls.append(flex_offer)
+        return trusted(cls, flex_offer, start_time, values)
+
+    def counted_post_init(self):
+        calls.append(self.flex_offer)
+        post_init(self)
+
+    monkeypatch.setattr(Assignment, "trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(Assignment, "__post_init__", counted_post_init)
+    return calls
+
+
+#: A reference whose objective fold gives another float in another order:
+#: 1e16 swallows each small deviation added after it, not their sum.
+FOLD_SENSITIVE = TimeSeries(0, (1e16, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3))
+
+
+@requires_numpy
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"backend": "numpy"},
+        {"backend": "sharded", "shards": 2, "shard_min_population": 1},
+    ],
+    ids=["numpy", "sharded"],
+)
+def test_a_live_schedule_builds_no_assignment(config, constructions):
+    with FlexSession(measures=MEASURES, **config) as session:
+        session.ingest(population(50))
+        constructions.clear()
+        served = session.schedule(
+            ScheduleRequest("earliest", reference=FOLD_SENSITIVE)
+        )
+        text = payload_json(result_envelope(served))
+        assert constructions == []
+        schedule = served.schedule
+        assert schedule.columns is not None
+        assert len(schedule) == 50
+        assert schedule.flex_offers == tuple(session.engine.live_offers())
+        assert constructions == []
+
+        first = schedule.assignments
+        assert len(constructions) == 50
+        assert schedule.assignments is first
+        assert len(constructions) == 50
+
+        expected = expected_schedule(session)
+        assert expected.columns is None
+        assert schedule == expected and expected == schedule
+        assert hash(schedule) == hash(expected)
+        assert list(schedule) == list(expected)
+        assert text == json.dumps(result_to_dict(served), allow_nan=False)
+
+        value = expected_objective(expected, reference=FOLD_SENSITIVE)
+        deviations = [
+            abs(deviation)
+            for deviation in (expected.total_load() - FOLD_SENSITIVE).values
+        ]
+        # The fold runs in time order; out of order it gives another float.
+        assert float(sum(deviations)) == value
+        assert float(sum(reversed(deviations))) != value
+        assert served.objective_value.hex() == value.hex()
+
+
 @requires_numpy
 @pytest.mark.parametrize("backend", ["numpy", "sharded"])
 def test_an_explicit_offer_schedule_packs_once(backend, sweeps):
@@ -207,3 +329,17 @@ def test_a_row_failing_the_screen_still_raises(name):
         request = ScheduleRequest("earliest", offers=offers)
         with pytest.raises(InvalidAssignmentError, match="total energy 3"):
             session.schedule(request)
+
+
+
+@requires_numpy
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_a_packed_row_failing_the_screen_still_raises(name):
+    from repro.backend.matrix import ProfileMatrix
+
+    matrix = ProfileMatrix(population(5) + [unreachable_offer()])
+    with FlexSession(measures=MEASURES, **BACKENDS[name]) as session:
+        with session.activate(), pytest.raises(
+            InvalidAssignmentError, match="total energy 3"
+        ):
+            EarliestStartScheduler().schedule(matrix)

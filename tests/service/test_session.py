@@ -726,3 +726,27 @@ def test_request_duration_covers_live_population_reads(kind, monkeypatch):
         else:
             stats = session.schedule(ScheduleRequest("earliest")).stats
         assert stats.duration_s >= 0.05
+
+
+@pytest.mark.parametrize(
+    "kind, setup", [("schedule", "ImbalanceObjective"), ("trade", "TradingSession")]
+)
+def test_request_duration_covers_request_setup(kind, setup, monkeypatch):
+    import time as time_module
+
+    from repro.service import session as session_module
+
+    original = getattr(session_module, setup)
+
+    def slow(*args, **kwargs):
+        time_module.sleep(0.05)
+        return original(*args, **kwargs)
+
+    with FlexSession(backend="reference") as session:
+        session.ingest(population(5, seed=23))
+        monkeypatch.setattr(session_module, setup, slow)
+        if kind == "schedule":
+            stats = session.schedule(ScheduleRequest("earliest")).stats
+        else:
+            stats = session.trade(TradeRequest()).stats
+    assert stats.duration_s >= 0.05
