@@ -35,7 +35,6 @@ from .limits import (
     NotFoundError,
     PayloadTooLargeError,
     RegistryFullError,
-    RequestTimeoutError,
     SaturatedError,
     SessionExistsError,
     UnknownSessionError,
@@ -67,6 +66,5 @@ __all__ = [
     "PayloadTooLargeError",
     "SaturatedError",
     "RegistryFullError",
-    "RequestTimeoutError",
     "InternalError",
 ]

@@ -29,8 +29,11 @@ tenant's own (``limit=1``), which serialises one session's requests
 behind a bounded queue, then the gateway's (``limit=workers``), which
 bounds in-flight work.  A request waiting behind its own tenant therefore
 holds no worker slot.  Saturation of either returns 429 with
-``Retry-After``; deadline overruns return 504 after a clean hand-off (the
-session is never released while a worker thread still owns it).
+``Retry-After``.  Every operation on a session (submit, stats,
+checkpoint, DELETE) takes both gates and holds them until its worker
+returns, so no two run inside one session at once, and the idle sweep
+and LRU eviction, which skip a busy gate, never close a session a worker
+is still inside.
 
 Routes
 ------
@@ -85,9 +88,9 @@ from .limits import (
     MethodNotAllowedError,
     NotFoundError,
     PayloadTooLargeError,
-    RequestTimeoutError,
     ServiceUnavailableError,
     StateCorruptedError,
+    UnknownSessionError,
 )
 from .registry import SessionRegistry
 
@@ -105,7 +108,6 @@ _REASONS = {
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
-    504: "Gateway Timeout",
 }
 
 def _reject_constant(name: str):
@@ -135,8 +137,6 @@ class GatewayConfig:
     session_queue_depth:
         Per-tenant bounded queue depth (requests waiting behind the one
         executing before 429s start).
-    request_timeout_s:
-        Deadline for one request's execution phase; ``None`` disables.
     max_body_bytes:
         Largest accepted request body (413 beyond it).
     workers:
@@ -155,8 +155,8 @@ class GatewayConfig:
         appender); ``None`` disables the access log.
     fault_plan:
         A :class:`~repro.faults.FaultPlan` (or its JSON/dict spec) fired
-        at the gateway's own ``gateway.dispatch`` site on every worker
-        dispatch — the chaos knob for the HTTP layer itself, independent
+        at the gateway's own ``gateway.dispatch`` site before every submit
+        on a worker — the chaos knob for the HTTP layer itself, independent
         of any per-session plan.  ``None`` resolves ``REPRO_FAULTS`` from
         the environment.
     """
@@ -167,7 +167,6 @@ class GatewayConfig:
     idle_ttl: Optional[float] = None
     max_pending: Optional[int] = None
     session_queue_depth: int = 8
-    request_timeout_s: Optional[float] = 30.0
     max_body_bytes: int = 8 * 1024 * 1024
     workers: Optional[int] = None
     session_defaults: Optional[SessionConfig] = None
@@ -184,10 +183,6 @@ class GatewayConfig:
             )
         if self.max_pending is None:
             object.__setattr__(self, "max_pending", 32 * self.workers)
-        if self.request_timeout_s is not None and self.request_timeout_s <= 0:
-            raise ValueError(
-                f"request_timeout_s must be positive, got {self.request_timeout_s}"
-            )
         if self.max_body_bytes < 1:
             raise ValueError(
                 f"max_body_bytes must be >= 1, got {self.max_body_bytes}"
@@ -267,14 +262,8 @@ class _MemoryWriter:
             self._closed = True
             self._peer.feed_eof()
 
-    def is_closing(self) -> bool:
-        return self._closed
-
     async def wait_closed(self) -> None:
         return None
-
-    def get_extra_info(self, name: str, default=None):
-        return default
 
 
 class Gateway:
@@ -317,7 +306,6 @@ class Gateway:
         )
         self.served = 0
         self.failed = 0
-        self.timeouts = 0
         self.sweeper_failures = 0
         self._connections: set = set()
         self._closed = False
@@ -456,16 +444,15 @@ class Gateway:
         )
 
     async def _handle_stats(self, name: str, body: bytes) -> Response:
-        """Read a tenant's counters and windows under its session gate: a
-        worker thread applying a ``Tick`` mutates those windows, so the
-        read waits for the running request, like a checkpoint does."""
         entry = self.registry.entry(name)
-        async with entry.gate.admit():
-            stats = entry.stats()
+        stats = await self._hand_off(entry, entry.stats)
         return Response(200, {"kind": "session-stats", **stats})
 
     async def _handle_evict(self, name: str, body: bytes) -> Response:
-        self.registry.evict(name)
+        """Close a live tenant once its running and queued requests are
+        done; a tenant that is not live is a 404 and is not recovered."""
+        entry = self.registry.entry(name, recover=False)
+        await self._hand_off(entry, self.registry.evict, name)
         return Response(200, {"kind": "evicted", "name": name})
 
     async def _handle_submit(self, name: str, body: bytes) -> Response:
@@ -474,9 +461,9 @@ class Gateway:
             raise BadRequestError("request body must be a JSON object")
         request = request_from_dict(payload)
         entry = self.registry.entry(name)
-        async with entry.gate.admit():
-            async with self.gate.admit():
-                result = await self._submit_on_worker(entry.session, request)
+        result = await self._hand_off(
+            entry, self._dispatch, entry.session, request
+        )
         entry.served += 1
         self.served += 1
         if self.access_log is not None:
@@ -484,43 +471,33 @@ class Gateway:
         return Response(200, result_envelope(result))
 
     async def _handle_checkpoint(self, name: str, body: bytes) -> Response:
-        """Snapshot a durable tenant on demand (both gates held, in the
-        same order as a request — a checkpoint must not run concurrently
-        with a submit on the same session)."""
         entry = self.registry.entry(name)
-        loop = asyncio.get_running_loop()
-        async with entry.gate.admit():
-            async with self.gate.admit():
-                stats = await loop.run_in_executor(
-                    self._executor, entry.session.checkpoint
-                )
+        stats = await self._hand_off(entry, entry.session.checkpoint)
         return Response(200, {"kind": "checkpoint", "name": name, **stats})
 
-    async def _submit_on_worker(self, session, request):
-        """Run one submit on the pool, under the configured deadline.
+    async def _hand_off(self, entry, function, *args):
+        """Run ``function(*args)`` on the pool for the tenant ``entry``.
 
-        On timeout the worker future is cancelled if it has not started;
-        if it is already running, the (timed-out) request is awaited to
-        completion before the session gate is released — a worker thread
-        never touches a session the gateway considers free.
+        Takes the tenant's gate, then the gateway's, and holds both until
+        the worker returns: Python cannot stop a running thread, so a
+        gate is never released while a worker is inside the session.  A
+        request that reaches the front of the queue after a DELETE closed
+        the session is a 404.
         """
-        loop = asyncio.get_running_loop()
+        async with entry.gate.admit():
+            if entry.session.closed:
+                raise UnknownSessionError(f"unknown session {entry.name!r}")
+            async with self.gate.admit():
+                loop = asyncio.get_running_loop()
+                return await loop.run_in_executor(
+                    self._executor, function, *args
+                )
+
+    def _dispatch(self, session, request):
+        """One submit on a worker, behind the ``gateway.dispatch`` fault site."""
         if self.config.fault_plan is not None:
             self.config.fault_plan.fire(GATEWAY_DISPATCH)
-        future = loop.run_in_executor(self._executor, session.submit, request)
-        timeout = self.config.request_timeout_s
-        if timeout is None:
-            return await future
-        try:
-            return await asyncio.wait_for(asyncio.shield(future), timeout)
-        except asyncio.TimeoutError:
-            self.timeouts += 1
-            future.cancel()
-            with suppress(Exception, asyncio.CancelledError):
-                await future
-            raise RequestTimeoutError(
-                f"request exceeded the {timeout:g}s deadline"
-            ) from None
+        return session.submit(request)
 
     # ------------------------------------------------------------------ #
     # HTTP transport
@@ -652,7 +629,6 @@ class Gateway:
         payload = {
             "served": self.served,
             "failed": self.failed,
-            "timeouts": self.timeouts,
             "sweeper_failures": self.sweeper_failures,
             "gate": self.gate.stats(),
             "registry": registry,

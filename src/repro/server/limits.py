@@ -42,7 +42,6 @@ __all__ = [
     "RegistryFullError",
     "ServiceUnavailableError",
     "StateCorruptedError",
-    "RequestTimeoutError",
     "InternalError",
     "error_class_for_code",
     "ConcurrencyGate",
@@ -158,13 +157,6 @@ class StateCorruptedError(GatewayError):
     code = "state-corrupt"
 
 
-class RequestTimeoutError(GatewayError):
-    """504 — the request exceeded the gateway's execution deadline."""
-
-    status = 504
-    code = "timeout"
-
-
 class InternalError(GatewayError):
     """500 — an unexpected failure inside the gateway."""
 
@@ -186,7 +178,6 @@ _ERRORS_BY_CODE = {
         RegistryFullError,
         ServiceUnavailableError,
         StateCorruptedError,
-        RequestTimeoutError,
         InternalError,
     )
 }

@@ -14,8 +14,9 @@ top:
   seconds are closed and dropped on the next sweep.
 
 The registry itself is cheap bookkeeping guarded by a thread lock, so it
-can be inspected from worker threads; all structural mutation happens on
-the gateway's event-loop thread.
+can be inspected and mutated from worker threads: the gateway runs a
+``DELETE``'s :meth:`SessionRegistry.evict` on one, holding the tenant's
+gate.
 """
 
 from __future__ import annotations
@@ -196,21 +197,19 @@ class SessionRegistry:
         )
         return SessionConfig.from_dict(payload)
 
-    def entry(self, name: str) -> SessionEntry:
+    def entry(self, name: str, recover: bool = True) -> SessionEntry:
         """The named tenant's entry; touches its LRU position.
 
-        Raises :class:`UnknownSessionError` for unknown (or already
-        evicted/expired) names.
+        A name that is not live but has persisted state is recovered,
+        unless ``recover`` is false.  Raises :class:`UnknownSessionError`
+        for unknown (or already evicted/expired) names.
         """
         with self._lock:
-            try:
-                entry = self._entries[name]
-            except KeyError:
+            entry = self._entries.get(name)
+            if entry is None and recover:
                 entry = self._recover(name)
-                if entry is None:
-                    raise UnknownSessionError(
-                        f"unknown session {name!r}"
-                    ) from None
+            if entry is None:
+                raise UnknownSessionError(f"unknown session {name!r}")
             self._entries.move_to_end(name)
             entry.last_used = self._clock()
             return entry
@@ -220,14 +219,24 @@ class SessionRegistry:
         return self.entry(name).session
 
     def evict(self, name: str) -> FlexSession:
-        """Close and drop the named session, returning it (now closed)."""
+        """Close and drop the named session, returning it (now closed).
+
+        The entry stays registered until its session is closed, so a
+        request for the name meanwhile finds it, not a second session
+        recovered from the directory the close is still writing.
+        """
         with self._lock:
             try:
-                entry = self._entries.pop(name)
+                entry = self._entries[name]
             except KeyError:
                 raise UnknownSessionError(f"unknown session {name!r}") from None
-            self.evicted += 1
-        entry.session.close()
+        try:
+            entry.session.close()
+        finally:
+            with self._lock:
+                if self._entries.get(name) is entry:
+                    del self._entries[name]
+                    self.evicted += 1
         return entry.session
 
     def sweep(self, now: Optional[float] = None) -> List[str]:

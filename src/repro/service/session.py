@@ -372,7 +372,7 @@ class FlexSession:
             schedule = scheduler.schedule(offers, request.reference)
             # One batch_objectives pass through the session's backend:
             # bit-identical to objective.of_schedule(schedule).
-            value = objective.of_generation([schedule])[0] if len(schedule) else 0.0
+            value = objective.of_generation([schedule])[0]
             return ScheduleResult(
                 schedule=schedule,
                 objective_value=value,

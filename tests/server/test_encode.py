@@ -206,8 +206,8 @@ class RecordingGateway(Gateway):
         super().__init__(*args, **kwargs)
         self.results = []
 
-    async def _submit_on_worker(self, session, request):
-        result = await super()._submit_on_worker(session, request)
+    async def _hand_off(self, entry, function, *args):
+        result = await super()._hand_off(entry, function, *args)
         self.results.append(result)
         return result
 

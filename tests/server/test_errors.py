@@ -27,7 +27,6 @@ from repro.server import (
     NotFoundError,
     PayloadTooLargeError,
     RegistryFullError,
-    RequestTimeoutError,
     SaturatedError,
     SessionExistsError,
     UnknownSessionError,
@@ -263,33 +262,6 @@ def test_malformed_content_length_is_a_structured_400_and_closes(declared):
     assert trailing == b""
 
 
-def test_timeout_is_a_structured_504_and_session_survives():
-    """The deadline satellite: a slow request 504s; the worker hand-off is
-    clean, so the very next request on the same session succeeds."""
-
-    async def run(gateway, client):
-        await client.create_session("slow", REFERENCE)
-        entry = gateway.registry.entry("slow")
-        real_submit = entry.session.submit
-
-        def sluggish(request):
-            import time
-
-            time.sleep(0.3)
-            return real_submit(request)
-
-        entry.session.submit = sluggish
-        timed_out = await client.submit("slow", EvaluateRequest())
-        entry.session.submit = real_submit
-        recovered = await client.submit("slow", EvaluateRequest())
-        return timed_out, recovered, gateway.timeouts
-
-    timed_out, recovered, timeouts = scenario(run, request_timeout_s=0.05)
-    assert_error_body(timed_out, 504, "timeout")
-    assert recovered.status == 200
-    assert timeouts == 1
-
-
 def test_internal_failure_is_a_structured_500():
     async def run(gateway, client):
         await client.create_session("boom", REFERENCE)
@@ -316,7 +288,6 @@ def test_every_error_class_round_trips_through_io():
         PayloadTooLargeError("big"),
         SaturatedError("full", retry_after=0.25),
         RegistryFullError("packed", retry_after=1.5),
-        RequestTimeoutError("late"),
         InternalError("oops"),
     ]
     for error in errors:

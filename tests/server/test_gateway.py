@@ -245,8 +245,6 @@ def test_access_log_streams_request_stats_rows():
 
 def test_gateway_config_validation():
     with pytest.raises(ValueError):
-        GatewayConfig(request_timeout_s=0)
-    with pytest.raises(ValueError):
         GatewayConfig(max_body_bytes=0)
     with pytest.raises(ValueError):
         Gateway(GatewayConfig(), max_sessions=3)

@@ -245,13 +245,10 @@ def test_a_request_queued_behind_its_tenant_holds_no_worker_slot():
     assert finished[0] == "quiet"
 
 
-def test_timeout_disabled_runs_to_completion():
+def test_submit_runs_to_completion():
     async def scenario():
         gateway = Gateway(
-            GatewayConfig(
-                request_timeout_s=None,
-                session_defaults=SessionConfig(backend="reference"),
-            )
+            GatewayConfig(session_defaults=SessionConfig(backend="reference"))
         )
         try:
             client = GatewayClient.in_process(gateway)

@@ -104,7 +104,6 @@ GATEWAY_FIELDS = (
     "idle_ttl",
     "max_pending",
     "session_queue_depth",
-    "request_timeout_s",
     "max_body_bytes",
     "workers",
     "session_defaults",

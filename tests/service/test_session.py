@@ -523,6 +523,27 @@ def test_objective_value_is_bit_identical_to_of_schedule(backend, scheduler, met
             assert result.objective_value.hex() == expected.hex()
 
 
+@pytest.mark.parametrize("metric", ["absolute", "squared"])
+@pytest.mark.parametrize("backend", _SCORING_BACKENDS)
+def test_empty_schedule_scores_the_reference_imbalance(backend, metric):
+    """With nothing scheduled the imbalance is the reference's own:
+    |3| + |4| = 7 (absolute) or 9 + 16 = 25 (squared), both for an empty
+    live population and for ``offers=()``."""
+    reference = TimeSeries(0, (3, 4))
+    expected = {"absolute": 7.0, "squared": 25.0}[metric]
+    with FlexSession(SessionConfig(**backend)) as session:
+        for offers in (None, ()):
+            result = session.schedule(
+                ScheduleRequest(
+                    "earliest", offers=offers, reference=reference, metric=metric
+                )
+            )
+            assert len(result.schedule) == 0
+            assert result.objective_value == expected
+            objective = ImbalanceObjective(metric, reference)
+            assert objective.of_schedule(result.schedule) == expected
+
+
 # --------------------------------------------------------------------- #
 # The acceptance property: interleaved sessions == solo sessions
 # --------------------------------------------------------------------- #

@@ -229,7 +229,6 @@ async def run_load(
     workers: Optional[int] = None,
     max_pending: Optional[int] = None,
     session_queue_depth: int = 8,
-    request_timeout_s: Optional[float] = 30.0,
     access_log=None,
     fault_rate: float = 0.0,
     fault_seed: int = 0,
@@ -283,7 +282,6 @@ async def run_load(
             workers=workers,
             max_pending=tenants + 64 if max_pending is None else max_pending,
             session_queue_depth=session_queue_depth,
-            request_timeout_s=request_timeout_s,
             session_defaults=session_defaults,
             access_log=access_log,
             fault_plan=fault_plan(fault_rate, fault_seed) if fault_rate else None,
