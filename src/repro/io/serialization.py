@@ -816,9 +816,11 @@ def error_from_dict(payload: dict[str, Any]):
 
     The returned exception's class is resolved from the wire ``error``
     code, so ``raise error_from_dict(body)`` on the client side surfaces
-    the same typed error the server raised.
+    the same typed error the server raised.  A code this client does not
+    know rebuilds as a plain :class:`~repro.server.GatewayError` that
+    keeps the wire's ``status`` and ``code``.
     """
-    from ..server.limits import error_class_for_code
+    from ..server.limits import GatewayError, error_class_for_code
 
     if not isinstance(payload, dict) or payload.get("kind") != "error":
         raise SerializationError(f"not an error payload: {payload!r}")
@@ -828,6 +830,9 @@ def error_from_dict(payload: dict[str, Any]):
             str(payload["detail"]),
             retry_after=payload.get("retry_after"),
         )
+        if error_class is GatewayError:
+            error.status = int(payload["status"])
+            error.code = str(payload["error"])
     except (KeyError, TypeError, ValueError) as error_:
         raise SerializationError(
             f"malformed error payload: {error_}"

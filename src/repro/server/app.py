@@ -29,11 +29,25 @@ tenant's own (``limit=1``), which serialises one session's requests
 behind a bounded queue, then the gateway's (``limit=workers``), which
 bounds in-flight work.  A request waiting behind its own tenant therefore
 holds no worker slot.  Saturation of either returns 429 with
-``Retry-After``.  Every operation on a session (submit, stats,
-checkpoint, DELETE) takes both gates and holds them until its worker
-returns, so no two run inside one session at once, and the idle sweep
-and LRU eviction, which skip a busy gate, never close a session a worker
-is still inside.
+``Retry-After``.  Every request on a session (create, submit, stats,
+checkpoint) takes both gates and holds them until its worker returns, so
+no two run inside one session at once.
+
+Tenant lifecycle
+----------------
+The tenant's gate also owns its session's life (see
+:mod:`repro.server.registry` for the states).  On the loop the gateway
+only looks up, checks and inserts entries; it never builds or closes a
+:class:`~repro.service.FlexSession`.  A tenant's first request — its
+``PUT``, or the first request after a restart or an eviction — builds
+the session on a worker, inside both gates, before the request's own
+work, so concurrent first requests queue on one entry and one of them
+recovers it.  ``DELETE``, LRU eviction and the idle sweep close the
+session on a worker in the tenant's turn on its own gate (the worker
+gate never refuses a close), so a close waits for the running and queued
+requests and never closes a session a worker is inside.  A request that
+queued behind a close looks the name up again once the close has
+finished, like a request that arrives after it.
 
 Routes
 ------
@@ -41,7 +55,7 @@ Routes
 Method Path                             Meaning
 ====== ================================ =======================================
 GET    ``/healthz``                     Gateway counters and queue depths
-GET    ``/sessions``                    Live session names (LRU order)
+GET    ``/sessions``                    Registered session names (LRU order)
 PUT    ``/sessions/{name}``             Create a tenant (optional config body)
 GET    ``/sessions/{name}``             One tenant's stats block
 DELETE ``/sessions/{name}``             Evict (close) a tenant
@@ -92,7 +106,7 @@ from .limits import (
     StateCorruptedError,
     UnknownSessionError,
 )
-from .registry import SessionRegistry
+from .registry import OPENING, REMOVED, SessionEntry, SessionRegistry
 
 __all__ = ["GatewayConfig", "Response", "Gateway", "GatewayServer", "serve"]
 
@@ -117,6 +131,29 @@ def _reject_constant(name: str):
 
 #: Strict JSON for every inbound body, built once.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _gateway_error(failure: Exception) -> GatewayError:
+    """The structured error a failed request is answered with."""
+    if isinstance(failure, GatewayError):
+        return failure
+    if isinstance(failure, PersistenceSuspendedError):
+        # Ahead of the FlexError test: a suspended WAL is a *server*
+        # condition, not a client mistake.  Only operations that need the
+        # degraded component (an explicit checkpoint) land here; regular
+        # serving continues, so the client retries after the circuit
+        # breaker's next probe.
+        return ServiceUnavailableError(str(failure), retry_after=RETRY_AFTER_S)
+    if isinstance(failure, StateCorruptError):
+        # Also ahead of it: a tenant whose persisted state cannot be read
+        # is refused, not a client mistake.
+        return StateCorruptedError(str(failure))
+    if isinstance(failure, (SerializationError, ServiceError, FlexError)):
+        # Library-level rejections of a well-formed HTTP request:
+        # malformed wire payloads, unknown schedulers, invalid
+        # flex-offers — all client mistakes, all 400s.
+        return BadRequestError(str(failure))
+    return InternalError(f"{type(failure).__name__}: {failure}")
 
 
 @dataclass(frozen=True)
@@ -322,50 +359,17 @@ class Gateway:
                     f"{self.config.max_body_bytes}-byte budget"
                 )
             return await self._route(method.upper(), path)(body)
-        except GatewayError as error:
+        except Exception as failure:  # noqa: BLE001 - the 500 boundary
             self.failed += 1
+            error = _gateway_error(failure)
             retry_after = error.retry_after
-            if retry_after is None and error.status in (429, 503):
+            if retry_after is None and error is failure:
                 # Every backoff-shaped rejection carries a hint, even
                 # when raised somewhere that had no gate to ask.
-                retry_after = RETRY_AFTER_S
+                retry_after = RETRY_AFTER_S if error.status in (429, 503) else None
             return Response(
                 error.status, error_to_dict(error), retry_after=retry_after
             )
-        except PersistenceSuspendedError as error:
-            # Must precede the FlexError branch: a suspended WAL is a
-            # *server* condition, not a client mistake.  Only operations
-            # that need the degraded component (an explicit checkpoint)
-            # land here; regular serving continues, so the client should
-            # simply retry after the circuit breaker's next probe.
-            self.failed += 1
-            wrapped = ServiceUnavailableError(
-                str(error), retry_after=RETRY_AFTER_S
-            )
-            return Response(
-                wrapped.status,
-                error_to_dict(wrapped),
-                retry_after=wrapped.retry_after,
-            )
-        except StateCorruptError as error:
-            # Also ahead of the FlexError branch: a tenant whose persisted
-            # state cannot be read is refused, not a client mistake.
-            self.failed += 1
-            wrapped = StateCorruptedError(str(error))
-            return Response(wrapped.status, error_to_dict(wrapped))
-        except (SerializationError, ServiceError, FlexError) as error:
-            # Library-level rejections of a well-formed HTTP request:
-            # malformed wire payloads, unknown schedulers, invalid
-            # flex-offers — all client mistakes, all 400s.
-            self.failed += 1
-            wrapped = BadRequestError(str(error))
-            return Response(wrapped.status, error_to_dict(wrapped))
-        except asyncio.CancelledError:
-            raise
-        except Exception as error:  # noqa: BLE001 - the 500 boundary
-            self.failed += 1
-            wrapped = InternalError(f"{type(error).__name__}: {error}")
-            return Response(wrapped.status, error_to_dict(wrapped))
 
     def _route(self, method: str, path: str):
         """Resolve ``(method, path)`` to a body-consuming handler."""
@@ -432,7 +436,8 @@ class Gateway:
             if not isinstance(payload, dict):
                 raise BadRequestError("session config must be a JSON object")
             config = self.registry.tenant_config(payload)
-        session = self.registry.create(name, config)
+        entry = self.registry.reserve(name, config)
+        session = await self._hand_off(entry, lambda entry: entry.session)
         return Response(
             201,
             {
@@ -444,16 +449,17 @@ class Gateway:
         )
 
     async def _handle_stats(self, name: str, body: bytes) -> Response:
-        entry = self.registry.entry(name)
-        stats = await self._hand_off(entry, entry.stats)
+        stats = await self._hand_off(self.registry.entry(name), SessionEntry.stats)
         return Response(200, {"kind": "session-stats", **stats})
 
     async def _handle_evict(self, name: str, body: bytes) -> Response:
-        """Close a live tenant once its running and queued requests are
-        done; a tenant that is not live is a 404 and is not recovered."""
-        entry = self.registry.entry(name, recover=False)
-        await self._hand_off(entry, self.registry.evict, name)
-        return Response(200, {"kind": "evicted", "name": name})
+        """Close a tenant once its running and queued requests are done;
+        a tenant that is not in the registry is a 404 and is not
+        recovered."""
+        while name in self.registry:
+            if await self._close(self.registry.entry(name), self.registry.evict, name):
+                return Response(200, {"kind": "evicted", "name": name})
+        raise UnknownSessionError(f"unknown session {name!r}")
 
     async def _handle_submit(self, name: str, body: bytes) -> Response:
         payload = self._parse_json(body)
@@ -461,43 +467,75 @@ class Gateway:
             raise BadRequestError("request body must be a JSON object")
         request = request_from_dict(payload)
         entry = self.registry.entry(name)
-        result = await self._hand_off(
-            entry, self._dispatch, entry.session, request
-        )
-        entry.served += 1
+        result = await self._hand_off(entry, self._dispatch, request)
         self.served += 1
         if self.access_log is not None:
             self.access_log.append(result.stats)
         return Response(200, result_envelope(result))
 
     async def _handle_checkpoint(self, name: str, body: bytes) -> Response:
-        entry = self.registry.entry(name)
-        stats = await self._hand_off(entry, entry.session.checkpoint)
+        stats = await self._hand_off(
+            self.registry.entry(name), lambda entry: entry.session.checkpoint()
+        )
         return Response(200, {"kind": "checkpoint", "name": name, **stats})
 
     async def _hand_off(self, entry, function, *args):
-        """Run ``function(*args)`` on the pool for the tenant ``entry``.
+        """Run ``function(entry, *args)`` on the pool once ``entry`` is open.
 
         Takes the tenant's gate, then the gateway's, and holds both until
         the worker returns: Python cannot stop a running thread, so a
-        gate is never released while a worker is inside the session.  A
-        request that reaches the front of the queue after a DELETE closed
-        the session is a 404.
+        gate is never released while a worker is inside the session.  An
+        ``opening`` tenant first closes one
+        :meth:`SessionRegistry.victim` on the victim's own gate, making
+        room for itself; on the worker, :meth:`SessionRegistry.open`
+        then builds its session before ``function`` runs.  A request that queued behind a close looks
+        the name up again once the close has finished, exactly like a
+        request that arrives after it.
+        """
+        loop = asyncio.get_running_loop()
+        while True:
+            async with entry.gate.admit():
+                if entry.state != REMOVED:
+                    if entry.state == OPENING and (victim := self.registry.victim()):
+                        await self._close(victim, self.registry.retire, victim)
+                    async with self.gate.admit():
+                        return await loop.run_in_executor(
+                            self._executor, self._open_then, entry, function, args
+                        )
+            entry = self.registry.entry(entry.name)
+
+    def _open_then(self, entry, function, args):
+        """On a worker: open ``entry`` if it is still opening, then run ``function``."""
+        self.registry.open(entry)
+        return function(entry, *args)
+
+    async def _close(self, entry, function, *args) -> bool:
+        """Run a close, ``function(*args)``, on the pool in ``entry``'s turn.
+
+        The tenant's running and queued requests finish first.  A close
+        holds only the tenant's gate, so the worker gate never refuses
+        one.  False when a close ahead of it already removed ``entry``.
         """
         async with entry.gate.admit():
-            if entry.session.closed:
-                raise UnknownSessionError(f"unknown session {entry.name!r}")
-            async with self.gate.admit():
-                loop = asyncio.get_running_loop()
-                return await loop.run_in_executor(
-                    self._executor, function, *args
-                )
+            if entry.state == REMOVED:
+                return False
+            loop = asyncio.get_running_loop()
+            await loop.run_in_executor(self._executor, function, *args)
+            return True
 
-    def _dispatch(self, session, request):
+    async def sweep(self) -> None:
+        """Close every :meth:`SessionRegistry.victim`, each on its own gate:
+        the tenants idle past the TTL and any beyond the cap."""
+        while (victim := self.registry.victim()) is not None:
+            await self._close(victim, self.registry.retire, victim)
+
+    def _dispatch(self, entry, request):
         """One submit on a worker, behind the ``gateway.dispatch`` fault site."""
         if self.config.fault_plan is not None:
             self.config.fault_plan.fire(GATEWAY_DISPATCH)
-        return session.submit(request)
+        result = entry.session.submit(request)
+        entry.served += 1
+        return result
 
     # ------------------------------------------------------------------ #
     # HTTP transport
@@ -525,7 +563,13 @@ class Gateway:
                     break
                 # Refuse an unframeable or oversized body before buffering
                 # it: the body never gets read, so the connection cannot
-                # be reused afterwards.
+                # be reused afterwards.  A chunked body is unframeable
+                # here: only content-length bodies are parsed.
+                if "transfer-encoding" in headers:
+                    await self._refuse(
+                        writer, BadRequestError("transfer-encoding is not supported")
+                    )
+                    break
                 declared = headers.get("content-length") or "0"
                 if not (declared.isascii() and declared.isdigit()):
                     await self._refuse(
@@ -673,15 +717,15 @@ class GatewayServer:
     async def _sweep_loop(self, interval: float) -> None:
         """Sweep idle sessions forever; one bad sweep never kills the loop.
 
-        An exception escaping :meth:`SessionRegistry.sweep` (it already
-        swallows per-session close failures, so this is registry-level
+        An exception escaping :meth:`Gateway.sweep` (the close already
+        counts per-session close failures, so this is registry-level
         breakage) is counted on the gateway and the loop keeps ticking —
         a wedged sweeper would silently turn the TTL off.
         """
         while True:
             await asyncio.sleep(interval)
             try:
-                self.gateway.registry.sweep()
+                await self.gateway.sweep()
             except asyncio.CancelledError:
                 raise
             except Exception:  # noqa: BLE001 - the sweeper must survive

@@ -164,23 +164,9 @@ class InternalError(GatewayError):
     code = "internal"
 
 
-#: ``code -> class`` for rebuilding typed errors from wire payloads.
-_ERRORS_BY_CODE = {
-    cls.code: cls
-    for cls in (
-        BadRequestError,
-        UnknownSessionError,
-        NotFoundError,
-        MethodNotAllowedError,
-        SessionExistsError,
-        PayloadTooLargeError,
-        SaturatedError,
-        RegistryFullError,
-        ServiceUnavailableError,
-        StateCorruptedError,
-        InternalError,
-    )
-}
+#: ``code -> class`` for rebuilding typed errors from wire payloads: every
+#: error class defined above.
+_ERRORS_BY_CODE = {cls.code: cls for cls in GatewayError.__subclasses__()}
 
 
 def error_class_for_code(code: str) -> type:

@@ -11,12 +11,19 @@ top:
 * a **max-sessions cap** with LRU eviction of *idle* sessions (a session
   with requests in flight or queued is never evicted under it);
 * optional **idle-TTL expiry**: sessions untouched for ``idle_ttl``
-  seconds are closed and dropped on the next sweep.
+  seconds are closed and dropped.
 
-The registry itself is cheap bookkeeping guarded by a thread lock, so it
-can be inspected and mutated from worker threads: the gateway runs a
-``DELETE``'s :meth:`SessionRegistry.evict` on one, holding the tenant's
-gate.
+Each tenant's :class:`SessionEntry` carries one lifecycle ``state``:
+``opening`` (created or found persisted, no session yet) → ``live`` →
+``closing`` → ``removed``.  The bookkeeping — look up, check, insert,
+choose a victim — is cheap and runs under the registry's lock on the
+caller's thread (the gateway's event loop).  The slow work has one
+function each and never runs under the lock: :meth:`SessionRegistry.open`
+builds the session, for a create and for a recovery alike, and
+:meth:`SessionRegistry.retire` closes it and then drops the entry.  The
+gateway runs both on a worker thread inside the tenant's gate; the
+one-call library methods (``create``, ``get``, ``evict``, ``sweep``,
+``close``) run them on the calling thread.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import re
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional
 
@@ -42,6 +49,9 @@ from .limits import (
 
 __all__ = ["SessionEntry", "SessionRegistry"]
 
+#: The lifecycle states of a :class:`SessionEntry`, in order.
+OPENING, LIVE, CLOSING, REMOVED = "opening", "live", "closing", "removed"
+
 #: Tenant names double as persistence directory names, so they must be
 #: plain path components: no separators, no leading dot, no traversal.
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$")
@@ -54,20 +64,23 @@ _OPERATOR_FIELDS = ("persist_dir", "cluster")
 
 @dataclass
 class SessionEntry:
-    """One tenant's slot: the session, its queue gate and LRU bookkeeping.
+    """One tenant's slot: its state, session, queue gate and LRU bookkeeping.
 
-    ``gate`` admits one request at a time, with a bounded queue behind it.
+    ``session`` is ``None`` until :meth:`SessionRegistry.open` builds it
+    from ``config``.  ``gate`` admits one request at a time, with a
+    bounded queue behind it.
     """
 
     name: str
-    session: FlexSession
+    config: SessionConfig
     gate: ConcurrencyGate
-    created_at: float
     last_used: float
+    session: Optional[FlexSession] = None
+    state: str = OPENING
     served: int = 0
 
     def stats(self) -> dict:
-        """A JSON-ready health block for this tenant."""
+        """A JSON-ready health block for this (live) tenant."""
         payload = dict(self.session.stats())
         payload.update(
             name=self.name,
@@ -84,9 +97,9 @@ class SessionRegistry:
     Parameters
     ----------
     max_sessions:
-        Hard cap on live sessions.  Creating beyond it evicts the
+        Hard cap on sessions.  An insert beyond it evicts the
         least-recently-used *idle* session; when every session is busy the
-        create is refused with :class:`RegistryFullError` (HTTP 429).
+        insert is refused with :class:`RegistryFullError` (HTTP 429).
     idle_ttl:
         Seconds of inactivity after which a session may be swept.  ``None``
         disables TTL expiry.
@@ -137,7 +150,7 @@ class SessionRegistry:
         self._clock = clock
         self._default_config = default_config
         self._entries: "OrderedDict[str, SessionEntry]" = OrderedDict()
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self.created = 0
         self.evicted = 0
         self.expired = 0
@@ -145,36 +158,8 @@ class SessionRegistry:
         self.sweep_failures = 0
 
     # ------------------------------------------------------------------ #
-    # Lifecycle
+    # Bookkeeping: look up, check, insert (cheap, under the lock)
     # ------------------------------------------------------------------ #
-    def create(
-        self, name: str, config: Optional[SessionConfig] = None
-    ) -> FlexSession:
-        """Create (and register) the named tenant's session.
-
-        A name with a persisted ``config.json`` recovers under that saved
-        config; ``config`` may only restate it.  Raises
-        :class:`SessionExistsError` when the name is live or persisted
-        with another config, and :class:`RegistryFullError` when the cap
-        is reached and no idle session can be evicted.
-        """
-        with self._lock:
-            self._check_name(name)
-            self.sweep()
-            if name in self._entries:
-                raise SessionExistsError(f"session {name!r} already exists")
-            recovered = self._recover(name, config)
-            if recovered is not None:
-                return recovered.session
-            self._make_room()
-            if config is None:
-                config = self._default()
-            session = FlexSession(self._persistent_config(name, config))
-            if session.recovery is not None:
-                self.recovered += 1
-            self._insert(name, session)
-            return session
-
     def tenant_config(self, body: dict) -> SessionConfig:
         """A tenant's config: its ``PUT`` body merged over the defaults.
 
@@ -197,87 +182,178 @@ class SessionRegistry:
         )
         return SessionConfig.from_dict(payload)
 
-    def entry(self, name: str, recover: bool = True) -> SessionEntry:
-        """The named tenant's entry; touches its LRU position.
+    def reserve(
+        self, name: str, config: Optional[SessionConfig] = None
+    ) -> SessionEntry:
+        """Insert the named tenant's ``opening`` entry; builds no session.
 
-        A name that is not live but has persisted state is recovered,
-        unless ``recover`` is false.  Raises :class:`UnknownSessionError`
-        for unknown (or already evicted/expired) names.
+        A name with a persisted ``config.json`` is entered under that
+        saved config; ``config`` may only restate it.  An idle entry that
+        never opened (its create or first request was refused before it
+        reached a worker) is replaced.  Raises
+        :class:`SessionExistsError` when the name is otherwise in the
+        registry or persisted with another config, and
+        :class:`RegistryFullError` when the cap is reached and no idle
+        session can be evicted.
+        """
+        self._check_name(name)
+        with self._lock:
+            unopened = self._entries.get(name)
+            if unopened is not None:
+                if unopened.state != OPENING or unopened.gate.busy:
+                    raise SessionExistsError(f"session {name!r} already exists")
+                del self._entries[name]
+            fresh = self._persistent_config(name, config or self._default())
+            saved = self._saved_config(name) or fresh
+            if config is not None and fresh.as_dict() != saved.as_dict():
+                raise SessionExistsError(
+                    f"session {name!r} is persisted with another config"
+                )
+            return self._insert(name, saved)
+
+    def entry(self, name: str) -> SessionEntry:
+        """The named tenant's entry, in any state; touches its LRU position.
+
+        A name that is not in the registry but has persisted state gets an
+        ``opening`` entry under its saved config.  Raises
+        :class:`UnknownSessionError` for unknown (or already
+        evicted/expired) names.
         """
         with self._lock:
             entry = self._entries.get(name)
-            if entry is None and recover:
-                entry = self._recover(name)
             if entry is None:
-                raise UnknownSessionError(f"unknown session {name!r}")
+                saved = self._saved_config(name)
+                if saved is None:
+                    raise UnknownSessionError(f"unknown session {name!r}")
+                entry = self._insert(name, saved)
             self._entries.move_to_end(name)
             entry.last_used = self._clock()
             return entry
 
-    def get(self, name: str) -> FlexSession:
-        """The named tenant's session (LRU-touching); 404-shaped on a miss."""
-        return self.entry(name).session
+    def victim(self, now: Optional[float] = None) -> Optional[SessionEntry]:
+        """The next idle tenant to close, now marked ``closing``, or ``None``.
 
-    def evict(self, name: str) -> FlexSession:
-        """Close and drop the named session, returning it (now closed).
-
-        The entry stays registered until its session is closed, so a
-        request for the name meanwhile finds it, not a second session
-        recovered from the directory the close is still writing.
+        First a tenant idle past ``idle_ttl`` (counted in ``expired``),
+        else, while the registry is over its cap, the least-recently-used
+        idle one (counted in ``evicted``).  A busy tenant (requests
+        running or queued) is never chosen.  The caller closes it with
+        :meth:`retire`.
         """
+        now = self._clock() if now is None else now
         with self._lock:
+            counted, idle = self._census()
+            ttl = self.idle_ttl
+            stale = [e for e in idle if ttl is not None and now - e.last_used > ttl]
+            if stale:
+                self.expired += 1
+            elif counted > self.max_sessions and idle:
+                self.evicted += 1
+            else:
+                return None
+            entry = (stale or idle)[0]
+            entry.state = CLOSING
+            return entry
+
+    # ------------------------------------------------------------------ #
+    # The one open and the one close (slow; never under the lock)
+    # ------------------------------------------------------------------ #
+    def open(self, entry: SessionEntry) -> FlexSession:
+        """``entry``'s session, built first while the entry is ``opening``.
+
+        The one path that builds a session, for a create and a recovery
+        alike; a session rebuilt from persisted state counts in
+        ``recovered``.  A session that fails to build takes its entry out
+        through :meth:`retire`, and the error propagates.
+        """
+        if entry.state == OPENING:
             try:
-                entry = self._entries[name]
-            except KeyError:
-                raise UnknownSessionError(f"unknown session {name!r}") from None
-        try:
-            entry.session.close()
-        finally:
+                session = FlexSession(entry.config)
+            except BaseException:
+                self.retire(entry)
+                raise
             with self._lock:
-                if self._entries.get(name) is entry:
-                    del self._entries[name]
-                    self.evicted += 1
+                entry.session, entry.state = session, LIVE
+                if session.recovery is not None:
+                    self.recovered += 1
         return entry.session
 
-    def sweep(self, now: Optional[float] = None) -> List[str]:
-        """Evict sessions idle past ``idle_ttl``; returns the evicted names.
+    def retire(self, entry: SessionEntry) -> Optional[FlexSession]:
+        """Close ``entry``'s session, then drop the entry; returns the session.
 
-        Busy sessions (requests running or queued) are left alone even
-        when expired — their TTL clock restarts when the request finishes.
-        One session's close blowing up (a checkpoint-on-evict ``OSError``,
-        say) must not stop the sweep or kill the sweeper task: the failure
-        is counted in ``sweep_failures`` (surfaced via ``/healthz``), the
-        entry is still dropped, and the sweep moves on.
+        The one path that closes a session: ``DELETE``, LRU eviction,
+        the idle sweep and shutdown all end here.  The entry stays
+        registered (``closing``) until the close returns, so a request for
+        the name meanwhile waits for it instead of recovering a second
+        session from the directory the close is still writing.  A close
+        that raises (a checkpoint-on-evict ``OSError``, say) only costs
+        the session its final checkpoint: it is counted in
+        ``sweep_failures`` (surfaced via ``/healthz``) and the entry is
+        dropped all the same.
         """
-        if self.idle_ttl is None:
-            return []
-        now = self._clock() if now is None else now
-        swept = []
         with self._lock:
-            for name in list(self._entries):
-                entry = self._entries[name]
-                if entry.gate.busy:
-                    continue
-                if now - entry.last_used > self.idle_ttl:
-                    del self._entries[name]
-                    self._close_quietly(entry)
-                    self.expired += 1
-                    swept.append(name)
+            entry.state = CLOSING
+        try:
+            if entry.session is not None:
+                entry.session.close()
+        except Exception:  # noqa: BLE001 - a close must always drop its entry
+            with self._lock:
+                self.sweep_failures += 1
+        with self._lock:
+            if self._entries.get(entry.name) is entry:
+                del self._entries[entry.name]
+            entry.state = REMOVED
+        return entry.session
+
+    # ------------------------------------------------------------------ #
+    # One-call library methods (open and close on the calling thread)
+    # ------------------------------------------------------------------ #
+    def create(
+        self, name: str, config: Optional[SessionConfig] = None
+    ) -> FlexSession:
+        """Create the named tenant's session: :meth:`reserve`, close one
+        :meth:`victim` (an expired or, over the cap, the LRU idle
+        session), :meth:`open`."""
+        return self._open_here(self.reserve(name, config))
+
+    def get(self, name: str) -> FlexSession:
+        """The named tenant's session (LRU-touching, recovering); 404-shaped on a miss."""
+        return self._open_here(self.entry(name))
+
+    def evict(self, name: str) -> Optional[FlexSession]:
+        """Close and drop the named tenant, returning its (now closed) session."""
+        with self._lock:
+            entry = self._entries.get(name)
+            if entry is None:
+                raise UnknownSessionError(f"unknown session {name!r}")
+            self.evicted += 1
+        return self.retire(entry)
+
+    def sweep(self, now: Optional[float] = None) -> List[str]:
+        """Close every :meth:`victim`; returns their names.
+
+        With the cap kept, these are the sessions idle past ``idle_ttl``.
+        Busy sessions (requests running or queued) are left alone even
+        when expired — their TTL clock restarts when the request
+        finishes.  A close that raises does not stop the sweep.
+        """
+        swept = []
+        while (entry := self.victim(now)) is not None:
+            self.retire(entry)
+            swept.append(entry.name)
         return swept
 
     def close(self) -> None:
-        """Close every session and empty the registry."""
+        """Close every session and empty the registry (shutdown)."""
         with self._lock:
             entries = list(self._entries.values())
-            self._entries.clear()
         for entry in entries:
-            entry.session.close()
+            self.retire(entry)
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     def names(self) -> List[str]:
-        """Live session names, least-recently-used first."""
+        """Registered session names (any state), least-recently-used first."""
         with self._lock:
             return list(self._entries)
 
@@ -394,24 +470,31 @@ class SessionRegistry:
                 "[A-Za-z0-9._-] starting with a letter or digit"
             )
 
-    def _make_room(self) -> None:
-        """Enforce the session cap, evicting one idle session if needed."""
-        if len(self._entries) >= self.max_sessions:
-            if not self._evict_lru_idle():
-                raise RegistryFullError(
-                    f"session cap reached ({self.max_sessions}) and "
-                    "every session is busy",
-                    retry_after=RETRY_AFTER_S,
-                )
+    def _census(self):
+        """``(entries not closing, idle ones among them in LRU order)``."""
+        counted = [e for e in self._entries.values() if e.state != CLOSING]
+        return len(counted), [e for e in counted if not e.gate.busy]
 
-    def _insert(self, name: str, session: FlexSession) -> SessionEntry:
-        now = self._clock()
+    def _open_here(self, entry: SessionEntry) -> FlexSession:
+        """Close one :meth:`victim` to make room, then open ``entry``, here."""
+        if entry.state == OPENING and (victim := self.victim()):
+            self.retire(victim)
+        return self.open(entry)
+
+    def _insert(self, name: str, config: SessionConfig) -> SessionEntry:
+        """Enter ``name`` as ``opening``; 429 when full of busy sessions."""
+        counted, idle = self._census()
+        if counted >= self.max_sessions and not idle:
+            raise RegistryFullError(
+                f"session cap reached ({self.max_sessions}) and "
+                "every session is busy",
+                retry_after=RETRY_AFTER_S,
+            )
         entry = SessionEntry(
             name=name,
-            session=session,
+            config=config,
             gate=ConcurrencyGate(limit=1, max_pending=self.queue_depth),
-            created_at=now,
-            last_used=now,
+            last_used=self._clock(),
         )
         self._entries[name] = entry
         self.created += 1
@@ -431,22 +514,16 @@ class SessionRegistry:
         payload["persist_dir"] = str(Path(self.persist_root) / name)
         return SessionConfig.from_dict(payload)
 
-    def _recover(
-        self, name: str, config: Optional[SessionConfig] = None
-    ) -> Optional[SessionEntry]:
-        """Revive a tenant from its persisted directory, or ``None``.
+    def _saved_config(self, name: str) -> Optional[SessionConfig]:
+        """The config a persisted tenant was created with, or ``None``.
 
-        Called under the lock on an ``entry()`` miss and on ``create``.
-        The session is rebuilt with the ``config.json`` persisted when it
-        was first created (with the directory itself re-pinned as
-        ``persist_dir``), so a recovered tenant runs the same backend,
-        measures and budgets it was configured with — and answers
-        bit-identically to a process that never restarted.  A ``create``
-        ``config`` that differs from the saved one is refused: the live
-        session would diverge from the one the next restart recovers.
-        An unreadable ``config.json`` raises
+        Read from the ``config.json`` written when the tenant was first
+        created, with the directory itself re-pinned as ``persist_dir``,
+        so a recovered tenant runs the same backend, measures and budgets
+        it was configured with — and answers bit-identically to a process
+        that never restarted.  An unreadable ``config.json`` raises
         :class:`~repro.persist.StateCorruptError`: the tenant is neither
-        forgotten nor re-created under ``config``.
+        forgotten nor re-created under another config.
         """
         if self.persist_root is None:
             return None
@@ -458,37 +535,4 @@ class SessionRegistry:
         if payload is None:
             return None
         payload["persist_dir"] = str(directory)
-        saved = SessionConfig.from_dict(payload)
-        if config is not None and (
-            self._persistent_config(name, config).as_dict() != saved.as_dict()
-        ):
-            raise SessionExistsError(
-                f"session {name!r} is persisted with another config"
-            )
-        self._make_room()
-        session = FlexSession(saved)
-        self.recovered += 1
-        return self._insert(name, session)
-
-    def _evict_lru_idle(self) -> bool:
-        """Drop the least-recently-used idle session; False if all busy."""
-        for name in list(self._entries):
-            entry = self._entries[name]
-            if not entry.gate.busy:
-                del self._entries[name]
-                self._close_quietly(entry)
-                self.evicted += 1
-                return True
-        return False
-
-    def _close_quietly(self, entry: SessionEntry) -> None:
-        """Close a swept/evicted session without letting it break the caller.
-
-        The entry is already out of the table; a close failure only costs
-        that session its final checkpoint, which ``sweep_failures`` makes
-        visible.
-        """
-        try:
-            entry.session.close()
-        except Exception:  # noqa: BLE001 - sweep must keep sweeping
-            self.sweep_failures += 1
+        return SessionConfig.from_dict(payload)

@@ -278,11 +278,11 @@ class TestSweeperResilience:
             try:
                 calls = {"count": 0}
 
-                def broken_sweep(now=None):
+                def broken_victim(now=None):
                     calls["count"] += 1
                     raise RuntimeError("registry lock poisoned")
 
-                gate.registry.sweep = broken_sweep
+                gate.registry.victim = broken_victim
                 await asyncio.sleep(0.06)
                 assert calls["count"] >= 2  # still ticking after a failure
                 assert gate.sweeper_failures == calls["count"]

@@ -89,6 +89,33 @@ def test_malformed_json_is_a_structured_400():
     assert "JSON" in response.payload["detail"]
 
 
+def test_a_chunked_request_gets_one_400_and_the_connection_closes():
+    """A body framed by ``transfer-encoding`` is refused once, before it is
+    routed; its chunks are never parsed as a next request."""
+    chunk = json.dumps({"kind": "evaluate"})
+
+    async def run(gateway, client):
+        await client.create_session("t", REFERENCE)
+        client._writer.write(
+            (
+                "POST /sessions/t/requests HTTP/1.1\r\n"
+                "transfer-encoding: chunked\r\n\r\n"
+                f"{len(chunk):x}\r\n{chunk}\r\n0\r\n\r\n"
+            ).encode()
+        )
+        await client._writer.drain()
+        response = await client._read_response()
+        rest = await client._reader.read()
+        return response, rest, gateway.registry.entry("t").served
+
+    response, rest, served = scenario(run)
+    assert_error_body(response, 400, "bad-request")
+    assert "transfer-encoding" in response.payload["detail"]
+    assert response.headers["connection"] == "close"
+    assert rest == b""
+    assert served == 0
+
+
 def test_non_object_request_body_is_a_400():
     async def run(gateway, client):
         return await client.request("POST", "/sessions/t/requests", [1, 2, 3])
@@ -312,3 +339,23 @@ def test_error_io_rejects_non_errors():
         {"kind": "error", "error": "brand-new", "status": 400, "detail": "x"}
     )
     assert isinstance(rebuilt, GatewayError)
+
+
+def test_an_unknown_error_code_keeps_its_wire_status_and_code():
+    """A code this client does not know (an older server's 504, say)
+    rebuilds as a plain :class:`GatewayError` carrying the wire's status
+    and code, not the class defaults."""
+    body = {
+        "kind": "error",
+        "error": "timeout",
+        "status": 504,
+        "detail": "late",
+        "retry_after": 0.5,
+    }
+    rebuilt = error_from_dict(body)
+    assert type(rebuilt) is GatewayError
+    assert (rebuilt.status, rebuilt.code) == (504, "timeout")
+    assert (rebuilt.detail, rebuilt.retry_after) == ("late", 0.5)
+    assert error_to_dict(rebuilt) == body
+    # The defaults of GatewayError itself are untouched.
+    assert (GatewayError.status, GatewayError.code) == (500, "internal")
