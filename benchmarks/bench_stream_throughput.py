@@ -19,13 +19,21 @@ Two engine numbers are reported:
 Each scale prints a JSON results block so runs can be scraped and compared;
 the acceptance gate asserts the incremental path beats naive re-batching by
 at least 10x at the 10k scale even on the conservative ``query`` number.
+
+A second gate covers the trade path's book: on an unchanged 20k narrow
+population (the gateway's ``sharded`` shape), a repeated
+``engine.aggregates()`` returns each grid cell's kept lot and must be at
+least 20x faster than re-batching ``aggregate_all(group_by_grid(live))``.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import statistics
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +41,12 @@ from repro.aggregation import GroupingParameters, aggregate_all, group_by_grid
 from repro.core import FlexOffer
 from repro.measures import evaluate_set
 from repro.stream import OfferArrived, OfferExpired, StreamingEngine
+
+try:
+    from bench_sharded_scaling import narrow_population
+except ImportError:  # pragma: no cover - loaded by path (bench_to_json)
+    sys.path.insert(0, str(Path(__file__).resolve().parent))
+    from bench_sharded_scaling import narrow_population
 
 try:
     from conftest import report
@@ -122,6 +136,42 @@ def run_scale(size: int, churn_events: int, naive_events: int) -> dict[str, floa
     }
 
 
+#: Population of the kept-aggregates gate (the gateway's ``sharded`` scale).
+LIVE_AGGREGATES_SIZE = 20_000
+
+
+def _median_seconds(operation, repeats: int) -> float:
+    timings = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        operation()
+        timings.append(time.perf_counter() - start)
+    return statistics.median(timings)
+
+
+def live_aggregates(size: int) -> dict[str, float]:
+    """A repeated ``engine.aggregates()`` vs. re-batching the same book."""
+    engine = StreamingEngine(parameters=PARAMETERS, measures=MEASURES)
+    engine.bulk_arrive(
+        (f"o{index}", offer)
+        for index, offer in enumerate(narrow_population(size, seed=size))
+    )
+    live = engine.live_offers()
+    kept = engine.aggregates()
+    assert kept == aggregate_all(group_by_grid(live, PARAMETERS))
+    kept_seconds = _median_seconds(engine.aggregates, 9)
+    batch_seconds = _median_seconds(
+        lambda: aggregate_all(group_by_grid(live, PARAMETERS)), 3
+    )
+    return {
+        "population": size,
+        "lots": len(kept),
+        "kept_ms": round(kept_seconds * 1e3, 4),
+        "rebatch_ms": round(batch_seconds * 1e3, 2),
+        "speedup": round(batch_seconds / kept_seconds, 1),
+    }
+
+
 def bench_records(gate_scale: bool = False) -> list[dict]:
     """Machine-readable records for ``tools/bench_to_json.py``."""
     scales = [(10_000, 400, 5)] if gate_scale else [(1_000, 300, 5)]
@@ -139,6 +189,17 @@ def bench_records(gate_scale: bool = False) -> list[dict]:
                 "speedup_query": results["speedup_query"],
             }
         )
+    size = LIVE_AGGREGATES_SIZE if gate_scale else 2_000
+    results = live_aggregates(size)
+    records.append(
+        {
+            "name": f"live_aggregates_{size}",
+            "scale": size,
+            "ops_per_s": round(1e3 / results["kept_ms"], 1),
+            "naive_ops_per_s": round(1e3 / results["rebatch_ms"], 3),
+            "speedup": results["speedup"],
+        }
+    )
     return records
 
 
@@ -175,3 +236,16 @@ def test_engine_scales_sublinearly_per_event():
         large["engine_maintain_events_per_sec"]
         > small["engine_maintain_events_per_sec"] / 3
     )
+
+
+def test_live_aggregates_are_kept_between_reads():
+    """An unchanged engine serves its book from the kept per-cell lots."""
+    results = live_aggregates(LIVE_AGGREGATES_SIZE)
+    report(f"Kept live aggregates vs re-batching ({results['population']} offers)", [
+        f"lots            : {results['lots']:>12}",
+        f"engine (kept)   : {results['kept_ms']:>12.4f} ms",
+        f"re-batch        : {results['rebatch_ms']:>12.2f} ms",
+        f"speedup         : {results['speedup']:.0f}x",
+    ])
+    print(json.dumps(results, indent=2))
+    assert results["speedup"] >= 20

@@ -309,8 +309,10 @@ class FlexSession:
         request = request if request is not None else AggregateRequest()
         if request.offers is None:
             with self._serve("aggregate", len(self.engine)) as finish:
-                groups = tuple(tuple(group) for group in self.engine.groups())
                 aggregates = tuple(self.engine.aggregates(request.prefix))
+                # Each lot's members are its group: a kept lot's tuple is
+                # shared, not listed again.
+                groups = tuple(lot.members for lot in aggregates)
                 return AggregateResult(
                     groups=groups, aggregates=aggregates, stats=finish()
                 )

@@ -24,7 +24,13 @@ both add and remove.
 Materialising the aggregate (:meth:`flex_offer` / :meth:`aggregated`)
 produces bit-for-bit the same :class:`~repro.aggregation.AggregatedFlexOffer`
 the batch path builds for the same members in the same order: all sums are
-integer arithmetic, so no floating-point drift can creep in.
+integer arithmetic, so no floating-point drift can creep in.  The aggregate
+keeps the lot it last materialised: :meth:`aggregated` returns that very
+object until the next :meth:`add` or :meth:`remove` drops it, so a trade
+that changed no member of the cell rebuilds nothing.  A call under another
+name renames the kept lot: it builds a new named :class:`FlexOffer` from the
+kept one's slices and reuses the kept ``members`` and ``member_offsets``
+tuples, without walking the columns or the members.
 """
 
 from __future__ import annotations
@@ -53,6 +59,11 @@ class IncrementalAggregate:
         self._min_tf: Optional[int] = None
         self._max_end: Optional[int] = None
         self._extremes_dirty = False
+        #: ``(name, lot)``: the lot :meth:`aggregated` last returned and the
+        #: name it was asked for (one tuple, so a reader never pairs one
+        #: call's name with another's lot); ``None`` after every membership
+        #: change.
+        self._lot: Optional[tuple[Optional[str], AggregatedFlexOffer]] = None
         #: Number of lazy extreme rebuilds performed (observability hook).
         self.rebuilds = 0
 
@@ -64,6 +75,7 @@ class IncrementalAggregate:
         if offer_id in self._members:
             raise StreamError(f"offer {offer_id!r} is already aggregated")
         self._members[offer_id] = flex_offer
+        self._lot = None
         columns = self._columns
         for time, bound in enumerate(
             flex_offer.effective_slice_bounds(), flex_offer.earliest_start
@@ -95,6 +107,7 @@ class IncrementalAggregate:
             flex_offer = self._members.pop(offer_id)
         except KeyError:
             raise StreamError(f"offer {offer_id!r} is not aggregated here") from None
+        self._lot = None
         columns = self._columns
         for time, bound in enumerate(
             flex_offer.effective_slice_bounds(), flex_offer.earliest_start
@@ -200,29 +213,47 @@ class IncrementalAggregate:
                 slices.append(EnergySlice(0, 0))
             else:
                 slices.append(EnergySlice(column[0], column[1]))
-        label = name or "agg(" + ",".join(
-            member.name or f"member{index}"
-            for index, member in enumerate(self._members.values())
-        ) + ")"
         return FlexOffer(
             anchor,
             anchor + self._min_tf,  # type: ignore[operator]
             tuple(slices),
             self._total_min,
             self._total_max,
-            label,
+            name or self._default_label(),
         )
+
+    def _default_label(self) -> str:
+        """The batch path's ``agg(<member names>)`` label."""
+        return "agg(" + ",".join(
+            member.name or f"member{index}"
+            for index, member in enumerate(self._members.values())
+        ) + ")"
 
     def aggregated(self, name: Optional[str] = None) -> AggregatedFlexOffer:
         """The aggregate plus disaggregation bookkeeping.
 
         Equal (``==``) to ``aggregate_start_aligned(self.members(), name)``.
+        The same object is returned until the next :meth:`add` or
+        :meth:`remove`; under another ``name`` the kept lot is renamed.
         """
-        flex_offer = self.flex_offer(name)
-        members = tuple(self._members.values())
-        anchor = flex_offer.earliest_start
-        offsets = tuple(member.earliest_start - anchor for member in members)
-        return AggregatedFlexOffer(flex_offer, members, offsets)
+        kept = self._lot
+        if kept is None:
+            flex_offer = self.flex_offer(name)
+            members = tuple(self._members.values())
+            anchor = flex_offer.earliest_start
+            offsets = tuple(member.earliest_start - anchor for member in members)
+            lot = AggregatedFlexOffer(flex_offer, members, offsets)
+        elif kept[0] == name:
+            return kept[1]
+        else:
+            lot = kept[1]
+            lot = AggregatedFlexOffer(
+                lot.flex_offer.with_name(name or self._default_label()),
+                lot.members,
+                lot.member_offsets,
+            )
+        self._lot = (name, lot)
+        return lot
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"IncrementalAggregate({len(self._members)} members)"

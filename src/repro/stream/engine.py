@@ -600,7 +600,7 @@ class StreamingEngine:
         callers (the service façade's aggregate requests) need not pay for
         a full snapshot's report.
         """
-        return [list(group) for group in self._index.groups()]
+        return self._index.groups()
 
     def _measure_values_list(self, measure: FlexibilityMeasure) -> list:
         """Per-offer values of one (fully supported) measure, arrival order.
@@ -696,26 +696,24 @@ class StreamingEngine:
     def aggregates(self, prefix: str = "aggregate") -> list[AggregatedFlexOffer]:
         """One aggregate per live group, equal to the batch ``aggregate_all``.
 
-        Groups that cover a whole grid cell are materialised from their
-        incrementally maintained :class:`IncrementalAggregate`; chunks of an
-        oversized cell are aggregated through the batch path (chunk
-        boundaries shift on every eviction, so there is no incremental
-        state worth keeping for them).  The chunking itself lives solely in
-        :meth:`OnlineGridIndex.group_items`, shared with :meth:`snapshot`.
+        The walk visits the grid cells in sorted key order by their sizes
+        alone (:meth:`OnlineGridIndex.cell_groups`, which also chunks
+        :meth:`groups` and :meth:`snapshot`).  A group that covers a whole
+        cell is that cell's :class:`IncrementalAggregate` lot: kept from the
+        last call until an arrival or removal in the cell drops it, and
+        renamed (a new named flex-offer over the kept member tuples) when
+        the group's index or ``prefix`` differs from the last call's.  Only
+        the chunks of an oversized cell list their members and go through
+        the batch path (chunk boundaries shift on every eviction, so there
+        is no incremental state worth keeping for them).
         """
         aggregates: list[AggregatedFlexOffer] = []
-        for index, items in enumerate(self._index.group_items()):
-            first_id = items[0][0]
-            cell_aggregate = self._aggregates[self._index.cell_of(first_id)]
-            if len(items) == len(cell_aggregate):
-                aggregates.append(cell_aggregate.aggregated(name=f"{prefix}-{index}"))
+        for index, (cell, chunk) in enumerate(self._index.cell_groups()):
+            name = f"{prefix}-{index}"
+            if chunk is None:
+                aggregates.append(self._aggregates[cell].aggregated(name))
             else:
-                aggregates.append(
-                    aggregate_start_aligned(
-                        [flex_offer for _, flex_offer in items],
-                        name=f"{prefix}-{index}",
-                    )
-                )
+                aggregates.append(aggregate_start_aligned(chunk, name=name))
         return aggregates
 
     def snapshot(self, prefix: str = "aggregate") -> EngineSnapshot:

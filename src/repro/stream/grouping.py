@@ -12,12 +12,15 @@ equivalence guarantee needs.
 
 ``max_group_size`` chunking is applied lazily at snapshot time (it is a view
 concern, not a state concern): re-chunking on every eviction would turn O(1)
-maintenance into O(cell size) for no benefit.
+maintenance into O(cell size) for no benefit.  :meth:`OnlineGridIndex.cell_groups`
+is the one place that applies it; a whole-cell group is reported by its key
+alone, so a reader holding per-cell state never lists the cell's members.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from typing import Optional
 
 from ..aggregation.grouping import GroupingParameters, grid_key
 from ..core.flexoffer import FlexOffer
@@ -102,26 +105,29 @@ class OnlineGridIndex:
     # ------------------------------------------------------------------ #
     # Snapshots (batch-equivalent views)
     # ------------------------------------------------------------------ #
-    def group_items(self) -> list[list[tuple[str, FlexOffer]]]:
-        """The live groups as ``(offer_id, offer)`` lists.
+    def cell_groups(self) -> Iterator[tuple[CellKey, Optional[list[FlexOffer]]]]:
+        """The live groups in batch order, as ``(cell, chunk)`` pairs.
 
-        Cells are emitted in sorted key order and chunked by
-        ``max_group_size`` exactly like :func:`group_by_grid`, so stripping
-        the ids yields the batch grouping of the surviving offers.
+        Cells are walked in sorted key order and chunked by
+        ``max_group_size`` exactly like :func:`group_by_grid`.  A group that
+        is a whole cell comes as ``(cell, None)`` and costs only the cell's
+        size: no member list is built.  Each chunk of an oversized cell
+        comes as ``(cell, members)``, the chunk's offers in arrival order.
         """
         size = self.parameters.max_group_size
-        groups: list[list[tuple[str, FlexOffer]]] = []
-        for key in sorted(self._cells):
-            members = list(self._cells[key].items())
-            if size and len(members) > size:
+        cells = self._cells
+        for key in sorted(cells):
+            cell = cells[key]
+            if size and len(cell) > size:
+                members = list(cell.values())
                 for start in range(0, len(members), size):
-                    groups.append(members[start:start + size])
+                    yield key, members[start:start + size]
             else:
-                groups.append(members)
-        return groups
+                yield key, None
 
     def groups(self) -> list[list[FlexOffer]]:
         """The live groups as plain flex-offer lists (batch-identical)."""
         return [
-            [flex_offer for _, flex_offer in group] for group in self.group_items()
+            list(self._cells[key].values()) if chunk is None else chunk
+            for key, chunk in self.cell_groups()
         ]

@@ -23,8 +23,10 @@ from repro.measures import evaluate_set
 from repro.stream import (
     IncrementalAggregate,
     OfferArrived,
+    OfferAssigned,
     OfferExpired,
     StreamingEngine,
+    Tick,
 )
 
 MEASURES = ["time", "energy", "product", "vector", "assignments"]
@@ -49,6 +51,61 @@ def test_streaming_state_equals_batch_pipeline(interleaving, parameters):
     assert [list(group) for group in snapshot.groups] == batch_groups
     assert list(snapshot.aggregates) == aggregate_all(batch_groups)
     assert snapshot.report == evaluate_set(survivors, MEASURES)
+
+
+PREFIXES = ("aggregate", "lot", "bid")
+
+
+@settings(max_examples=80, deadline=None)
+@given(grouping_parameters(), st.data())
+def test_kept_lots_never_go_stale(parameters, data):
+    """Live aggregates ≡ batch after every step, kept lots read in between.
+
+    Single and bulk arrivals, expiries, assignments and (auto-expiring)
+    ticks interleave at random.  After every step the aggregates are read
+    under each prefix in a random order, so the next step finds each
+    cell's kept lot under the name it is read with first or under another:
+    lots are both reused and renamed.  A lot that outlives a change to its
+    cell shows up as a difference from the batch pipeline on the survivors.
+    """
+    engine = StreamingEngine(
+        parameters=parameters, measures=MEASURES, auto_expire=True
+    )
+    live: dict[str, object] = {}
+    time = 0
+    fresh = 0
+    for _ in range(data.draw(st.integers(min_value=1, max_value=14))):
+        kinds = ["arrive", "bulk", "tick"] + (["expire", "assign"] if live else [])
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "arrive":
+            offer_id, fresh = f"f{fresh}", fresh + 1
+            live[offer_id] = data.draw(stream_flexoffers())
+            engine.apply(OfferArrived(offer_id, live[offer_id]))
+        elif kind == "bulk":
+            batch = []
+            for offer in data.draw(st.lists(stream_flexoffers(), max_size=4)):
+                offer_id, fresh = f"f{fresh}", fresh + 1
+                live[offer_id] = offer
+                batch.append(OfferArrived(offer_id, offer))
+            engine.bulk_arrive(batch)
+        elif kind == "tick":
+            time += data.draw(st.integers(min_value=0, max_value=2))
+            engine.apply(Tick(time))
+            live = {
+                offer_id: offer
+                for offer_id, offer in live.items()
+                if offer.latest_start >= time
+            }
+        else:
+            offer_id = data.draw(st.sampled_from(sorted(live)))
+            del live[offer_id]
+            event = OfferExpired if kind == "expire" else OfferAssigned
+            engine.apply(event(offer_id))
+        assert engine.live_offers() == list(live.values())
+        batch_groups = group_by_grid(list(live.values()), parameters)
+        order = data.draw(st.permutations(PREFIXES))
+        for prefix in (*order, order[0]):
+            assert engine.aggregates(prefix) == aggregate_all(batch_groups, prefix)
 
 
 @settings(max_examples=60, deadline=None)

@@ -771,3 +771,61 @@ def test_request_duration_covers_request_setup(kind, setup, monkeypatch):
         else:
             stats = session.trade(TradeRequest()).stats
     assert stats.duration_s >= 0.05
+
+
+# --------------------------------------------------------------------- #
+# Live trades over kept lots: bit-identical to the batch book
+# --------------------------------------------------------------------- #
+
+
+def _batch_trade(offers, request: TradeRequest):
+    """The trade a fresh batch pipeline clears on the reference backend."""
+    with use_backend("reference"):
+        market = TradingSession(
+            FlexibilityPricer(
+                measure=request.measure,
+                energy_price=request.energy_price,
+                premium_per_unit=request.premium_per_unit,
+            ),
+            budget=request.budget,
+        )
+        accepted, rejected = market.clear(aggregate_all(group_by_grid(offers)))
+    return tuple(accepted), tuple(rejected), float(
+        sum(bid.total_price for bid in accepted)
+    )
+
+
+@pytest.mark.parametrize("backend", _SCORING_BACKENDS)
+def test_live_trades_over_kept_lots_equal_the_batch_book(backend, tmp_path):
+    """Repeated trades, a trade after an arrival and one after a recovery
+    each clear exactly the book the batch pipeline builds from the live
+    population."""
+    offers = population(40, seed=31)
+    request = TradeRequest(measure="product", energy_price=1.0, budget=60.0)
+    config = SessionConfig(
+        persist_dir=str(tmp_path / "tenant"), persist_fsync=False, **backend
+    )
+
+    def assert_batch(session):
+        served = session.trade(request)
+        accepted, rejected, revenue = _batch_trade(
+            session.engine.live_offers(), request
+        )
+        assert served.accepted == accepted
+        assert served.rejected == rejected
+        assert served.revenue == revenue
+        assert accepted and rejected  # the budget splits the book
+
+    with FlexSession(config) as session:
+        session.ingest(offers)
+        assert_batch(session)
+        assert_batch(session)
+        session.stream(
+            StreamRequest(events=(OfferArrived("late", population(1, 32)[0]),))
+        )
+        assert_batch(session)
+        session.checkpoint()
+    with FlexSession(config) as recovered:
+        assert len(recovered.engine) == len(offers) + 1
+        assert_batch(recovered)
+        assert_batch(recovered)

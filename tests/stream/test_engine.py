@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.aggregation import (
+    AggregatedFlexOffer,
     GroupingParameters,
     aggregate_all,
     group_by_grid,
@@ -282,3 +283,81 @@ class TestInjectableState:
         engine.apply(OfferExpired("o1"))
         # Threshold 0 compacts on every tombstone: no dead rows linger.
         assert engine._live.matrix.dead_count == 0
+
+
+class _Untouchable(dict):
+    """A cell's columns or members that must not be walked (size only)."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("a kept lot walked its cell's columns or members")
+
+    __iter__ = __getitem__ = get = keys = values = items = _refuse
+
+
+class TestKeptAggregates:
+    """Each whole cell keeps its materialised lot until the cell changes."""
+
+    @staticmethod
+    def engine():
+        scenario = neighbourhood_scenario(households=10, seed=7, horizon=32)
+        return StreamingEngine(measures=MEASURES).replay(
+            population_events(scenario.flex_offers)
+        )
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        """Count every FlexOffer and AggregatedFlexOffer constructed."""
+        counts = {FlexOffer: 0, AggregatedFlexOffer: 0}
+        for cls in counts:
+            original = cls.__post_init__
+
+            def counting(self, _cls=cls, _original=original):
+                counts[_cls] += 1
+                _original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        return counts
+
+    def test_unchanged_engine_returns_the_same_lots(self, monkeypatch):
+        engine = self.engine()
+        first = engine.aggregates()
+        counts = self.count_builds(monkeypatch)
+        second = engine.aggregates()
+        assert len(second) == len(first) > 1
+        assert all(again is lot for again, lot in zip(second, first))
+        assert counts == {FlexOffer: 0, AggregatedFlexOffer: 0}
+
+    def test_one_arrival_rebuilds_one_cell(self, monkeypatch):
+        engine = self.engine()
+        first = engine.aggregates()
+        # A copy of a live offer lands in that offer's (existing) cell, so
+        # no group index shifts.
+        engine.apply(OfferArrived("copy", engine.live_offers()[0]))
+        counts = self.count_builds(monkeypatch)
+        second = engine.aggregates()
+        rebuilt = [
+            index for index, lot in enumerate(second) if lot is not first[index]
+        ]
+        assert len(rebuilt) == 1
+        assert counts == {FlexOffer: 1, AggregatedFlexOffer: 1}
+        monkeypatch.undo()
+        assert second == aggregate_all(group_by_grid(engine.live_offers()))
+
+    def test_new_prefix_renames_without_walking_cells(self, monkeypatch):
+        engine = self.engine()
+        first = engine.aggregates()
+        for aggregate in engine._aggregates.values():
+            aggregate._columns = _Untouchable(aggregate._columns)
+            aggregate._members = _Untouchable(aggregate._members)
+        counts = self.count_builds(monkeypatch)
+        renamed = engine.aggregates("lot")
+        assert counts == {FlexOffer: len(first), AggregatedFlexOffer: len(first)}
+        for lot, kept in zip(renamed, first):
+            assert lot.members is kept.members
+            assert lot.member_offsets is kept.member_offsets
+            assert all(
+                mine is theirs
+                for mine, theirs in zip(lot.flex_offer.slices, kept.flex_offer.slices)
+            )
+        monkeypatch.undo()
+        assert renamed == aggregate_all(group_by_grid(engine.live_offers()), "lot")
