@@ -2,12 +2,13 @@
 
 The ROADMAP's "millions of users" proof point: one gateway process serving
 1,000+ concurrent tenants, each with an isolated session, over the full
-HTTP wire path (parse → ``request_from_dict`` → worker-pool submit →
+HTTP wire path (parse → ``request_from_dict`` → submit, on the event
+loop for a cheap request and on the worker pool otherwise →
 ``result_envelope`` → ``Response.encode``), with mixed
 evaluate/schedule/trade/stream traffic
 driven by :mod:`tools.loadgen` over the in-process asyncio transport.
 
-Two CI gates:
+Three CI gates:
 
 * **sustained throughput + bounded tail** — 1,000 concurrent tenants,
   4 mixed requests each, must complete with zero failures at >= 200 req/s
@@ -19,6 +20,12 @@ Two CI gates:
   requests must answer 429 + ``Retry-After`` for the overflow and keep
   every queue within its configured bound: backpressure, never unbounded
   queue growth.
+* **cheap requests on the loop** — 200 tenants each send one bulk ingest
+  and 15 mix requests.  The ingest and each kind's first request go to
+  the worker pool; the other 11 of the 16 follow a cheap request of
+  their kind and run on the event loop.  At least half of the served
+  submits must be counted in the gateway's ``inline``, with zero
+  failures.
 
 ``bench_records()`` feeds p50/p95/p99 and RPS into the cumulative
 BENCH_PR6.json dashboard; ``speedup`` is the concurrency gain of the
@@ -54,6 +61,11 @@ GATE_REQUESTS = 4
 GATE_MIN_RPS = 200.0
 GATE_MAX_P99_MS = 10_000.0
 
+#: The placement gate's scale: 1 bulk ingest + 15 mix requests per tenant.
+PLACEMENT_TENANTS = 200
+PLACEMENT_REQUESTS = 16
+PLACEMENT_MIN_INLINE = 0.5
+
 
 def _summary_lines(summary: dict) -> list:
     return [
@@ -86,6 +98,24 @@ def test_gateway_sustains_1000_concurrent_tenants():
     assert summary["p99_ms"] <= GATE_MAX_P99_MS, (
         f"p99 latency {summary['p99_ms']:.0f} ms above the "
         f"{GATE_MAX_P99_MS:.0f} ms gate"
+    )
+
+
+def test_cheap_requests_are_served_on_the_event_loop():
+    """A live tenant's request whose predecessor of the same kind took at
+    most one switch interval skips the worker pool's two thread crossings."""
+    summary = run_scale(PLACEMENT_TENANTS, PLACEMENT_REQUESTS)
+    served, inline = summary["gateway"]["served"], summary["gateway"]["inline"]
+    report(
+        f"request placement @ {PLACEMENT_TENANTS} tenants x "
+        f"{PLACEMENT_REQUESTS} requests",
+        _summary_lines(summary) + [f"served={served} inline={inline}"],
+    )
+    assert summary["failures"] == 0
+    assert served == PLACEMENT_TENANTS * PLACEMENT_REQUESTS
+    assert inline >= PLACEMENT_MIN_INLINE * served, (
+        f"{inline} of {served} submits ran on the event loop, below the "
+        f"{PLACEMENT_MIN_INLINE:.0%} gate"
     )
 
 

@@ -30,8 +30,17 @@ behind a bounded queue, then the gateway's (``limit=workers``), which
 bounds in-flight work.  A request waiting behind its own tenant therefore
 holds no worker slot.  Saturation of either returns 429 with
 ``Retry-After``.  Every request on a session (create, submit, stats,
-checkpoint) takes both gates and holds them until its worker returns, so
-no two run inside one session at once.
+checkpoint) takes both gates and holds them until it returns, so no two
+run inside one session at once.
+
+A submit to a ``live`` tenant whose last request of the same type took
+at most one thread switch interval (``sys.getswitchinterval()``) runs on
+the loop thread instead, still inside both gates, and counts in
+``inline``: while a worker holds the GIL the loop already waits that
+long, and the two thread crossings of the pool path cost more than such
+a request.  Bulk streams, streams that fsync, every request under the
+gateway's fault plan, requests that carry their own ``offers``, and
+every open and close keep the pool.
 
 Tenant lifecycle
 ----------------
@@ -75,6 +84,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
@@ -93,6 +104,7 @@ from ..io.serialization import (
 )
 from ..persist import PersistenceSuspendedError, StateCorruptError
 from ..service.config import ServiceError, SessionConfig, fault_plan_from_env
+from ..service.requests import StreamRequest
 from .limits import (
     RETRY_AFTER_S,
     BadRequestError,
@@ -106,7 +118,7 @@ from .limits import (
     StateCorruptedError,
     UnknownSessionError,
 )
-from .registry import OPENING, REMOVED, SessionEntry, SessionRegistry
+from .registry import LIVE, OPENING, REMOVED, SessionEntry, SessionRegistry
 
 __all__ = ["GatewayConfig", "Response", "Gateway", "GatewayServer", "serve"]
 
@@ -342,6 +354,7 @@ class Gateway:
             else RequestStatsLog(config.access_log)
         )
         self.served = 0
+        self.inline = 0
         self.failed = 0
         self.sweeper_failures = 0
         self._connections: set = set()
@@ -483,23 +496,30 @@ class Gateway:
         """Run ``function(entry, *args)`` on the pool once ``entry`` is open.
 
         Takes the tenant's gate, then the gateway's, and holds both until
-        the worker returns: Python cannot stop a running thread, so a
+        ``function`` returns: Python cannot stop a running thread, so a
         gate is never released while a worker is inside the session.  An
         ``opening`` tenant first closes one
         :meth:`SessionRegistry.victim` on the victim's own gate, making
         room for itself; on the worker, :meth:`SessionRegistry.open`
-        then builds its session before ``function`` runs.  A request that queued behind a close looks
-        the name up again once the close has finished, exactly like a
-        request that arrives after it.
+        then builds its session before ``function`` runs.  A request that
+        queued behind a close looks the name up again once the close has
+        finished, exactly like a request that arrives after it.
+
+        A submit (``function`` is :meth:`_dispatch`) that :meth:`_cheap`
+        admits once both gates are held runs on the loop thread instead;
+        it never builds or closes a session.
         """
-        loop = asyncio.get_running_loop()
         while True:
             async with entry.gate.admit():
                 if entry.state != REMOVED:
                     if entry.state == OPENING and (victim := self.registry.victim()):
                         await self._close(victim, self.registry.retire, victim)
                     async with self.gate.admit():
-                        return await loop.run_in_executor(
+                        if function == self._dispatch and self._cheap(entry, *args):
+                            result = function(entry, *args)
+                            self.inline += 1
+                            return result
+                        return await asyncio.get_running_loop().run_in_executor(
                             self._executor, self._open_then, entry, function, args
                         )
             entry = self.registry.entry(entry.name)
@@ -529,11 +549,49 @@ class Gateway:
         while (victim := self.registry.victim()) is not None:
             await self._close(victim, self.registry.retire, victim)
 
+    def _cheap(self, entry, request) -> bool:
+        """Whether ``request`` runs on the loop thread rather than the pool.
+
+        Only on a ``live`` entry whose last request of the same type took
+        at most one thread switch interval: while a worker holds the GIL
+        the loop already waits that long, so the request stalls the loop
+        no longer than the pool path would, and saves two thread
+        crossings.  A request that carries its own ``offers`` costs what
+        its body holds, not what the tenant's last one cost, so it keeps
+        the pool, as do a bulk stream, a stream that fsyncs its WAL commit
+        and every request under the gateway's fault plan.
+        """
+        if entry.state != LIVE or self.config.fault_plan is not None:
+            return False
+        if getattr(request, "offers", None) is not None:
+            return False
+        if isinstance(request, StreamRequest) and (
+            request.bulk
+            or (entry.config.persist_dir is not None and entry.config.persist_fsync)
+        ):
+            return False
+        cost = entry.costs.get(type(request))
+        return cost is not None and cost <= sys.getswitchinterval()
+
     def _dispatch(self, entry, request):
-        """One submit on a worker, behind the ``gateway.dispatch`` fault site."""
+        """One submit, behind the ``gateway.dispatch`` fault site.
+
+        Records the call's seconds as the tenant's cost of the request's
+        type.  A failed call leaves no cost for its type, and a bulk stream
+        clears every type's, so the next request of each goes to the pool.
+        """
         if self.config.fault_plan is not None:
             self.config.fault_plan.fire(GATEWAY_DISPATCH)
+        kind = type(request)
+        bulk = isinstance(request, StreamRequest) and request.bulk
+        if bulk:
+            entry.costs.clear()
+        else:
+            entry.costs.pop(kind, None)
+        started = time.perf_counter()
         result = entry.session.submit(request)
+        if not bulk:
+            entry.costs[kind] = time.perf_counter() - started
         entry.served += 1
         return result
 
@@ -657,6 +715,9 @@ class Gateway:
     def stats(self) -> dict:
         """Gateway counters: served/failed totals, gates, registry, health.
 
+        ``inline`` counts the submits served on the event loop thread
+        rather than the worker pool (see :meth:`_cheap`).
+
         ``components`` is the operator-facing roll-up: one status word per
         subsystem (the sweeper goes ``degraded`` after any swallowed sweep
         failure; persistence mirrors
@@ -672,6 +733,7 @@ class Gateway:
         )
         payload = {
             "served": self.served,
+            "inline": self.inline,
             "failed": self.failed,
             "sweeper_failures": self.sweeper_failures,
             "gate": self.gate.stats(),

@@ -32,7 +32,7 @@ import re
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional
 
@@ -54,7 +54,7 @@ OPENING, LIVE, CLOSING, REMOVED = "opening", "live", "closing", "removed"
 
 #: Tenant names double as persistence directory names, so they must be
 #: plain path components: no separators, no leading dot, no traversal.
-_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$")
+_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,127}")
 
 #: Session settings a tenant's ``PUT`` body may not carry: where the
 #: session writes (``persist_root``) and which hosts the gateway dials
@@ -68,7 +68,9 @@ class SessionEntry:
 
     ``session`` is ``None`` until :meth:`SessionRegistry.open` builds it
     from ``config``.  ``gate`` admits one request at a time, with a
-    bounded queue behind it.
+    bounded queue behind it.  ``costs`` maps a request type to the
+    seconds the tenant's last request of that type took, the gateway's
+    estimate of the next one.
     """
 
     name: str
@@ -78,6 +80,7 @@ class SessionEntry:
     session: Optional[FlexSession] = None
     state: str = OPENING
     served: int = 0
+    costs: dict = field(default_factory=dict)
 
     def stats(self) -> dict:
         """A JSON-ready health block for this (live) tenant."""
@@ -464,7 +467,7 @@ class SessionRegistry:
         a plain path component — separators, ``..``, leading dots — is a
         400, never a filesystem traversal.
         """
-        if not _NAME_RE.match(name) or ".." in name:
+        if not _NAME_RE.fullmatch(name) or ".." in name:
             raise BadRequestError(
                 f"invalid session name {name!r}: use 1-128 characters "
                 "[A-Za-z0-9._-] starting with a letter or digit"

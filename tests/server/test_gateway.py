@@ -12,6 +12,7 @@ import asyncio
 import io
 import json
 import random
+import sys
 import threading
 
 import pytest
@@ -148,8 +149,10 @@ def test_session_stats_wait_for_the_running_submit():
         await submitter.create_session(
             "t", {**REFERENCE, "window_capacity": 4}
         )
+        # A bulk ingest clears the tenant's costs, so the held tick below
+        # is its first stream since and runs on a pool worker.
         await submitter.submit(
-            "t", StreamRequest(events=tuple(population_events(offers)))
+            "t", StreamRequest(events=tuple(population_events(offers)), bulk=True)
         )
         session = gateway.registry.entry("t").session
         real_submit = session.submit
@@ -180,6 +183,46 @@ def test_session_stats_wait_for_the_running_submit():
     assert blocked_while_running
     assert ticked.status == 200 and read.status == 200
     # The read saw the whole tick: every window holds its sample.
+    windows = read.payload["windows"]
+    assert windows and all(block["count"] == 1.0 for block in windows.values())
+
+
+def test_session_stats_see_the_whole_tick_served_on_the_loop(monkeypatch):
+    """The inline twin of the test above: a cheap ``Tick`` runs on the
+    loop thread, inside both gates, and a ``GET`` sent right behind it
+    still reads the windows after the whole tick."""
+    monkeypatch.setattr(sys, "getswitchinterval", lambda: 1.0)
+    offers = population(6, seed=5)
+
+    async def scenario(gateway):
+        submitter = GatewayClient.in_process(gateway)
+        reader = GatewayClient.in_process(gateway)
+        await submitter.create_session(
+            "t", {**REFERENCE, "window_capacity": 4}
+        )
+        await submitter.submit(
+            "t", StreamRequest(events=tuple(population_events(offers)))
+        )
+        session = gateway.registry.entry("t").session
+        real_submit = session.submit
+        threads = []
+
+        def recorded(request):
+            threads.append(threading.get_ident())
+            return real_submit(request)
+
+        session.submit = recorded
+        ticked, read = await asyncio.gather(
+            submitter.submit("t", StreamRequest(events=(Tick(1),))),
+            reader.session_stats("t"),
+        )
+        await submitter.close()
+        await reader.close()
+        return threads, gateway.inline, ticked, read
+
+    threads, inline, ticked, read = gateway_scenario(scenario)
+    assert threads == [threading.get_ident()] and inline == 1
+    assert ticked.status == 200 and read.status == 200
     windows = read.payload["windows"]
     assert windows and all(block["count"] == 1.0 for block in windows.values())
 

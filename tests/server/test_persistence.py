@@ -258,6 +258,26 @@ def test_name_guard_applies_without_persistence_too():
         registry.close()
 
 
+@pytest.mark.parametrize("name", ["abc\n", "tenant-1.b\n"])
+def test_a_name_with_a_newline_is_refused_before_the_disk(tmp_path, name):
+    """A newline is not in ``[A-Za-z0-9._-]``, at the end of a name
+    either: ``create`` and ``reserve`` refuse it and make no directory."""
+    registry = SessionRegistry(
+        max_sessions=2,
+        default_config=SessionConfig(backend="reference"),
+        persist_root=str(tmp_path),
+    )
+    try:
+        with pytest.raises(BadRequestError):
+            registry.create(name)
+        with pytest.raises(BadRequestError):
+            registry.reserve(name)
+        assert len(registry) == 0
+        assert list(tmp_path.iterdir()) == []
+    finally:
+        registry.close()
+
+
 # --------------------------------------------------------------------- #
 # Lazy recovery across restarts
 # --------------------------------------------------------------------- #

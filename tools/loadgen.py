@@ -377,6 +377,11 @@ def format_summary(summary: dict) -> str:
             for host, count in sorted(summary["cluster_dispatch"].items())
         )
         lines += [f"cluster dispatch   {dispatch}"]
+    gateway = summary.get("gateway") or {}
+    if "inline" in gateway:
+        lines += [
+            f"on the event loop  {gateway['inline']} of {gateway['served']} submits"
+        ]
     lines += [
         f"elapsed            {summary['elapsed_s']:.2f} s",
         f"throughput         {summary['rps']:.0f} req/s",
