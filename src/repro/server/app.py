@@ -34,13 +34,14 @@ checkpoint) takes both gates and holds them until it returns, so no two
 run inside one session at once.
 
 A submit to a ``live`` tenant whose last request of the same type took
-at most one thread switch interval (``sys.getswitchinterval()``) runs on
-the loop thread instead, still inside both gates, and counts in
-``inline``: while a worker holds the GIL the loop already waits that
-long, and the two thread crossings of the pool path cost more than such
-a request.  Bulk streams, streams that fsync, every request under the
-gateway's fault plan, requests that carry their own ``offers``, and
-every open and close keep the pool.
+at most one thread switch interval (``sys.getswitchinterval()``) of CPU
+time, with a body at least as large, runs on the loop thread instead, still inside
+both gates, and counts in ``inline``: while a worker holds the GIL the
+loop already waits that long, and the two thread crossings of the pool
+path cost more than such a request.  Streams that change the population
+or fsync, tenants whose live population has reached their
+``shard_min_population``, every request under a fault plan (the
+gateway's or the tenant's), and every open and close keep the pool.
 
 Tenant lifecycle
 ----------------
@@ -105,6 +106,7 @@ from ..io.serialization import (
 from ..persist import PersistenceSuspendedError, StateCorruptError
 from ..service.config import ServiceError, SessionConfig, fault_plan_from_env
 from ..service.requests import StreamRequest
+from ..stream.events import Tick
 from .limits import (
     RETRY_AFTER_S,
     BadRequestError,
@@ -135,6 +137,13 @@ _REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+def _reshapes(stream: StreamRequest) -> bool:
+    """Whether ``stream`` changes the live population: any event but a
+    ``Tick``, which every request's cost then follows."""
+    return not all(isinstance(event, Tick) for event in stream.events)
+
 
 def _reject_constant(name: str):
     """Decoder hook refusing the non-standard ``NaN``/``Infinity``."""
@@ -480,7 +489,9 @@ class Gateway:
             raise BadRequestError("request body must be a JSON object")
         request = request_from_dict(payload)
         entry = self.registry.entry(name)
-        result = await self._hand_off(entry, self._dispatch, request)
+        result = await self._hand_off(
+            entry, self._dispatch, request, len(body), inline=self._cheap
+        )
         self.served += 1
         if self.access_log is not None:
             self.access_log.append(result.stats)
@@ -492,8 +503,9 @@ class Gateway:
         )
         return Response(200, {"kind": "checkpoint", "name": name, **stats})
 
-    async def _hand_off(self, entry, function, *args):
-        """Run ``function(entry, *args)`` on the pool once ``entry`` is open.
+    async def _hand_off(self, entry, function, *args, inline=None):
+        """Run ``function(entry, *args)`` once ``entry`` is open: on the
+        pool, or on the loop thread when ``inline(entry, *args)`` says so.
 
         Takes the tenant's gate, then the gateway's, and holds both until
         ``function`` returns: Python cannot stop a running thread, so a
@@ -505,9 +517,8 @@ class Gateway:
         queued behind a close looks the name up again once the close has
         finished, exactly like a request that arrives after it.
 
-        A submit (``function`` is :meth:`_dispatch`) that :meth:`_cheap`
-        admits once both gates are held runs on the loop thread instead;
-        it never builds or closes a session.
+        ``inline`` is asked only once both gates are held, and only for a
+        ``live`` entry, so the loop never builds or closes a session.
         """
         while True:
             async with entry.gate.admit():
@@ -515,7 +526,11 @@ class Gateway:
                     if entry.state == OPENING and (victim := self.registry.victim()):
                         await self._close(victim, self.registry.retire, victim)
                     async with self.gate.admit():
-                        if function == self._dispatch and self._cheap(entry, *args):
+                        if (
+                            inline is not None
+                            and entry.state == LIVE
+                            and inline(entry, *args)
+                        ):
                             result = function(entry, *args)
                             self.inline += 1
                             return result
@@ -549,49 +564,68 @@ class Gateway:
         while (victim := self.registry.victim()) is not None:
             await self._close(victim, self.registry.retire, victim)
 
-    def _cheap(self, entry, request) -> bool:
-        """Whether ``request`` runs on the loop thread rather than the pool.
+    def _cheap(self, entry, request, size: int) -> bool:
+        """Whether a live tenant's ``request`` (a ``size``-byte body) runs
+        on the loop thread rather than the pool.
 
-        Only on a ``live`` entry whose last request of the same type took
-        at most one thread switch interval: while a worker holds the GIL
-        the loop already waits that long, so the request stalls the loop
-        no longer than the pool path would, and saves two thread
-        crossings.  A request that carries its own ``offers`` costs what
-        its body holds, not what the tenant's last one cost, so it keeps
-        the pool, as do a bulk stream, a stream that fsyncs its WAL commit
-        and every request under the gateway's fault plan.
+        Only when the tenant's last request of the same type took at most
+        one thread switch interval of CPU time (see :meth:`_dispatch`) and
+        had a body at least as large: while
+        a worker holds the GIL the loop already waits that long, so the
+        request stalls the loop no longer than the pool path would, and
+        saves two thread crossings.  A larger body (explicit ``offers`` or
+        ``lots``, a longer event batch) may cost more than the estimate
+        measured, so it keeps the pool.  So do a stream that changes the
+        population (see :meth:`_dispatch`), a stream that fsyncs its WAL
+        commit, a tenant whose live population has reached its
+        ``shard_min_population`` (the size at which the library spreads
+        one request over threads; on the loop thread such a request's
+        buffers come from the main heap, which hands them back to the
+        system after each request and faults them in again on the next),
+        and every request under a fault plan, the gateway's or the
+        tenant's own, so that an injected delay sleeps on a worker.
         """
-        if entry.state != LIVE or self.config.fault_plan is not None:
+        config = entry.config
+        if self.config.fault_plan is not None or config.fault_plan is not None:
             return False
-        if getattr(request, "offers", None) is not None:
+        if len(entry.session.engine) >= config.shard_min_population:
             return False
         if isinstance(request, StreamRequest) and (
-            request.bulk
-            or (entry.config.persist_dir is not None and entry.config.persist_fsync)
+            _reshapes(request)
+            or (config.persist_dir is not None and config.persist_fsync)
         ):
             return False
-        cost = entry.costs.get(type(request))
-        return cost is not None and cost <= sys.getswitchinterval()
+        estimate = entry.costs.get(type(request))
+        return (
+            estimate is not None
+            and estimate[0] <= sys.getswitchinterval()
+            and size <= estimate[1]
+        )
 
-    def _dispatch(self, entry, request):
+    def _dispatch(self, entry, request, size: int):
         """One submit, behind the ``gateway.dispatch`` fault site.
 
-        Records the call's seconds as the tenant's cost of the request's
-        type.  A failed call leaves no cost for its type, and a bulk stream
-        clears every type's, so the next request of each goes to the pool.
+        Records the call's CPU seconds on its thread and the ``size`` of
+        its body as the tenant's estimate for the request's type.  CPU
+        time, not wall time: on a worker the wall time also holds the
+        waits for the GIL, up to a switch interval each while the loop is
+        busy, so a type sent to the pool once could stay there.  A
+        failed call leaves no estimate for its type, and a stream that
+        changes the population (a bulk ingest, say) clears every type's,
+        so the next request of each goes to the pool.
         """
         if self.config.fault_plan is not None:
             self.config.fault_plan.fire(GATEWAY_DISPATCH)
         kind = type(request)
-        bulk = isinstance(request, StreamRequest) and request.bulk
-        if bulk:
+        reshapes = isinstance(request, StreamRequest) and _reshapes(request)
+        if reshapes:
             entry.costs.clear()
         else:
             entry.costs.pop(kind, None)
-        started = time.perf_counter()
+        started = time.thread_time()
         result = entry.session.submit(request)
-        if not bulk:
-            entry.costs[kind] = time.perf_counter() - started
+        if not reshapes:
+            entry.costs[kind] = (time.thread_time() - started, size)
         entry.served += 1
         return result
 

@@ -68,9 +68,9 @@ class SessionEntry:
 
     ``session`` is ``None`` until :meth:`SessionRegistry.open` builds it
     from ``config``.  ``gate`` admits one request at a time, with a
-    bounded queue behind it.  ``costs`` maps a request type to the
-    seconds the tenant's last request of that type took, the gateway's
-    estimate of the next one.
+    bounded queue behind it.  ``costs`` maps a request type to the CPU
+    seconds the tenant's last request of that type took and the bytes of
+    its body, the gateway's estimate of the next one.
     """
 
     name: str

@@ -206,8 +206,8 @@ class RecordingGateway(Gateway):
         super().__init__(*args, **kwargs)
         self.results = []
 
-    async def _hand_off(self, entry, function, *args):
-        result = await super()._hand_off(entry, function, *args)
+    async def _hand_off(self, entry, function, *args, **options):
+        result = await super()._hand_off(entry, function, *args, **options)
         self.results.append(result)
         return result
 

@@ -203,6 +203,9 @@ def test_session_stats_see_the_whole_tick_served_on_the_loop(monkeypatch):
         await submitter.submit(
             "t", StreamRequest(events=tuple(population_events(offers)))
         )
+        # The ingest changed the population, so this first tick after it
+        # runs on the pool and makes the next one cheap.
+        await submitter.submit("t", StreamRequest(events=(Tick(1),)))
         session = gateway.registry.entry("t").session
         real_submit = session.submit
         threads = []
@@ -213,7 +216,7 @@ def test_session_stats_see_the_whole_tick_served_on_the_loop(monkeypatch):
 
         session.submit = recorded
         ticked, read = await asyncio.gather(
-            submitter.submit("t", StreamRequest(events=(Tick(1),))),
+            submitter.submit("t", StreamRequest(events=(Tick(2),))),
             reader.session_stats("t"),
         )
         await submitter.close()
@@ -223,8 +226,9 @@ def test_session_stats_see_the_whole_tick_served_on_the_loop(monkeypatch):
     threads, inline, ticked, read = gateway_scenario(scenario)
     assert threads == [threading.get_ident()] and inline == 1
     assert ticked.status == 200 and read.status == 200
+    # Both ticks' samples: the read came after the whole inline tick.
     windows = read.payload["windows"]
-    assert windows and all(block["count"] == 1.0 for block in windows.values())
+    assert windows and all(block["count"] == 2.0 for block in windows.values())
 
 
 def test_tcp_serve_and_port_allocation():

@@ -2,9 +2,12 @@
 
 Once both gates admit a submit for a ``live`` tenant, the gateway runs it
 on the loop thread when the tenant's last request of the same type took
-at most one thread switch interval, and on the worker pool otherwise.
-Building and closing sessions, bulk streams, streams that fsync their WAL
-commit and every request under the gateway's fault plan keep the pool.
+at most one thread switch interval of CPU time and had a body at least
+as large, and
+on the worker pool otherwise.  Building and closing sessions, streams
+that change the population or fsync their WAL commit, tenants at their
+``shard_min_population`` and every request under a fault plan (the
+gateway's or the tenant's) keep the pool.
 
 Each test records, inside ``FlexSession.submit`` (and the session's build
 and close), whether the call ran on the loop's thread.  The gateway reads
@@ -23,7 +26,7 @@ import time
 import pytest
 
 from repro.core import FlexOffer
-from repro.faults import GATEWAY_DISPATCH, FaultPlan, FaultRule
+from repro.faults import GATEWAY_DISPATCH, WAL_APPEND, FaultPlan, FaultRule
 from repro.server import Gateway, GatewayClient, GatewayConfig
 from repro.service import (
     AggregateRequest,
@@ -33,7 +36,7 @@ from repro.service import (
     StreamRequest,
     TradeRequest,
 )
-from repro.stream import Tick, population_events
+from repro.stream import OfferExpired, Tick, population_events
 
 REFERENCE = {"backend": "reference"}
 
@@ -52,6 +55,13 @@ def ingest(bulk: bool = True, first: int = 1) -> StreamRequest:
         for i in range(6)
     ]
     return StreamRequest(events=tuple(population_events(offers)), bulk=bulk)
+
+
+def burn(seconds: float) -> None:
+    """Spend ``seconds`` of this thread's CPU time."""
+    end = time.thread_time() + seconds
+    while time.thread_time() < end:
+        pass
 
 
 def run_gateway(coro_factory, **config_overrides):
@@ -148,14 +158,14 @@ def test_a_bulk_stream_and_the_request_after_it_are_pooled(placed):
         client = GatewayClient.in_process(gateway)
         await client.create_session("t", REFERENCE)
         requests = (
-            ingest(bulk=False),  # the first stream
+            StreamRequest(events=(Tick(1),)),  # the first stream
             EvaluateRequest(),  # the first evaluate
-            StreamRequest(events=(Tick(1),)),  # cheap: on the loop
+            StreamRequest(events=(Tick(2),)),  # cheap: on the loop
             EvaluateRequest(),  # cheap: on the loop
             ingest(bulk=True, first=20),  # pooled; clears the costs
-            StreamRequest(events=(Tick(2),)),
-            EvaluateRequest(),
             StreamRequest(events=(Tick(3),)),
+            EvaluateRequest(),
+            StreamRequest(events=(Tick(4),)),
             EvaluateRequest(),
         )
         for request in requests:
@@ -166,6 +176,39 @@ def test_a_bulk_stream_and_the_request_after_it_are_pooled(placed):
     seen = run_gateway(scenario)
     assert seen["submits"] == [
         POOL, POOL, LOOP, LOOP, POOL, POOL, POOL, LOOP, LOOP
+    ]
+
+
+def test_a_stream_that_changes_the_population_clears_every_estimate(placed):
+    """Not only a bulk ingest: any stream carrying an event other than a
+    ``Tick`` runs on the pool and sends the next request of each type
+    there too, since each one's cost follows the population."""
+    arrivals = ingest(bulk=False)
+    expiry = StreamRequest(events=(OfferExpired(arrivals.events[0].offer_id),))
+
+    async def scenario(gateway):
+        client = GatewayClient.in_process(gateway)
+        await client.create_session("t", REFERENCE)
+        ticks = StreamRequest(events=(Tick(1),) * 50)
+        requests = (
+            arrivals,  # pooled
+            EvaluateRequest(),
+            ticks,
+            EvaluateRequest(),
+            ticks,  # cheap: on the loop
+            EvaluateRequest(),  # cheap: on the loop
+            expiry,  # pooled, though its body is smaller than the ticks'
+            StreamRequest(events=(Tick(2),)),
+            EvaluateRequest(),
+        )
+        for request in requests:
+            assert (await client.submit("t", request)).ok
+        await client.close()
+        return placed.take()
+
+    seen = run_gateway(scenario)
+    assert seen["submits"] == [
+        POOL, POOL, POOL, LOOP, LOOP, LOOP, POOL, POOL, POOL
     ]
 
 
@@ -188,6 +231,66 @@ def test_a_request_carrying_its_own_offers_is_pooled(placed):
     assert seen["submits"] == [POOL, POOL, LOOP, POOL, LOOP, POOL]
 
 
+def test_a_trade_carrying_its_own_lots_is_pooled(placed):
+    lots = tuple(event.flex_offer for event in ingest(first=30).events)
+
+    async def scenario(gateway):
+        client = GatewayClient.in_process(gateway)
+        await client.create_session("t", REFERENCE)
+        assert (await client.submit("t", ingest())).ok
+        requests = (
+            TradeRequest(budget=1e9),
+            TradeRequest(budget=1e9),  # cheap: on the loop
+            TradeRequest(lots=lots, budget=1e9),  # a larger body
+            TradeRequest(budget=1e9),
+        )
+        for request in requests:
+            assert (await client.submit("t", request)).ok
+        await client.close()
+        return placed.take()
+
+    seen = run_gateway(scenario)
+    assert seen["submits"] == [POOL, POOL, LOOP, POOL, LOOP]
+
+
+def test_a_longer_batch_of_ticks_is_pooled(placed):
+    """A stream's cost grows with its events, so a batch longer than the
+    one its estimate was measured on keeps the pool."""
+
+    async def scenario(gateway):
+        client = GatewayClient.in_process(gateway)
+        await client.create_session("t", REFERENCE)
+        requests = (
+            StreamRequest(events=(Tick(1),)),
+            StreamRequest(events=(Tick(2),)),  # cheap: on the loop
+            StreamRequest(events=tuple(Tick(clock) for clock in range(3, 503))),
+            StreamRequest(events=(Tick(503),)),
+        )
+        for request in requests:
+            assert (await client.submit("t", request)).ok
+        await client.close()
+        return placed.take()
+
+    seen = run_gateway(scenario)
+    assert seen["submits"] == [POOL, LOOP, POOL, LOOP]
+
+
+def test_a_tenant_at_its_shard_min_population_keeps_the_pool(placed):
+    async def scenario(gateway):
+        client = GatewayClient.in_process(gateway)
+        await client.create_session("t", {**REFERENCE, "shard_min_population": 6})
+        for _ in range(2):
+            assert (await client.submit("t", EvaluateRequest())).ok
+        assert (await client.submit("t", ingest())).ok  # six live offers
+        for _ in range(3):
+            assert (await client.submit("t", EvaluateRequest())).ok
+        await client.close()
+        return placed.take()
+
+    seen = run_gateway(scenario)
+    assert seen["submits"] == [POOL, LOOP, POOL, POOL, POOL, POOL]
+
+
 def test_the_request_after_a_slow_one_is_pooled(placed, monkeypatch):
     """A request that took longer than the switch interval sends the next
     of its type to the pool; a cheap pooled one brings the type back."""
@@ -199,7 +302,7 @@ def test_the_request_after_a_slow_one_is_pooled(placed, monkeypatch):
     def maybe_slow(session, request):
         if slow.is_set():
             slow.clear()
-            time.sleep(2 * threshold)
+            burn(2 * threshold)
         return submit(session, request)
 
     monkeypatch.setattr(FlexSession, "submit", maybe_slow)
@@ -218,6 +321,33 @@ def test_the_request_after_a_slow_one_is_pooled(placed, monkeypatch):
     # first, cheap, slow (ran inline: its predecessor was cheap), after
     # the slow one, cheap again, cheap.
     assert seen["submits"] == [POOL, LOOP, LOOP, POOL, LOOP, LOOP]
+
+
+def test_a_wait_on_a_worker_does_not_count_as_cost(placed, monkeypatch):
+    """On a worker the wall time also holds the waits for the GIL while
+    the loop is busy; only the thread's CPU time counts, so a type sent
+    to the pool once comes back to the loop."""
+    threshold = 0.05
+    monkeypatch.setattr(sys, "getswitchinterval", lambda: threshold)
+    submit = FlexSession.submit
+
+    def waits_on_a_worker(session, request):
+        if placed.where() == POOL:
+            time.sleep(2 * threshold)
+        return submit(session, request)
+
+    monkeypatch.setattr(FlexSession, "submit", waits_on_a_worker)
+
+    async def scenario(gateway):
+        client = GatewayClient.in_process(gateway)
+        await client.create_session("t", REFERENCE)
+        for _ in range(3):
+            assert (await client.submit("t", EvaluateRequest())).ok
+        await client.close()
+        return placed.take()
+
+    seen = run_gateway(scenario)
+    assert seen["submits"] == [POOL, LOOP, LOOP]
 
 
 def test_the_request_after_a_failed_one_is_pooled(placed):
@@ -284,6 +414,31 @@ def test_every_request_under_a_fault_plan_is_pooled(placed):
     assert inline == 0
 
 
+def test_every_request_under_a_tenants_own_fault_plan_is_pooled(placed, tmp_path):
+    """A tenant may send its own plan in its ``PUT`` body: a delay on the
+    WAL append of a durable tenant that does not fsync, which every
+    stream hits, sleeps on a worker too."""
+    plan = FaultPlan(
+        [FaultRule(WAL_APPEND, action="delay", count=None, delay_s=0.001)]
+    )
+
+    async def scenario(gateway):
+        client = GatewayClient.in_process(gateway)
+        config = {**REFERENCE, "persist_fsync": False, "fault_plan": plan.spec()}
+        assert (await client.create_session("t", config)).status == 201
+        for clock in (1, 2, 3):
+            assert (await client.submit("t", StreamRequest(events=(Tick(clock),)))).ok
+            assert (await client.submit("t", EvaluateRequest())).ok
+        fired = gateway.registry.entry("t").config.fault_plan.stats()["fired"]
+        await client.close()
+        return placed.take(), gateway.inline, fired
+
+    seen, inline, fired = run_gateway(scenario, persist_root=str(tmp_path))
+    assert seen["submits"] == [POOL] * 6
+    assert inline == 0
+    assert fired[WAL_APPEND] == 3
+
+
 def test_opens_and_recoveries_run_on_the_pool(placed, tmp_path):
     async def first(gateway):
         client = GatewayClient.in_process(gateway)
@@ -332,7 +487,6 @@ def test_deletes_evictions_and_expiries_close_on_the_pool(placed):
     assert seen["closes"] == [POOL, POOL, POOL]
     assert seen["opens"] == [POOL, POOL, POOL]
     assert seen["submits"] == [POOL, LOOP, POOL, LOOP]
-
 
 
 def test_tenants_racing_between_the_loop_and_the_pool_lose_no_request(placed):
