@@ -1,16 +1,13 @@
-"""PR 9 — the price of self-healing: fault-free overhead + shard-loss recovery.
+"""The price of self-healing: the fault-free overhead gate.
 
-Two gates guard the robustness plane:
+**Fault-free overhead <= 5%.**  The retry/fault machinery sits on the hot
+fan-out path of every sharded operation, so its cost when *nothing
+fails* must be noise: a guarded backend (retry budget active, a fault
+plan attached whose rules never match) must stay within 5% of a bare
+backend (``retries=0``, no plan) on the same workload.
 
-* **Fault-free overhead <= 5%.**  The retry/fault machinery sits on
-  the hot fan-out path of every sharded operation, so its cost when
-  *nothing fails* must be noise: a guarded backend (retry budget active,
-  a fault plan attached whose rules never match) must stay within 5% of a
-  bare backend (``retries=0``, no plan) on the same workload.
-* **Shard-loss recovery.**  SIGKILLing one of two cluster workers
-  between calls must heal — the dead host evicted, its shard re-dispatched
-  to the survivor, result bit-identical — within a bounded wall-clock
-  envelope over the fault-free run.
+That shards heal from injected faults, bit-identically, is pinned by
+``tests/faults/test_sharded_chaos.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import time
 import pytest
 
 from repro.backend import NUMPY_AVAILABLE, ShardedBackend, get_backend
-from repro.cluster import LocalCluster
 from repro.faults import SHARD_SUBMIT, FaultPlan, FaultRule
 from repro.measures import get_measure
 from repro.workloads import neighbourhood_scenario
@@ -48,10 +44,6 @@ PAIRS = 41
 
 #: The overhead gate: guarded / bare, fault-free.
 MAX_OVERHEAD_RATIO = 1.05
-
-#: Shard-loss envelope: the faulted call may cost at most the fault-free
-#: median plus this allowance (failed dispatch + re-ship + re-dispatch).
-RECOVERY_ALLOWANCE_S = 10.0
 
 MEASURE = get_measure("product")
 
@@ -86,11 +78,6 @@ def seconds(backend, offers) -> float:
     start = time.perf_counter()
     backend.measure_values(MEASURE, offers)
     return time.perf_counter() - start
-
-
-def median_seconds(backend, offers, repeats: int) -> float:
-    backend.measure_values(MEASURE, offers)  # warm the pool + caches
-    return statistics.median(seconds(backend, offers) for _ in range(repeats))
 
 
 def paired_seconds(bare, guarded, offers, pairs: int = PAIRS):
@@ -132,48 +119,10 @@ def run_overhead(size: int) -> dict:
     }
 
 
-def run_shard_loss(size: int = 2_000) -> dict:
-    offers = population(size)
-    with LocalCluster(workers=2) as cluster:
-        clean = ShardedBackend(
-            shards=2, min_population=1, cluster=cluster.spec(),
-        )
-        try:
-            expected = clean.measure_values(MEASURE, offers)
-            clean_s = median_seconds(clean, offers, repeats=3)
-        finally:
-            clean.close()
-
-        faulted = ShardedBackend(
-            shards=2, min_population=1, cluster=cluster.spec(),
-        )
-        try:
-            # Warm call: one shard per worker, each chunk interned there.
-            assert faulted.measure_values(MEASURE, offers) == expected
-            cluster.kill(1)
-            start = time.perf_counter()
-            healed = faulted.measure_values(MEASURE, offers)
-            faulted_s = time.perf_counter() - start
-            wire = faulted._pool.stats()
-            resilience = faulted.resilience_stats()
-        finally:
-            faulted.close()
-    assert healed == expected  # bit-identical through the kill
-    assert wire["redispatches"] + resilience["partial_recoveries"] >= 1
-    return {
-        "population": size,
-        "clean_seconds": round(clean_s, 5),
-        "shard_loss_seconds": round(faulted_s, 5),
-        "recovery_overhead_seconds": round(max(0.0, faulted_s - clean_s), 5),
-        "redispatches": wire["redispatches"],
-    }
-
-
 def bench_records(gate_scale: bool = False) -> list[dict]:
     """Machine-readable records for ``tools/bench_to_json.py``."""
     size = SCALES[1] if gate_scale else SCALES[0]
     overhead = run_overhead(size)
-    loss = run_shard_loss()
     return [
         {
             "name": f"fault_plane_overhead_{size}",
@@ -181,13 +130,6 @@ def bench_records(gate_scale: bool = False) -> list[dict]:
             "bare_seconds": overhead["bare_seconds"],
             "guarded_seconds": overhead["guarded_seconds"],
             "overhead_ratio": overhead["overhead_ratio"],
-        },
-        {
-            "name": f"shard_loss_recovery_{loss['population']}",
-            "scale": loss["population"],
-            "clean_seconds": loss["clean_seconds"],
-            "shard_loss_seconds": loss["shard_loss_seconds"],
-            "recovery_overhead_seconds": loss["recovery_overhead_seconds"],
         },
     ]
 
@@ -209,14 +151,3 @@ def test_fault_free_overhead_gate(size):
         assert results["overhead_ratio"] <= MAX_OVERHEAD_RATIO
     else:
         assert results["overhead_ratio"] <= 1.5
-
-
-def test_shard_loss_recovery_gate():
-    results = run_shard_loss()
-    report("Shard-loss recovery (one of two cluster workers SIGKILLed)", [
-        f"fault-free        : {results['clean_seconds'] * 1e3:>9.2f} ms",
-        f"with worker kill  : {results['shard_loss_seconds'] * 1e3:>9.2f} ms",
-        f"recovery overhead : {results['recovery_overhead_seconds'] * 1e3:>9.2f} ms",
-    ])
-    print(json.dumps(results, indent=2))
-    assert results["shard_loss_seconds"] <= results["clean_seconds"] + RECOVERY_ALLOWANCE_S

@@ -32,7 +32,6 @@ from .backend import (
     get_backend,
     use_backend,
 )
-from .cluster import ClusterSpec, LocalCluster, RemoteShardExecutor
 from .faults import FaultInjected, FaultPlan, FaultRule
 from .persist import (
     RecoveryStats,
@@ -119,7 +118,7 @@ from .stream import (
     population_events,
 )
 
-__version__ = "2.1.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "__version__",
@@ -154,10 +153,6 @@ __all__ = [
     "RecoveryStats",
     "WriteAheadLog",
     "SnapshotStore",
-    # distributed shard execution
-    "ClusterSpec",
-    "LocalCluster",
-    "RemoteShardExecutor",
     # fault injection / chaos testing
     "FaultPlan",
     "FaultRule",

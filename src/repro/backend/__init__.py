@@ -15,9 +15,8 @@ vectorizes.  This package provides
   packs populations into :class:`ProfileMatrix` arrays and evaluates
   measures through their ``batch_values`` hooks;
 * the ``sharded`` backend, which partitions a population into shards and
-  fans the bulk operations across a thread pool or a cluster of worker
-  processes (:mod:`repro.cluster`), running each shard on the best inner
-  backend and merging exactly;
+  fans the bulk operations across a thread pool, running each shard on
+  the best inner backend and merging exactly;
 * a fingerprint-keyed :class:`MatrixCache` (:data:`matrix_cache`) so
   repeated bulk calls on a stable population skip the packing pass.
 

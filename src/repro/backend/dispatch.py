@@ -368,9 +368,9 @@ def _ensure_registered() -> None:
         return
     # Double-checked: without the lock, a second thread arriving while the
     # first is still inside the (slow) NumPy import would see a registry
-    # with no ``numpy`` entry and mis-resolve — the cluster worker serves
-    # its first tasks on concurrent connection threads, which is exactly
-    # that interleaving.
+    # with no ``numpy`` entry and mis-resolve — shard pool threads that
+    # resolve their inner backend on first use are exactly that
+    # interleaving.
     with _bootstrap_lock:
         if _bootstrapped:
             return

@@ -35,29 +35,20 @@ shard* as an earlier unsupported offer surfaces its exception where the
 reference's lazily short-circuiting ``all()`` would have skipped the
 measure; across shards the short-circuit is honoured.
 
-Executors
----------
-``thread`` (no ``cluster``)
-    A shared :class:`~concurrent.futures.ThreadPoolExecutor`.  The NumPy
-    kernels release the GIL, so shard evaluation overlaps on multicore
-    hosts, and the inner backend's fingerprint-keyed matrix cache keeps
-    each shard chunk's packed arrays warm across calls.
-``remote``
-    A :class:`~repro.cluster.RemoteShardExecutor` dispatching shards to
-    :mod:`repro.cluster` worker processes over framed TCP — the multi-host
-    tier, and the way to get process isolation on one host (a
-    :class:`~repro.cluster.LocalCluster`).  Selected by passing a
-    ``cluster``; shard chunks are interned per connection by fingerprint,
-    so steady-state calls reference offers by key instead of re-shipping
-    them.  A dead host is evicted and its shards redispatched to surviving
-    hosts within the same retry budget below.
+Executor
+--------
+A shared :class:`~concurrent.futures.ThreadPoolExecutor` of at most
+``os.cpu_count()`` workers; ``shards`` sets the partition count, not the
+thread count, and merges follow shard order, so the worker count never
+changes a result.  The NumPy kernels release the GIL, so shard evaluation
+overlaps on multicore hosts, and the inner backend's fingerprint-keyed
+matrix cache keeps each shard chunk's packed arrays warm across calls.
 
 Self-healing
 ------------
 ``_map`` — the one fan-out/merge primitive every operation funnels
-through — retries each shard independently on *infrastructure* errors
-(every remote host unavailable, an injected
-:class:`~repro.faults.FaultInjected`; bounded by ``retries``, with linear
+through — retries each shard independently on an injected
+:class:`~repro.faults.FaultInjected` (bounded by ``retries``, with linear
 backoff), re-dispatching only the shards whose futures failed (completed
 shards keep their results).  Application errors — an offer a measure
 rejects — are never retried.  Shard results are consumed in submission
@@ -75,7 +66,7 @@ import os
 import threading
 import time
 from collections.abc import Sequence
-from concurrent.futures import BrokenExecutor, Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, ClassVar, Optional, Union
 
 from ..core.errors import BackendError
@@ -105,9 +96,8 @@ DEFAULT_MIN_POPULATION = 4096
 DEFAULT_RETRIES = 2
 
 #: Exceptions the shard loop treats as infrastructure (retryable): an
-#: executor with no live worker left, or an injected fault standing in for
-#: one.
-_RETRYABLE = (BrokenExecutor, FaultInjected)
+#: injected fault standing in for a lost worker.
+_RETRYABLE = (FaultInjected,)
 
 #: Base sleep before a shard retry, multiplied by the attempt number.
 _RETRY_BACKOFF_S = 0.01
@@ -116,11 +106,10 @@ _RETRY_BACKOFF_S = 0.01
 class _FailedSubmit:
     """A future-shaped sentinel for a submission that already failed.
 
-    Submission errors (an injected ``shard.submit`` fault, a pool broken
-    by an earlier shard) must not abort the whole fan-out — later shards
-    still get submitted, and this shard's error is raised when *its* turn
-    to be consumed comes, entering the same retry loop a failed
-    ``result()`` would.
+    Submission errors (an injected ``shard.submit`` fault) must not abort
+    the whole fan-out — later shards still get submitted, and this shard's
+    error is raised when *its* turn to be consumed comes, entering the
+    same retry loop a failed ``result()`` would.
     """
 
     def __init__(self, error: BaseException) -> None:
@@ -131,9 +120,8 @@ class _FailedSubmit:
 
 
 # --------------------------------------------------------------------- #
-# Shard workers — module level so the remote executor can name them.
-# Each resolves the inner backend by name inside the worker, which also
-# bootstraps the registry in a cluster worker process.
+# Shard workers.  Each resolves the inner backend (a registered name or
+# an instance) inside the pool thread.
 # --------------------------------------------------------------------- #
 def _values_outcome(backend, measure, population):
     """``("ok", values)`` or ``("error", exc)`` of one shard's measure values."""
@@ -220,14 +208,15 @@ class ShardedBackend(ComputeBackend):
     Parameters
     ----------
     shards:
-        Number of shards (and pool workers).  ``None`` means
-        ``os.cpu_count()``.
+        Number of shards a fanned-out population is split into.  ``None``
+        means ``os.cpu_count()``.  The pool runs at most
+        ``os.cpu_count()`` of them at once, however many there are.
     min_population:
         Populations smaller than this run whole on the inner backend.
     inner:
-        The inner backend: a registered name, or (thread executor only) an
-        explicit :class:`ComputeBackend` instance — the service layer hands
-        a session-scoped ``NumpyBackend`` here so shard workers hit the
+        The inner backend: a registered name, or an explicit
+        :class:`ComputeBackend` instance — the service layer hands a
+        session-scoped ``NumpyBackend`` here so shard workers hit the
         session's cache.  ``None`` picks ``numpy`` when registered, else
         ``reference``.
     retries:
@@ -235,15 +224,7 @@ class ShardedBackend(ComputeBackend):
         fast with a typed :class:`~repro.core.errors.BackendError`.
     faults:
         Optional :class:`repro.faults.FaultPlan`; when set the fan-out
-        fires the ``shard.submit`` / ``shard.result`` injection sites, and
-        a remote executor additionally fires the wire-level
-        ``cluster.connect`` / ``cluster.send`` / ``cluster.recv`` sites.
-    cluster:
-        Worker hosts — a :class:`~repro.cluster.ClusterSpec` (or anything
-        its :meth:`~repro.cluster.ClusterSpec.from_spec` accepts).  Given,
-        shards run on the ``remote`` executor; ``None`` (the default)
-        runs them on the ``thread`` executor.  :attr:`executor_kind`
-        names the outcome.
+        fires the ``shard.submit`` / ``shard.result`` injection sites.
     """
 
     name: ClassVar[str] = "sharded"
@@ -255,19 +236,11 @@ class ShardedBackend(ComputeBackend):
         inner: Optional[Union[str, ComputeBackend]] = None,
         retries: int = DEFAULT_RETRIES,
         faults: Optional[FaultPlan] = None,
-        cluster=None,
     ) -> None:
         if shards is None:
             shards = os.cpu_count() or 1
         elif shards < 1:
             raise BackendError(f"shard count must be >= 1, got {shards}")
-        if cluster is not None:
-            from ..cluster import ClusterError, ClusterSpec
-
-            try:
-                cluster = ClusterSpec.from_spec(cluster)
-            except ClusterError as error:
-                raise BackendError(f"invalid cluster spec: {error}") from error
         if min_population < 0:
             raise BackendError(
                 f"min_population must be >= 0, got {min_population}"
@@ -277,13 +250,6 @@ class ShardedBackend(ComputeBackend):
                 raise BackendError(
                     "the sharded backend cannot be its own inner backend"
                 )
-            if cluster is not None:
-                # Remote workers live in separate memory: they can only
-                # resolve the inner backend by registered name.
-                # The instance still serves every in-process path
-                # (delegated small populations), so its private cache keeps
-                # working where sharing is even possible.
-                get_backend(inner.name)
         elif inner is not None:
             if inner == self.name:
                 raise BackendError(
@@ -293,21 +259,14 @@ class ShardedBackend(ComputeBackend):
         if retries < 0:
             raise BackendError(f"retries must be >= 0, got {retries}")
         self.shards = shards
-        self.cluster = cluster
         self.min_population = min_population
         self.retries = retries
         self._faults = faults
         self._inner_spec = inner
-        self._pool: Optional[Executor] = None
+        self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
         # Self-healing counters, surfaced via resilience_stats().
         self.retried = 0
-        self.partial_recoveries = 0
-
-    @property
-    def executor_kind(self) -> str:
-        """``"remote"`` with a cluster, else ``"thread"``."""
-        return "thread" if self.cluster is None else "remote"
 
     # ------------------------------------------------------------------ #
     # Plumbing
@@ -325,39 +284,22 @@ class ShardedBackend(ComputeBackend):
 
         return "numpy" if "numpy" in available_backends() else "reference"
 
-    def _worker_ref(self) -> Union[str, ComputeBackend]:
-        """The inner-backend reference shipped to shard workers.
+    def _executor(self) -> ThreadPoolExecutor:
+        """The lazily created, shared worker pool (double-checked lock).
 
-        Thread workers share this process's memory and receive the
-        instance (or name) as-is; remote workers receive the registered
-        *name* — instances are not picklable-safe across interpreters (or
-        machines).
+        Its worker count is bounded by the host's cores, not by
+        ``shards``: a tenant may ask for any number of shards, and one
+        thread per shard would let a single request start that many.
         """
-        inner = self._inner_ref()
-        if self.executor_kind == "remote" and isinstance(inner, ComputeBackend):
-            return inner.name
-        return inner
-
-    def _executor(self) -> Executor:
-        """The lazily created, shared worker pool (double-checked lock)."""
         pool = self._pool
         if pool is None:
             with self._pool_lock:
                 pool = self._pool
                 if pool is None:
-                    if self.cluster is not None:
-                        from ..cluster import RemoteShardExecutor
-
-                        pool = RemoteShardExecutor(
-                            self.cluster,
-                            max_workers=self.shards,
-                            faults=self._faults,
-                        )
-                    else:
-                        pool = ThreadPoolExecutor(
-                            max_workers=self.shards,
-                            thread_name_prefix="repro-shard",
-                        )
+                    pool = ThreadPoolExecutor(
+                        max_workers=min(self.shards, os.cpu_count() or 1),
+                        thread_name_prefix="repro-shard",
+                    )
                     self._pool = pool
         return pool
 
@@ -432,11 +374,6 @@ class ShardedBackend(ComputeBackend):
                         f"shard {index} failed after {attempts} attempt(s): "
                         f"{error}"
                     ) from error
-                if isinstance(error, BrokenExecutor):
-                    # Only the remote executor breaks, and only once every
-                    # host refused; it has already demoted and probe-gated
-                    # them, so the retry goes to the same executor.
-                    self.partial_recoveries += 1
                 self.retried += 1
                 time.sleep(_RETRY_BACKOFF_S * attempts)
                 future = self._submit_shard(worker, args)
@@ -446,19 +383,7 @@ class ShardedBackend(ComputeBackend):
         return {
             "retries": self.retries,
             "retried": self.retried,
-            "partial_recoveries": self.partial_recoveries,
         }
-
-    def cluster_health(self) -> Optional[dict]:
-        """Per-host health of the remote executor, ``None`` otherwise.
-
-        ``None`` for local executors and for a remote backend whose pool
-        has not been created yet (no request has fanned out); the gateway
-        ``/healthz`` cluster row treats both as "nothing to report".
-        """
-        pool = self._pool
-        health = getattr(pool, "health", None)
-        return health() if callable(health) else None
 
     # ------------------------------------------------------------------ #
     # Measures
@@ -469,7 +394,7 @@ class ShardedBackend(ComputeBackend):
         flex_offers = list(flex_offers)
         if self._delegates(flex_offers):
             return self.inner.measure_values(measure, flex_offers)
-        inner = self._worker_ref()
+        inner = self._inner_ref()
         outcomes = self._map(
             _shard_values_outcome,
             [(inner, measure, chunk) for chunk in self._partition(flex_offers)],
@@ -487,7 +412,7 @@ class ShardedBackend(ComputeBackend):
         flex_offers = list(flex_offers)
         if self._delegates(flex_offers):
             return self.inner.measure_support(measure, flex_offers)
-        inner = self._worker_ref()
+        inner = self._inner_ref()
         verdicts: list[bool] = []
         for shard in self._map(
             _shard_support,
@@ -507,7 +432,7 @@ class ShardedBackend(ComputeBackend):
             return self.inner.evaluate_population(
                 measures, flex_offers, skip_unsupported
             )
-        inner = self._worker_ref()
+        inner = self._inner_ref()
         chunks = self._partition(flex_offers)
         # One fan-out per call: each shard packs once, then reports support
         # verdicts and value outcomes for every decomposable measure.
@@ -562,7 +487,7 @@ class ShardedBackend(ComputeBackend):
         flex_offers = list(flex_offers)
         if self._delegates(flex_offers):
             return self.inner.per_offer_values(measures, flex_offers)
-        inner = self._worker_ref()
+        inner = self._inner_ref()
         results: list[dict[str, float]] = []
         for shard in self._map(
             _shard_per_offer,
@@ -580,7 +505,7 @@ class ShardedBackend(ComputeBackend):
         members = list(members)
         if self._delegates(members):
             return self.inner.aggregate_columns(members)
-        inner = self._worker_ref()
+        inner = self._inner_ref()
         shards = self._map(
             _shard_aggregate,
             [(inner, chunk) for chunk in self._partition(members)],
@@ -615,12 +540,12 @@ class ShardedBackend(ComputeBackend):
         if is_packed(flex_offers):
             # Already packed (the engine's live matrix): one kernel pass in
             # the calling thread.  Thread shards would only add GIL
-            # hand-offs, and remote shards would re-ship packed offers.
+            # hand-offs.
             return self.inner.feasible_profiles(flex_offers, target)
         flex_offers = list(flex_offers)
         if self._delegates(flex_offers):
             return self.inner.feasible_profiles(flex_offers, target)
-        inner = self._worker_ref()
+        inner = self._inner_ref()
         profiles: list[tuple[int, ...]] = []
         feasible: list[bool] = []
         for shard_profiles, shard_feasible in self._map(
@@ -651,7 +576,7 @@ class ShardedBackend(ComputeBackend):
         values = list(values)[:count]
         if self._delegates(flex_offers):
             return self.inner.assignment_feasibility(flex_offers, starts, values)
-        inner = self._worker_ref()
+        inner = self._inner_ref()
         offer_chunks = self._partition(flex_offers)
         start_chunks = self._partition(starts)
         value_chunks = self._partition(values)
@@ -691,7 +616,7 @@ class ShardedBackend(ComputeBackend):
         schedules = list(schedules)
         if self._delegates(schedules):
             return self.inner.batch_objectives(schedules, reference, metric)
-        inner = self._worker_ref()
+        inner = self._inner_ref()
         results: list[float] = []
         for shard in self._map(
             _shard_objectives,
@@ -705,7 +630,7 @@ class ShardedBackend(ComputeBackend):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<ShardedBackend shards={self.shards} executor={self.executor_kind!r} "
+            f"<ShardedBackend shards={self.shards} "
             f"inner={self._inner_ref()!r} "
             f"min_population={self.min_population}>"
         )

@@ -4,8 +4,7 @@ Robustness only counts when failure is a *testable input*: this package
 defines seeded, replayable fault plans (:class:`FaultPlan` /
 :class:`FaultRule`) and the named injection sites threaded through the
 sharded compute backend (``shard.submit`` / ``shard.result``), the
-remote-shard wire path (``cluster.connect`` / ``cluster.send`` /
-``cluster.recv``), the write-ahead log (``wal.append`` / ``wal.commit`` /
+write-ahead log (``wal.append`` / ``wal.commit`` /
 ``wal.fsync``), the snapshot store (``snapshot.replace``), the
 persistence circuit breaker's probe (``persist.probe``) and the gateway
 worker dispatch (``gateway.dispatch``).
@@ -31,9 +30,6 @@ OSError: injected fault at wal.fsync (hit 1)
 
 from .plan import (
     ALL_SITES,
-    CLUSTER_CONNECT,
-    CLUSTER_RECV,
-    CLUSTER_SEND,
     FaultInjected,
     FaultPlan,
     FaultRule,
@@ -49,9 +45,6 @@ from .plan import (
 
 __all__ = [
     "ALL_SITES",
-    "CLUSTER_CONNECT",
-    "CLUSTER_RECV",
-    "CLUSTER_SEND",
     "FaultInjected",
     "FaultPlan",
     "FaultRule",

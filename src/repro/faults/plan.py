@@ -30,9 +30,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 __all__ = [
     "ALL_SITES",
-    "CLUSTER_CONNECT",
-    "CLUSTER_RECV",
-    "CLUSTER_SEND",
     "FaultInjected",
     "FaultPlan",
     "FaultRule",
@@ -51,9 +48,6 @@ __all__ = [
 # open — but these are the ones the shipped components fire.
 SHARD_SUBMIT = "shard.submit"
 SHARD_RESULT = "shard.result"
-CLUSTER_CONNECT = "cluster.connect"
-CLUSTER_SEND = "cluster.send"
-CLUSTER_RECV = "cluster.recv"
 WAL_APPEND = "wal.append"
 WAL_COMMIT = "wal.commit"
 WAL_FSYNC = "wal.fsync"
@@ -65,9 +59,6 @@ GATEWAY_DISPATCH = "gateway.dispatch"
 ALL_SITES = (
     SHARD_SUBMIT,
     SHARD_RESULT,
-    CLUSTER_CONNECT,
-    CLUSTER_SEND,
-    CLUSTER_RECV,
     WAL_APPEND,
     WAL_COMMIT,
     WAL_FSYNC,

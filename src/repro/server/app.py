@@ -439,9 +439,7 @@ class Gateway:
         healthy = all(
             state == "ok"
             for part, state in stats["components"].items()
-            if not (
-                part in ("persistence", "cluster") and state == "disabled"
-            )
+            if not (part == "persistence" and state == "disabled")
         )
         status = "ok" if healthy else "degraded"
         return Response(200, {"kind": "health", "status": status, **stats})
@@ -755,13 +753,10 @@ class Gateway:
         ``components`` is the operator-facing roll-up: one status word per
         subsystem (the sweeper goes ``degraded`` after any swallowed sweep
         failure; persistence mirrors
-        :meth:`~repro.server.SessionRegistry.persistence_health`; cluster
-        mirrors :meth:`~repro.server.SessionRegistry.cluster_health`,
-        ``disabled`` when no tenant fans out to remote shard workers).
+        :meth:`~repro.server.SessionRegistry.persistence_health`).
         """
         registry = self.registry.stats()
         persistence = self.registry.persistence_health()
-        cluster = self.registry.cluster_health()
         sweeper_ok = (
             self.sweeper_failures == 0 and registry["sweep_failures"] == 0
         )
@@ -774,13 +769,11 @@ class Gateway:
             "registry": registry,
             "workers": self.config.workers,
             "persistence": persistence,
-            "cluster": cluster,
             "components": {
                 "gateway": "ok",
                 "registry": "ok",
                 "sweeper": "ok" if sweeper_ok else "degraded",
                 "persistence": persistence["status"],
-                "cluster": cluster["status"],
             },
         }
         if self.config.fault_plan is not None:

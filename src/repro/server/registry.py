@@ -57,9 +57,8 @@ OPENING, LIVE, CLOSING, REMOVED = "opening", "live", "closing", "removed"
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,127}")
 
 #: Session settings a tenant's ``PUT`` body may not carry: where the
-#: session writes (``persist_root``) and which hosts the gateway dials
-#: (``session_defaults`` / ``REPRO_CLUSTER``) belong to the operator.
-_OPERATOR_FIELDS = ("persist_dir", "cluster")
+#: session writes (``persist_root``) belongs to the operator.
+_OPERATOR_FIELDS = ("persist_dir",)
 
 
 @dataclass
@@ -167,9 +166,10 @@ class SessionRegistry:
         """A tenant's config: its ``PUT`` body merged over the defaults.
 
         The body names only the fields it changes; every other field
-        keeps its ``default_config`` value.  The operator's settings
-        (``persist_dir``, ``cluster``) may appear in the body only as
-        ``null``, and always keep the default's value.
+        keeps its ``default_config`` value.  The operator's setting
+        (``persist_dir``) may appear in the body only as ``null``, and
+        always keeps the default's value.  A retired field (a saved
+        ``cluster``, say) is dropped, as it is from a saved config.
         """
         for setting in _OPERATOR_FIELDS:
             if body.get(setting) is not None:
@@ -408,46 +408,6 @@ class SessionRegistry:
             "status": status,
             "durable_sessions": durable,
             "degraded_sessions": sorted(degraded),
-        }
-
-    def cluster_health(self) -> dict:
-        """Aggregate remote-shard cluster state across tenants (``/healthz``).
-
-        ``disabled`` when no live session fans out to a cluster, ``ok``
-        when every host every clustered tenant talks to is ``up``, and
-        ``degraded`` otherwise — with a merged per-host table
-        (worst-state-wins across tenants) so the operator sees *which*
-        worker is suspect or down.
-        """
-        with self._lock:
-            entries = list(self._entries.values())
-        clustered = 0
-        hosts: dict = {}
-        severity = {"up": 0, "suspect": 1, "down": 2}
-        for entry in entries:
-            backend = getattr(entry.session, "_backend", None)
-            health = getattr(backend, "cluster_health", None)
-            health = health() if callable(health) else None
-            if health is None:
-                continue
-            clustered += 1
-            for address, row in health.items():
-                known = hosts.get(address)
-                if known is None or (
-                    severity.get(row["state"], 2)
-                    > severity.get(known["state"], 2)
-                ):
-                    hosts[address] = dict(row)
-        if clustered == 0:
-            status = "disabled"
-        elif all(row["state"] == "up" for row in hosts.values()):
-            status = "ok"
-        else:
-            status = "degraded"
-        return {
-            "status": status,
-            "clustered_sessions": clustered,
-            "hosts": {address: hosts[address] for address in sorted(hosts)},
         }
 
     # ------------------------------------------------------------------ #

@@ -44,7 +44,6 @@ from ..faults.plan import FaultPlan
 __all__ = [
     "ENV_CACHE_VAR",
     "ENV_CELL_VAR",
-    "ENV_CLUSTER",
     "ENV_FAULTS",
     "ENV_MIN_POPULATION",
     "ENV_RETRIES",
@@ -60,10 +59,6 @@ ENV_SHARDS = "REPRO_SHARDS"
 ENV_MIN_POPULATION = "REPRO_SHARD_MIN"
 #: Per-shard retry budget for infrastructure failures.
 ENV_RETRIES = "REPRO_SHARD_RETRIES"
-#: Worker hosts of a sharded session, which then runs the remote executor:
-#: a :meth:`ClusterSpec.spec` JSON document or the ``host:port,...``
-#: shorthand.
-ENV_CLUSTER = "REPRO_CLUSTER"
 #: A JSON :meth:`FaultPlan.spec` document.
 ENV_FAULTS = "REPRO_FAULTS"
 #: Session matrix-cache capacity (entries; ``0`` disables it).
@@ -73,15 +68,16 @@ ENV_CELL_VAR = "REPRO_MATRIX_CACHE_CELLS"
 
 #: Fields of earlier releases that saved configs may still carry.  Each
 #: option is gone and none of them ever changed an answer: one window
-#: kernel serves every session, the shard executor follows ``cluster`` (a
-#: saved remote config carries its cluster; a saved ``process`` one runs
-#: on threads), straggler hedging is deleted, and the live-matrix
-#: compaction ratio is a constant.
+#: kernel serves every session, shards always run on threads (a saved
+#: ``shard_executor`` or ``cluster``, remote or not, loads as a thread
+#: config), straggler hedging is deleted, and the live-matrix compaction
+#: ratio is a constant.
 _RETIRED_FIELDS = (
     "window_kernel",
     "shard_executor",
     "shard_hedge_ms",
     "compact_threshold",
+    "cluster",
 )
 
 
@@ -123,18 +119,6 @@ def _env_int(variable: str, minimum: int, default: int) -> int:
     return value
 
 
-def _env_spec(variable: str, parse, error: type, expected: str):
-    """A spec document parsed from the environment, or ``None`` (warns)."""
-    raw = os.environ.get(variable)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        return parse(raw)
-    except error:
-        _warn_ignored_env(variable, raw, expected)
-        return None
-
-
 def _is_int(value) -> bool:
     """Whether ``value`` is an integer and not a ``bool``."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -146,9 +130,14 @@ def fault_plan_from_env() -> Optional[FaultPlan]:
     The default of both :class:`SessionConfig` and
     :class:`~repro.server.GatewayConfig`; a malformed value warns.
     """
-    return _env_spec(
-        ENV_FAULTS, FaultPlan.from_spec, ValueError, "a JSON fault-plan spec"
-    )
+    raw = os.environ.get(ENV_FAULTS)
+    if raw is None or not raw.strip():
+        return None
+    try:
+        return FaultPlan.from_spec(raw)
+    except ValueError:
+        _warn_ignored_env(ENV_FAULTS, raw, "a JSON fault-plan spec")
+        return None
 
 
 @dataclass(frozen=True)
@@ -174,13 +163,6 @@ class SessionConfig:
         and the per-shard retry budget for infrastructure failures.
         Defaults: ``REPRO_SHARDS`` / ``REPRO_SHARD_MIN`` /
         ``REPRO_SHARD_RETRIES`` and then the backend's own defaults.
-    cluster:
-        Worker hosts for distributed shard execution — a
-        :class:`~repro.cluster.ClusterSpec` or anything its ``from_spec``
-        accepts (``"host:port,host:port"``, a spec dict).  A sharded
-        session with a cluster runs its shards on the remote executor,
-        without one on threads.  Default for ``backend="sharded"``:
-        ``REPRO_CLUSTER``, else ``None``.
     fault_plan:
         Optional :class:`repro.faults.FaultPlan` (or its ``spec()``
         dict/JSON) injected into the session's backend and persister for
@@ -223,7 +205,6 @@ class SessionConfig:
     shards: Optional[int] = None
     shard_min_population: Optional[int] = None
     shard_retries: Optional[int] = None
-    cluster: Optional[object] = None
     fault_plan: Optional[FaultPlan] = None
     cache_entries: Optional[int] = None
     cache_cells: Optional[int] = None
@@ -253,7 +234,6 @@ class SessionConfig:
                 _frozen_set(self, name, _env_int(variable, minimum, default))
             else:
                 self._check_int(name, minimum)
-        self._resolve_cluster()
         self._resolve_fault_plan()
         for name in ("measures", "tracked_measures"):
             value = getattr(self, name)
@@ -313,27 +293,6 @@ class SessionConfig:
             )
         _frozen_set(self, "backend", backend)
 
-    def _resolve_cluster(self) -> None:
-        """Normalise the cluster field; a sharded config without one reads
-        ``REPRO_CLUSTER``, which is how that variable alone selects the
-        remote executor."""
-        from ..cluster import ClusterError, ClusterSpec
-
-        if self.cluster is None:
-            if self.backend == "sharded":
-                cluster = _env_spec(
-                    ENV_CLUSTER,
-                    ClusterSpec.from_spec,
-                    ClusterError,
-                    "a JSON cluster spec or 'host:port,...' list",
-                )
-                _frozen_set(self, "cluster", cluster)
-            return
-        try:
-            _frozen_set(self, "cluster", ClusterSpec.from_spec(self.cluster))
-        except ClusterError as error:
-            raise ServiceError(f"invalid cluster: {error}") from error
-
     def _resolve_fault_plan(self) -> None:
         plan = self.fault_plan
         if plan is None:
@@ -363,8 +322,6 @@ class SessionConfig:
                 }
             elif spec.name == "fault_plan":
                 value = (value or FaultPlan()).spec()
-            elif spec.name == "cluster" and value is not None:
-                value = value.spec()
             elif isinstance(value, tuple):
                 value = list(value)
             payload[spec.name] = value

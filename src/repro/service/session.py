@@ -171,9 +171,8 @@ class FlexSession:
             if "numpy" in available_backends():
                 from ..backend.numpy_backend import NumpyBackend
 
-                # Session-cached inner instance for every in-process code
-                # path (delegation and thread-pool workers); remote
-                # workers resolve it by name in their own memory spaces.
+                # Session-cached inner instance for every code path
+                # (delegation and thread-pool workers).
                 inner = NumpyBackend(cache=self.cache)
             self._owns_backend = True
             return ShardedBackend(
@@ -182,7 +181,6 @@ class FlexSession:
                 inner=inner,
                 retries=config.shard_retries,
                 faults=config.fault_plan,
-                cluster=config.cluster,
             )
         return get_backend(config.backend)
 
@@ -510,11 +508,6 @@ class FlexSession:
         resilience = getattr(self._backend, "resilience_stats", None)
         if callable(resilience):
             payload["resilience"] = resilience()
-        cluster_health = getattr(self._backend, "cluster_health", None)
-        if callable(cluster_health):
-            health = cluster_health()
-            if health is not None:
-                payload["cluster"] = health
         if self.config.fault_plan is not None:
             payload["faults"] = self.config.fault_plan.stats()
         if self._persister is not None:

@@ -61,40 +61,19 @@ pytestmark = [
 ]
 
 #: The backends pinned against the reference in every property below.
-#: ``sharded-remote`` is the same sharded merge logic with every shard
-#: dispatched over TCP to loopback worker processes — the conformance
-#: properties double as a wire-serialization differential.
-VECTOR_BACKENDS = ["numpy", "sharded", "sharded-remote"]
+VECTOR_BACKENDS = ["numpy", "sharded"]
 
 #: Measures whose values are exact integers — backends must agree exactly.
 INTEGER_KEYS = {"time", "energy", "product", "assignments", "absolute_area"}
 
 
-class _RemoteSharded(ShardedBackend):
-    """A second registry slot so local and remote sharded coexist."""
-
-    name = "sharded-remote"
-
-
 @pytest.fixture(autouse=True, scope="module")
 def _sharded_exercises_merge_paths():
-    """Make the registered ``sharded`` backend shard even tiny populations,
-    and register a remote twin served by real worker subprocesses."""
-    from repro.backend.dispatch import _REGISTRY
-    from repro.cluster import LocalCluster
-
+    """Make the registered ``sharded`` backend shard even tiny populations."""
     tuned = ShardedBackend(shards=3, min_population=1)
     register_backend(tuned)
-    cluster = LocalCluster(workers=4)
-    remote = _RemoteSharded(
-        shards=3, min_population=1, cluster=cluster.spec()
-    )
-    register_backend(remote)
     yield
     tuned.close()
-    remote.close()
-    cluster.close()
-    _REGISTRY.pop(_RemoteSharded.name, None)
     register_backend(ShardedBackend())
 
 

@@ -10,6 +10,8 @@ expected shard layout is known.
 
 from __future__ import annotations
 
+import os
+import threading
 import typing
 
 import pytest
@@ -30,11 +32,7 @@ from repro.measures.base import (
 )
 from repro.measures.setwise import resolve_measures
 from repro.service import SessionConfig
-from repro.service.config import (
-    ENV_CLUSTER,
-    ENV_MIN_POPULATION,
-    ENV_SHARDS,
-)
+from repro.service.config import ENV_MIN_POPULATION, ENV_SHARDS
 
 #: A ragged population crossing shard boundaries however it is chunked.
 OFFERS = [
@@ -275,14 +273,12 @@ def test_environment_knobs(monkeypatch):
     """The shard knobs reach a session's backend through SessionConfig;
     the backend constructor itself keeps its plain defaults."""
     monkeypatch.setenv(ENV_SHARDS, "5")
-    monkeypatch.setenv(ENV_CLUSTER, "127.0.0.1:7001,127.0.0.1:7002")
     monkeypatch.setenv(ENV_MIN_POPULATION, "17")
     config = SessionConfig(backend="sharded")
     assert config.shards == 5
-    assert config.cluster.hosts == ("127.0.0.1:7001", "127.0.0.1:7002")
     assert config.shard_min_population == 17
     backend = ShardedBackend()
-    assert backend.executor_kind == "thread" and backend.cluster is None
+    assert backend.shards == (os.cpu_count() or 1)
     assert backend.min_population == DEFAULT_MIN_POPULATION
     assert backend.retries == DEFAULT_RETRIES
 
@@ -291,27 +287,51 @@ def test_malformed_environment_warns_and_defaults(monkeypatch):
     """Bad env knobs warn once, in SessionConfig, and fall back; the
     backend constructor never sees them."""
     monkeypatch.setenv(ENV_SHARDS, "four")
-    monkeypatch.setenv(ENV_CLUSTER, "rocket")
     monkeypatch.setenv(ENV_MIN_POPULATION, "-3")
     with pytest.warns(RuntimeWarning) as caught:
         config = SessionConfig(backend="sharded")
-    assert len(caught) == 3
+    assert len(caught) == 2
     assert config.shards >= 1
-    assert config.cluster is None
     assert config.shard_min_population == DEFAULT_MIN_POPULATION
 
 
 def test_explicit_arguments_fail_fast():
     with pytest.raises(BackendError):
         ShardedBackend(shards=0)
-    with pytest.raises(BackendError, match="invalid cluster spec"):
-        ShardedBackend(cluster="rocket")
     with pytest.raises(BackendError):
         ShardedBackend(min_population=-1)
     with pytest.raises(BackendError):
         ShardedBackend(inner="sharded")  # would recurse into itself
     with pytest.raises(BackendError):
         ShardedBackend(inner="nunpy")  # unknown inner fails at construction
+
+
+def test_the_pool_is_bounded_by_the_host_not_the_shard_count():
+    """A tenant may ask for any number of shards; the pool it gets never
+    has more workers than the host has cores.  Building the pool starts
+    no thread."""
+    backend = ShardedBackend(shards=10_000)
+    try:
+        assert backend._executor()._max_workers <= (os.cpu_count() or 1)
+    finally:
+        backend.close()
+
+
+def test_more_shards_than_cores_match_the_reference_on_bounded_threads():
+    """Shards beyond the core count queue on the bounded pool: results
+    stay bit-identical (merges follow shard order) and the fan-out starts
+    at most one thread per core."""
+    cores = os.cpu_count() or 1
+    population = (OFFERS * 10)[:64]
+    measures = resolve_measures(None)
+    expected = get_backend("reference").evaluate_population(measures, population)
+    backend = ShardedBackend(shards=cores + 2, min_population=1)
+    before = threading.active_count()
+    try:
+        assert backend.evaluate_population(measures, population) == expected
+        assert threading.active_count() - before <= cores
+    finally:
+        backend.close()
 
 
 def test_close_is_idempotent_and_pool_recreates(sharded):

@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.cluster import ClusterError, ClusterSpec
 from repro.core import SerializationError
 from repro.io import error_from_dict, error_to_dict
 from repro.server import (
@@ -215,32 +214,6 @@ def test_malformed_session_config_is_a_400(body):
     response, names = scenario(run)
     assert_error_body(response, 400, "bad-request")
     assert names == []
-
-
-_HOST = ["127.0.0.1:1"]
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        {"hosts": _HOST, "connect_timeout_s": "nan"},
-        {"hosts": _HOST, "connect_timeout_s": "5"},
-        {"hosts": _HOST, "connect_timeout_s": True},
-        {"hosts": _HOST, "connect_timeout_s": None},
-        {"hosts": _HOST, "connect_timeout_s": float("nan")},
-        {"hosts": _HOST, "connect_timeout_s": float("inf")},
-        '{"hosts": ["127.0.0.1:1"], "connect_timeout_s": NaN}',
-        {"hosts": [7001]},
-        {"hosts": {"127.0.0.1:1": 1}},
-    ],
-    ids=repr,
-)
-def test_a_wrongly_typed_cluster_spec_is_refused(payload):
-    """A saved config or ``REPRO_CLUSTER`` document is never coerced into
-    a cluster: a ``NaN`` connect deadline would fail every dial with an
-    error the executor does not treat as a host failure."""
-    with pytest.raises(ClusterError):
-        ClusterSpec.from_spec(payload)
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -138,44 +139,52 @@ def test_a_put_body_may_not_choose_the_persist_dir(tmp_path):
     assert list(root.iterdir()) == []
 
 
-def test_a_put_body_may_not_name_a_cluster(tmp_path):
-    """The hosts a gateway dials (and unpickles replies from) are the
-    operator's; a body naming a cluster is refused and never dialled."""
+def test_a_put_body_naming_a_cluster_serves_on_threads(monkeypatch):
+    """``cluster`` is a retired field: a body that names one (as a client
+    of the deleted remote executor would) is treated like any other
+    retired key.  The tenant is created from the rest of the body, serves
+    on the thread pool and dials nothing."""
     import socket
 
-    with socket.socket() as listener:
-        listener.bind(("127.0.0.1", 0))
-        listener.listen()
-        listener.setblocking(False)
-        host = "127.0.0.1:%d" % listener.getsockname()[1]
+    dialled = []
+    monkeypatch.setattr(
+        socket, "create_connection", lambda *args, **kw: dialled.append(args)
+    )
 
-        async def scenario(gateway):
-            client = GatewayClient.in_process(gateway)
-            for cluster in (host, {"hosts": [host]}):
-                refused = await client.create_session(
-                    "acme",
-                    {"backend": "sharded", "shards": 2, "cluster": cluster},
-                )
-                assert refused.status == 400
-                assert "cluster" in refused.payload["detail"]
-            assert gateway.registry.names() == []
-            await client.close()
+    async def scenario(gateway):
+        client = GatewayClient.in_process(gateway)
+        for name, cluster in (
+            ("by-string", "127.0.0.1:1"),
+            ("by-spec", {"hosts": ["127.0.0.1:1"]}),
+        ):
+            created = await client.create_session(
+                name,
+                {"backend": "sharded", "shards": 2,
+                 "shard_min_population": 1, "cluster": cluster},
+            )
+            assert created.status == 201
+            assert "cluster" not in created.payload["config"]
+            assert created.payload["config"]["shards"] == 2
+            ingest = await client.submit(
+                name, StreamRequest(events=arrival_events())
+            )
+            assert ingest.ok
+            backend = gateway.registry.get(name)._backend
+            assert isinstance(backend._executor(), ThreadPoolExecutor)
+        await client.close()
 
-        gateway_scenario(scenario, persist_root=str(tmp_path))
-        with pytest.raises(BlockingIOError):
-            listener.accept()
-    assert list(tmp_path.iterdir()) == []
+    gateway_scenario(scenario)
+    assert dialled == []
 
 
 def test_a_put_body_is_merged_over_the_session_defaults():
-    """A body names only what it changes: every other field, the
-    operator's cluster included, keeps its ``session_defaults`` value."""
+    """A body names only what it changes: every other field keeps its
+    ``session_defaults`` value, and an operator field sent as ``null``
+    keeps the default's."""
     defaults = SessionConfig(
         backend="reference", checkpoint_events=7, window_capacity=3
     )
-    clustered = SessionConfig(
-        backend="sharded", shards=2, cluster="127.0.0.1:1"
-    )
+    sharded = SessionConfig(backend="sharded", shards=2)
 
     async def scenario(gateway):
         client = GatewayClient.in_process(gateway)
@@ -187,23 +196,22 @@ def test_a_put_body_is_merged_over_the_session_defaults():
     assert created.status == 201
     assert created.payload["config"] == {**defaults.as_dict(), "seed": 5}
 
-    created = gateway_scenario(scenario, session_defaults=clustered)
+    created = gateway_scenario(scenario, session_defaults=sharded)
     assert created.status == 201
     assert created.payload["backend"] == "sharded"
-    assert created.payload["config"]["cluster"] == {"hosts": ["127.0.0.1:1"]}
+    assert created.payload["config"]["shards"] == 2
 
-    async def null_cluster(gateway):
+    async def null_operator_field(gateway):
         client = GatewayClient.in_process(gateway)
         created = await client.create_session(
-            "b", {**clustered.as_dict(), "cluster": None, "shards": 3}
+            "b", {**sharded.as_dict(), "persist_dir": None, "shards": 3}
         )
         await client.close()
         return created
 
-    created = gateway_scenario(null_cluster, session_defaults=clustered)
+    created = gateway_scenario(null_operator_field, session_defaults=sharded)
     assert created.status == 201
-    assert created.payload["config"]["cluster"] == {"hosts": ["127.0.0.1:1"]}
-    assert created.payload["config"]["shards"] == 3
+    assert created.payload["config"] == {**sharded.as_dict(), "shards": 3}
 
 
 def test_a_put_cannot_re_create_a_persisted_tenant_under_another_config(
@@ -399,18 +407,15 @@ def _recover_with_saved_key(tmp_path, key, value):
     return before, restarted, recovered, after
 
 
-def test_config_with_the_retired_process_executor_recovers(
-    tmp_path, monkeypatch
-):
+def test_config_with_the_retired_process_executor_recovers(tmp_path):
     """``config.json`` files of sessions that ran on the retired process
     pool name ``"shard_executor": "process"``; recovery runs them on the
     thread executor, with the same answers as before."""
-    monkeypatch.delenv("REPRO_CLUSTER", raising=False)
     before, restarted, recovered, after = _recover_with_saved_key(
         tmp_path, "shard_executor", "process"
     )
     try:
-        assert recovered._backend.executor_kind == "thread"
+        assert isinstance(recovered._backend._executor(), ThreadPoolExecutor)
         assert after == before
     finally:
         restarted.close()
@@ -422,19 +427,31 @@ def test_config_with_the_retired_process_executor_recovers(
         ("shard_executor", "thread"),
         ("shard_hedge_ms", 5),
         ("compact_threshold", 0.75),
+        ("cluster", {"hosts": ["127.0.0.1:1"]}),
+        ("cluster", None),
+        ("shard_executor", "remote"),
     ],
 )
 def test_config_with_a_retired_key_recovers(tmp_path, monkeypatch, key, value):
     """Every retired option's key is dropped on load; the tenant recovers
-    on the thread executor with identical answers.  (A saved remote
-    config, which carries its cluster, is covered in the cluster suite.)"""
-    monkeypatch.delenv("REPRO_CLUSTER", raising=False)
+    on the thread executor with identical answers.  A config saved by the
+    deleted remote executor (its cluster, a ``null`` one, or
+    ``"shard_executor": "remote"``) dials nothing, even with the retired
+    ``REPRO_CLUSTER`` set."""
+    import socket
+
+    monkeypatch.setenv("REPRO_CLUSTER", "127.0.0.1:1")
+    dialled = []
+    monkeypatch.setattr(
+        socket, "create_connection", lambda *args, **kw: dialled.append(args)
+    )
     before, restarted, recovered, after = _recover_with_saved_key(
         tmp_path, key, value
     )
     try:
-        assert recovered._backend.executor_kind == "thread"
+        assert isinstance(recovered._backend._executor(), ThreadPoolExecutor)
         assert after == before
+        assert dialled == []
     finally:
         restarted.close()
 

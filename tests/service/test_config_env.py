@@ -6,9 +6,9 @@ matrix, cache and engine constructor below them takes plain defaults, so a
 variable changed after a session was configured — or a malformed one —
 cannot reach a layer the config already resolved.  The guard tests at the
 bottom keep new environment reads from creeping back into those layers,
-and pin the set of variables and the fields of ``SessionConfig``,
-``GatewayConfig`` and ``ClusterSpec``, so an option cannot be added (or
-come back) without editing them.
+and pin the set of variables and the fields of ``SessionConfig`` and
+``GatewayConfig``, so an option cannot be added (or come back) without
+editing them.  Another keeps unpickling out of the library.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import repro
 from repro.backend import NUMPY_AVAILABLE, ShardedBackend, use_backend
 from repro.backend.cache import DEFAULT_CAPACITY, DEFAULT_CELL_BUDGET, MatrixCache
 from repro.backend.sharded import DEFAULT_MIN_POPULATION, DEFAULT_RETRIES
-from repro.cluster import ClusterSpec
 from repro.core import FlexOffer
 from repro.faults import FaultPlan
 from repro.measures import evaluate_set
@@ -45,7 +44,6 @@ FAULTS = {"seed": 3, "rules": [{"site": "wal.fsync", "after": 2}]}
 VALID = {
     "REPRO_BACKEND": "reference",
     "REPRO_SHARDS": "7",
-    "REPRO_CLUSTER": "127.0.0.1:7001,127.0.0.1:7002",
     "REPRO_SHARD_MIN": "17",
     "REPRO_SHARD_RETRIES": "5",
     "REPRO_FAULTS": json.dumps(FAULTS),
@@ -58,7 +56,6 @@ VALID = {
 #: ``SessionConfig`` and in ``get_backend()`` alike.
 MALFORMED = {
     "REPRO_SHARDS": "four",
-    "REPRO_CLUSTER": "not-a-cluster",
     "REPRO_SHARD_MIN": "-3",
     "REPRO_SHARD_RETRIES": "many",
     "REPRO_FAULTS": "{broken",
@@ -69,6 +66,7 @@ MALFORMED = {
 #: Variables of retired options, which every layer now ignores.
 RETIRED = {
     "REPRO_SHARD_EXECUTOR": "remote",
+    "REPRO_CLUSTER": "127.0.0.1:7001,127.0.0.1:7002",
     "REPRO_SHARD_HEDGE_MS": "12.5",
     "REPRO_MATRIX_COMPACT": "0.75",
 }
@@ -80,7 +78,6 @@ FIELDS = (
     "shards",
     "shard_min_population",
     "shard_retries",
-    "cluster",
     "fault_plan",
     "cache_entries",
     "cache_cells",
@@ -112,10 +109,6 @@ GATEWAY_FIELDS = (
     "fault_plan",
 )
 
-#: Every ``ClusterSpec`` field, in order (same rule as ``FIELDS``).
-CLUSTER_FIELDS = ("hosts", "connect_timeout_s")
-
-
 def clear_environment(monkeypatch) -> None:
     for variable in (*VALID, *RETIRED):
         monkeypatch.delenv(variable, raising=False)
@@ -130,8 +123,6 @@ def lower_layer_state() -> dict:
     state = {
         "sharded": (
             backend.shards,
-            backend.executor_kind,
-            backend.cluster,
             backend.min_population,
             backend.retries,
         ),
@@ -174,13 +165,9 @@ def test_session_config_picks_up_every_valid_variable(monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         config = SessionConfig()
-        sharded = SessionConfig(backend="sharded")
     assert caught == []
     assert config.backend == "reference"
     assert config.shards == 7
-    # Only a sharded config reads the cluster, and then runs remote.
-    assert config.cluster is None
-    assert sharded.cluster.hosts == ("127.0.0.1:7001", "127.0.0.1:7002")
     assert config.shard_min_population == 17
     assert config.shard_retries == 5
     assert config.fault_plan.spec() == FaultPlan.from_spec(FAULTS).spec()
@@ -193,19 +180,13 @@ def test_session_config_warns_on_every_malformed_variable(monkeypatch):
         monkeypatch.setenv(variable, value)
     with pytest.warns(RuntimeWarning) as caught:
         config = SessionConfig()
-    # REPRO_CLUSTER is only consulted for a sharded config.
-    assert warned_variables(caught) == set(MALFORMED) - {"REPRO_CLUSTER"}
+    assert warned_variables(caught) == set(MALFORMED)
     assert config.shards >= 1
-    assert config.cluster is None and config.fault_plan is None
+    assert config.fault_plan is None
     assert config.shard_min_population == DEFAULT_MIN_POPULATION
     assert config.shard_retries == DEFAULT_RETRIES
     assert config.cache_entries == DEFAULT_CAPACITY
     assert config.cache_cells == DEFAULT_CELL_BUDGET
-    clear_environment(monkeypatch)
-    monkeypatch.setenv("REPRO_CLUSTER", MALFORMED["REPRO_CLUSTER"])
-    with pytest.warns(RuntimeWarning, match="REPRO_CLUSTER"):
-        config = SessionConfig(backend="sharded")
-    assert config.cluster is None
 
 
 def test_retired_variables_are_ignored(monkeypatch):
@@ -290,8 +271,6 @@ ALLOWED_READS = {
     ("service/config.py", None),
     # The documented REPRO_BACKEND default of sessionless get_backend().
     ("backend/dispatch.py", "_resolve"),
-    # Copies the environment for the worker subprocesses it spawns.
-    ("cluster/cluster.py", "LocalCluster._worker_environment"),
 }
 
 
@@ -356,6 +335,31 @@ def test_the_set_of_variables_is_pinned():
     assert named == set(VALID)
 
 
+#: Modules that turn bytes back into arbitrary objects.  No library code
+#: may import them: a wire or file format that unpickles runs whatever a
+#: peer (or a tampered file) sends.
+UNPICKLERS = {"pickle", "marshal", "shelve"}
+
+
+def test_no_module_imports_an_unpickler():
+    root = Path(repro.__file__).resolve().parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] in UNPICKLERS:
+                    offenders.append(
+                        f"{path.relative_to(root).as_posix()}:{node.lineno} {name}"
+                    )
+    assert offenders == []
+
+
 def test_the_session_config_fields_are_pinned():
     assert tuple(spec.name for spec in dataclasses.fields(SessionConfig)) == FIELDS
 
@@ -363,8 +367,3 @@ def test_the_session_config_fields_are_pinned():
 def test_the_gateway_config_fields_are_pinned():
     names = tuple(spec.name for spec in dataclasses.fields(GatewayConfig))
     assert names == GATEWAY_FIELDS
-
-
-def test_the_cluster_spec_fields_are_pinned():
-    names = tuple(spec.name for spec in dataclasses.fields(ClusterSpec))
-    assert names == CLUSTER_FIELDS

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -130,21 +131,20 @@ class TestSessionConfig:
 
     def test_malformed_executor_env_degrades_to_thread(self, monkeypatch):
         """The retired ``REPRO_SHARD_EXECUTOR`` is ignored, whatever its
-        value: without a cluster a sharded session runs on threads."""
-        monkeypatch.delenv("REPRO_CLUSTER", raising=False)
+        value: a sharded session runs on threads."""
         for value in ("fiber", "remote"):
             monkeypatch.setenv("REPRO_SHARD_EXECUTOR", value)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 config = SessionConfig(backend="sharded", shards=2)
-            assert config.cluster is None
             with FlexSession(config) as session:
-                assert session._backend.executor_kind == "thread"
+                assert isinstance(
+                    session._backend._executor(), ThreadPoolExecutor
+                )
 
-    def test_retired_process_executor(self, monkeypatch):
+    def test_retired_process_executor(self):
         """``shard_executor`` is no longer a field; a saved config that
         names the retired ``process`` pool loads and runs on threads."""
-        monkeypatch.delenv("REPRO_CLUSTER", raising=False)
         with pytest.raises(TypeError, match="shard_executor"):
             SessionConfig(shard_executor="process")
         payload = SessionConfig(backend="sharded", shards=2).as_dict()
@@ -152,7 +152,7 @@ class TestSessionConfig:
         config = SessionConfig.from_dict(payload)
         assert config == SessionConfig(backend="sharded", shards=2)
         with FlexSession(config) as session:
-            assert session._backend.executor_kind == "thread"
+            assert isinstance(session._backend._executor(), ThreadPoolExecutor)
 
 
 class TestRequestValidation:
@@ -656,32 +656,6 @@ def test_sharded_session_uses_instance_inner_backend():
         assert matrix_cache.stats() == process_wide
     with use_backend("reference"):
         assert served == evaluate_set(offers, None)
-
-
-@requires_numpy
-def test_remote_executor_session_delegates_through_the_session_cache():
-    """Remote workers resolve the inner backend by name (separate memory),
-    but the in-process delegation path for small populations must still
-    route through the session's own cache — not the process-wide one."""
-    from repro.cluster import LocalCluster
-
-    offers = population(20, seed=8)
-    with LocalCluster(workers=1) as cluster:
-        config = SessionConfig(
-            backend="sharded", cluster=cluster.spec(), shards=2
-        )
-        session = FlexSession(config)
-        try:
-            assert session.backend_name == "sharded"
-            assert session._backend.executor_kind == "remote"
-            process_wide = matrix_cache.stats()
-            served = session.evaluate(EvaluateRequest(offers=offers))
-            assert served.stats.cache_hits + served.stats.cache_misses > 0
-            assert matrix_cache.stats() == process_wide
-        finally:
-            session.close()
-    with use_backend("reference"):
-        assert served.report == evaluate_set(offers, None)
 
 
 # --------------------------------------------------------------------- #

@@ -69,37 +69,7 @@ BACKENDS = [
             not NUMPY_AVAILABLE, reason="NumPy backend not available"
         ),
     ),
-    # Sharded again, but with every shard crossing a TCP wire to loopback
-    # worker subprocesses: the streaming fold must survive serialization.
-    "sharded-remote",
 ]
-
-
-@pytest.fixture(scope="module")
-def remote_backend_registered():
-    """Register ``sharded-remote`` backed by a loopback worker cluster.
-
-    Requested lazily (``request.getfixturevalue``) by the one parametrized
-    case that needs it, so the other backends never pay the subprocess
-    spin-up.
-    """
-    from repro.backend import ShardedBackend, register_backend
-    from repro.backend.dispatch import _REGISTRY
-    from repro.cluster import LocalCluster
-
-    class _RemoteSharded(ShardedBackend):
-        name = "sharded-remote"
-
-    with LocalCluster(workers=2) as cluster:
-        backend = _RemoteSharded(
-            shards=3, min_population=1, cluster=cluster.spec(),
-        )
-        register_backend(backend)
-        try:
-            yield backend.name
-        finally:
-            backend.close()
-            _REGISTRY.pop(backend.name, None)
 
 
 def run_streaming(backend: str) -> list[dict]:
@@ -174,7 +144,7 @@ def test_fixture_matches_its_generating_protocol():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_tick_summaries_are_byte_stable(backend, request):
+def test_tick_summaries_are_byte_stable(backend):
     """Every per-tick window summary is reproduced exactly, per backend.
 
     No tolerance anywhere: the engine's bulk sampling fold and the
@@ -182,8 +152,6 @@ def test_tick_summaries_are_byte_stable(backend, request):
     floats bit for bit, and this is where that claim is enforced against
     a *committed* artifact rather than a freshly computed one.
     """
-    if backend == "sharded-remote":
-        request.getfixturevalue("remote_backend_registered")
     assert backend in available_backends()
     stored = _load()["ticks"]
     replayed = run_streaming(backend)

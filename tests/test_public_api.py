@@ -9,6 +9,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -27,6 +28,18 @@ class TestPublicApi:
         parts = repro.__version__.split(".")
         assert len(parts) == 3
         assert all(part.isdigit() for part in parts)
+
+    def test_the_packaging_metadata_reads_the_package_version(self):
+        """``pyproject.toml`` takes its version from ``repro.__version__``,
+        so installed metadata and code cannot disagree."""
+        pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # [tool.setuptools] is "beta"
+            metadata = pyprojecttoml.read_configuration(
+                os.path.join(root, "pyproject.toml")
+            )
+        assert metadata["project"]["version"] == repro.__version__
 
     def test_all_names_resolve(self):
         for name in repro.__all__:

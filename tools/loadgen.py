@@ -26,12 +26,6 @@ Usage::
 Requests rejected with 429 are retried after the server's ``Retry-After``
 hint (counted in the summary); any other non-2xx is a hard failure.
 
-``--cluster HOST:PORT,...`` points every tenant session's sharded backend
-at remote shard workers (start them with ``python -m repro.cluster.worker``
-or :class:`repro.cluster.LocalCluster`); the summary then includes the
-per-host dispatch counts from the gateway's merged cluster health block,
-showing how the tenants' shards spread across the fleet.
-
 ``--fault-rate P`` arms the gateway's deterministic fault plane with two
 probabilistic ``gateway.dispatch`` rules — half the budget surfaces as a
 typed 429 (``SaturatedError``, which must carry a ``Retry-After`` hint),
@@ -166,9 +160,7 @@ async def _drive_tenant(
     """One tenant's closed loop: create the session, run the mix, evict.
 
     ``session_config`` of ``None`` creates the session with no explicit
-    config, so the gateway's ``session_defaults`` apply (the cluster mode
-    relies on this: an explicit payload would *replace* the defaults and
-    drop the cluster spec).
+    config, so the gateway's ``session_defaults`` apply.
     """
     client: GatewayClient = await client_factory()
     name = f"tenant-{index}"
@@ -232,7 +224,6 @@ async def run_load(
     access_log=None,
     fault_rate: float = 0.0,
     fault_seed: int = 0,
-    cluster: Optional[str] = None,
 ) -> dict:
     """Run the mixed-traffic load and return the latency/throughput summary.
 
@@ -255,24 +246,7 @@ async def run_load(
     external = host is not None and port is not None
     if fault_rate and external:
         raise ValueError("--fault-rate needs an in-process gateway")
-    if cluster and external:
-        raise ValueError("--cluster needs an in-process gateway")
-
-    if cluster:
-        # Every tenant session fans its shards out to the named remote
-        # workers; tiny shard counts keep per-tenant populations sharded
-        # rather than delegated whole to the inner backend.
-        from repro.cluster import ClusterSpec
-
-        backend = "sharded"
-        session_defaults = SessionConfig(
-            backend=backend,
-            shards=2,
-            shard_min_population=1,
-            cluster=ClusterSpec.from_spec(cluster),
-        )
-    else:
-        session_defaults = SessionConfig(backend=backend)
+    session_defaults = SessionConfig(backend=backend)
 
     gateway = None
     server = None
@@ -312,7 +286,7 @@ async def run_load(
                     index,
                     requests,
                     offers_per_tenant,
-                    None if cluster else {"backend": backend},
+                    {"backend": backend},
                     latencies_ms,
                     counters,
                 )
@@ -328,10 +302,6 @@ async def run_load(
             gateway.close()
 
     latencies_ms.sort()
-    cluster_hosts = {
-        host: row.get("dispatched", 0)
-        for host, row in gateway_stats.get("cluster", {}).get("hosts", {}).items()
-    }
     return {
         "tenants": tenants,
         "requests_per_tenant": requests,
@@ -350,8 +320,6 @@ async def run_load(
         "p95_ms": percentile(latencies_ms, 0.95),
         "p99_ms": percentile(latencies_ms, 0.99),
         "max_ms": latencies_ms[-1] if latencies_ms else float("nan"),
-        "cluster": cluster or None,
-        "cluster_dispatch": cluster_hosts,
         "gateway": gateway_stats,
     }
 
@@ -371,12 +339,6 @@ def format_summary(summary: dict) -> str:
             f"{summary['injected_5xx']} injected 5xx, "
             f"{summary['missing_retry_after']} missing Retry-After)",
         ]
-    if summary.get("cluster_dispatch"):
-        dispatch = "   ".join(
-            f"{host} {count}"
-            for host, count in sorted(summary["cluster_dispatch"].items())
-        )
-        lines += [f"cluster dispatch   {dispatch}"]
     gateway = summary.get("gateway") or {}
     if "inline" in gateway:
         lines += [
@@ -424,14 +386,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--fault-seed", type=int, default=0, help="fault plan RNG seed"
     )
     parser.add_argument(
-        "--cluster",
-        default=None,
-        metavar="HOST:PORT,...",
-        help="remote shard worker addresses; every tenant session uses the "
-        "sharded backend over this cluster and the summary reports "
-        "per-host dispatch counts",
-    )
-    parser.add_argument(
         "--json", action="store_true", help="emit the summary as JSON"
     )
     args = parser.parse_args(argv)
@@ -450,7 +404,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             access_log=args.access_log,
             fault_rate=args.fault_rate,
             fault_seed=args.fault_seed,
-            cluster=args.cluster,
         )
     )
     if args.json:
