@@ -5,7 +5,7 @@ code); every other backend is only trustworthy if it is observationally
 equivalent.  These hypothesis properties drive random populations — ragged
 profile lengths, mixed consumption/production signs, tight total
 constraints — through the reference backend and each vectorized/parallel
-backend (``numpy``, ``sharded``) and assert:
+backend (``numpy``, ``sharded``, ``sharded-remote``) and assert:
 
 * per-offer measure values agree exactly on integer paths and to 1e-9 on
   float paths, for every registered measure in every configuration;
@@ -19,7 +19,10 @@ backend (``numpy``, ``sharded``) and assert:
 The registered ``sharded`` instance is swapped for one with three shards
 and no delegation threshold for the duration of this module, so the tiny
 hypothesis populations genuinely exercise the shard partition/merge paths
-rather than being delegated whole to the inner backend.
+rather than being delegated whole to the inner backend.  ``sharded-remote``
+is the backend a config saved by the retired remote shard executor recovers
+to (see ``legacy_remote``): three thread shards behind a session's matrix
+cache.
 
 Everything here is marked ``slow`` together with the other hypothesis
 suites; CI runs it in the dedicated property-tests job.
@@ -32,6 +35,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from legacy_remote import register_legacy_remote, unregister_legacy_remote
 from strategies import grouping_parameters, populations
 
 from repro.aggregation import aggregate_start_aligned
@@ -61,7 +65,7 @@ pytestmark = [
 ]
 
 #: The backends pinned against the reference in every property below.
-VECTOR_BACKENDS = ["numpy", "sharded"]
+VECTOR_BACKENDS = ["numpy", "sharded", "sharded-remote"]
 
 #: Measures whose values are exact integers — backends must agree exactly.
 INTEGER_KEYS = {"time", "energy", "product", "assignments", "absolute_area"}
@@ -69,11 +73,14 @@ INTEGER_KEYS = {"time", "energy", "product", "assignments", "absolute_area"}
 
 @pytest.fixture(autouse=True, scope="module")
 def _sharded_exercises_merge_paths():
-    """Make the registered ``sharded`` backend shard even tiny populations."""
+    """Make the registered ``sharded`` backend shard even tiny populations,
+    and register the backend a saved remote-executor config recovers to."""
     tuned = ShardedBackend(shards=3, min_population=1)
     register_backend(tuned)
+    legacy = register_legacy_remote(shards=3)
     yield
     tuned.close()
+    unregister_legacy_remote(legacy)
     register_backend(ShardedBackend())
 
 

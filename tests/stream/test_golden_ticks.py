@@ -69,7 +69,22 @@ BACKENDS = [
             not NUMPY_AVAILABLE, reason="NumPy backend not available"
         ),
     ),
+    # What a config saved by the retired remote shard executor recovers
+    # to: thread shards behind a session's matrix cache.
+    "sharded-remote",
 ]
+
+
+@pytest.fixture(scope="module")
+def legacy_remote_registered():
+    """Register ``sharded-remote`` for the one case that needs it."""
+    from legacy_remote import register_legacy_remote, unregister_legacy_remote
+
+    session = register_legacy_remote(shards=3)
+    try:
+        yield
+    finally:
+        unregister_legacy_remote(session)
 
 
 def run_streaming(backend: str) -> list[dict]:
@@ -144,7 +159,7 @@ def test_fixture_matches_its_generating_protocol():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_tick_summaries_are_byte_stable(backend):
+def test_tick_summaries_are_byte_stable(backend, request):
     """Every per-tick window summary is reproduced exactly, per backend.
 
     No tolerance anywhere: the engine's bulk sampling fold and the
@@ -152,6 +167,8 @@ def test_tick_summaries_are_byte_stable(backend):
     floats bit for bit, and this is where that claim is enforced against
     a *committed* artifact rather than a freshly computed one.
     """
+    if backend == "sharded-remote":
+        request.getfixturevalue("legacy_remote_registered")
     assert backend in available_backends()
     stored = _load()["ticks"]
     replayed = run_streaming(backend)
