@@ -1,12 +1,13 @@
-"""The price of self-healing: the fault-free overhead gate.
+"""The price of the fault plane: the fault-free overhead gate.
 
-**Fault-free overhead <= 5%.**  The retry/fault machinery sits on the hot
-fan-out path of every sharded operation, so its cost when *nothing
-fails* must be noise: a guarded backend (retry budget active, a fault
-plan attached whose rules never match) must stay within 5% of a bare
-backend (``retries=0``, no plan) on the same workload.
+**Fault-free overhead <= 5%.**  The ``shard.submit`` / ``shard.result``
+fault sites sit on the hot fan-out path of every sharded operation, so
+their cost when *nothing fails* must be noise: an armed backend (a fault
+plan attached whose rules never match; shards are never retried) must
+stay within 5% of a bare backend (no plan) on the same workload.
 
-That shards heal from injected faults, bit-identically, is pinned by
+That an injected shard fault raises, returns no partial result and
+leaves the next call bit-identical is pinned by
 ``tests/faults/test_sharded_chaos.py``.
 """
 
@@ -37,12 +38,12 @@ except ImportError:  # pragma: no cover - loaded by path (bench_to_json)
 #: Populations for the overhead measurement (smoke, gate).
 SCALES = [2_000, 20_000]
 
-#: Bare/guarded call pairs of the overhead measurement.  The two calls of
+#: Bare/armed call pairs of the overhead measurement.  The two calls of
 #: a pair run back to back, in an order flipped on every pair, so host
 #: drift hits both sides alike; the gate reads the median per-pair ratio.
 PAIRS = 41
 
-#: The overhead gate: guarded / bare, fault-free.
+#: The overhead gate: armed / bare, fault-free.
 MAX_OVERHEAD_RATIO = 1.05
 
 MEASURE = get_measure("product")
@@ -62,16 +63,16 @@ def population(size: int) -> list:
 def bare_backend(**kwargs) -> ShardedBackend:
     kwargs.setdefault("shards", 4)
     kwargs.setdefault("min_population", 1)
-    return ShardedBackend(retries=0, faults=None, **kwargs)
+    return ShardedBackend(faults=None, **kwargs)
 
 
-def guarded_backend(**kwargs) -> ShardedBackend:
+def armed_backend(**kwargs) -> ShardedBackend:
     kwargs.setdefault("shards", 4)
     kwargs.setdefault("min_population", 1)
     # A live plan whose rules can never match this workload's sites: the
     # fault plane is fully armed, counters tick, nothing fires.
     plan = FaultPlan([FaultRule(SHARD_SUBMIT, after=10**9)])
-    return ShardedBackend(retries=2, faults=plan, **kwargs)
+    return ShardedBackend(faults=plan, **kwargs)
 
 
 def seconds(backend, offers) -> float:
@@ -80,41 +81,39 @@ def seconds(backend, offers) -> float:
     return time.perf_counter() - start
 
 
-def paired_seconds(bare, guarded, offers, pairs: int = PAIRS):
-    """``(bare, guarded)`` seconds of ``pairs`` back-to-back call pairs,
+def paired_seconds(bare, armed, offers, pairs: int = PAIRS):
+    """``(bare, armed)`` seconds of ``pairs`` back-to-back call pairs,
     the bare call first on even pairs and second on odd ones."""
     bare.measure_values(MEASURE, offers)  # warm the pools + caches
-    guarded.measure_values(MEASURE, offers)
-    bare_samples, guarded_samples = [], []
+    armed.measure_values(MEASURE, offers)
+    bare_samples, armed_samples = [], []
     for index in range(pairs):
         if index % 2 == 0:
             bare_samples.append(seconds(bare, offers))
-            guarded_samples.append(seconds(guarded, offers))
+            armed_samples.append(seconds(armed, offers))
         else:
-            guarded_samples.append(seconds(guarded, offers))
+            armed_samples.append(seconds(armed, offers))
             bare_samples.append(seconds(bare, offers))
-    return bare_samples, guarded_samples
+    return bare_samples, armed_samples
 
 
 def run_overhead(size: int) -> dict:
     offers = population(size)
     bare = bare_backend()
-    guarded = guarded_backend()
+    armed = armed_backend()
     try:
         expected = get_backend("reference").measure_values(MEASURE, offers)
-        assert guarded.measure_values(MEASURE, offers) == expected
-        bare_samples, guarded_samples = paired_seconds(bare, guarded, offers)
+        assert armed.measure_values(MEASURE, offers) == expected
+        bare_samples, armed_samples = paired_seconds(bare, armed, offers)
     finally:
         bare.close()
-        guarded.close()
-    ratios = [
-        guarded_s / bare_s for bare_s, guarded_s in zip(bare_samples, guarded_samples)
-    ]
+        armed.close()
+    ratios = [armed_s / bare_s for bare_s, armed_s in zip(bare_samples, armed_samples)]
     return {
         "population": size,
         "pairs": len(ratios),
         "bare_seconds": round(statistics.median(bare_samples), 5),
-        "guarded_seconds": round(statistics.median(guarded_samples), 5),
+        "armed_seconds": round(statistics.median(armed_samples), 5),
         "overhead_ratio": round(statistics.median(ratios), 4),
     }
 
@@ -128,7 +127,7 @@ def bench_records(gate_scale: bool = False) -> list[dict]:
             "name": f"fault_plane_overhead_{size}",
             "scale": size,
             "bare_seconds": overhead["bare_seconds"],
-            "guarded_seconds": overhead["guarded_seconds"],
+            "armed_seconds": overhead["armed_seconds"],
             "overhead_ratio": overhead["overhead_ratio"],
         },
     ]
@@ -139,9 +138,9 @@ def bench_records(gate_scale: bool = False) -> list[dict]:
 def test_fault_free_overhead_gate(size):
     results = run_overhead(size)
     report(f"Fault-plane overhead, fault-free ({size} offers)", [
-        f"bare (retries=0, no plan) : {results['bare_seconds'] * 1e3:>9.2f} ms",
-        f"guarded (retries=2, plan) : {results['guarded_seconds'] * 1e3:>9.2f} ms",
-        f"median per-pair ratio     : {results['overhead_ratio']:.3f} "
+        f"bare (no plan)         : {results['bare_seconds'] * 1e3:>9.2f} ms",
+        f"armed plan, no retries : {results['armed_seconds'] * 1e3:>9.2f} ms",
+        f"median per-pair ratio  : {results['overhead_ratio']:.3f} "
         f"({results['pairs']} pairs)",
     ])
     print(json.dumps(results, indent=2))

@@ -44,16 +44,14 @@ changes a result.  The NumPy kernels release the GIL, so shard evaluation
 overlaps on multicore hosts, and the inner backend's fingerprint-keyed
 matrix cache keeps each shard chunk's packed arrays warm across calls.
 
-Self-healing
-------------
+Faults
+------
 ``_map`` — the one fan-out/merge primitive every operation funnels
-through — retries each shard independently on an injected
-:class:`~repro.faults.FaultInjected` (bounded by ``retries``, with linear
-backoff), re-dispatching only the shards whose futures failed (completed
-shards keep their results).  Application errors — an offer a measure
-rejects — are never retried.  Shard results are consumed in submission
-order, so the first-offending-offer error-parity contract above survives
-every recovery path.
+through — fires the ``shard.submit`` fault site before it hands a shard
+to the pool and ``shard.result`` after it takes a shard's result.  An
+injected failure propagates as raised: the call returns no partial
+result, and the backend holds no state the failure could leave behind,
+so the next call answers exactly like a fault-free one.
 
 Like every backend, the sharded backend is pinned observationally
 equivalent to the reference implementation by the differential conformance
@@ -64,16 +62,16 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import TYPE_CHECKING, ClassVar, Optional, Union
 
 from ..core.errors import BackendError
 from ..core.flexoffer import FlexOffer
-from ..faults.plan import SHARD_RESULT, SHARD_SUBMIT, FaultInjected, FaultPlan
+from ..faults.plan import SHARD_RESULT, SHARD_SUBMIT, FaultPlan
 from .dispatch import (
     ComputeBackend,
+    available_backends,
     get_backend,
     is_packed,
     register_backend,
@@ -85,43 +83,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ShardedBackend",
     "DEFAULT_MIN_POPULATION",
-    "DEFAULT_RETRIES",
 ]
 
 #: Below this population size the whole operation runs on the inner backend:
 #: pool dispatch plus per-shard packing costs more than it saves.
 DEFAULT_MIN_POPULATION = 4096
 
-#: Default per-shard retry budget for infrastructure failures.
-DEFAULT_RETRIES = 2
-
-#: Exceptions the shard loop treats as infrastructure (retryable): an
-#: injected fault standing in for a lost worker.
-_RETRYABLE = (FaultInjected,)
-
-#: Base sleep before a shard retry, multiplied by the attempt number.
-_RETRY_BACKOFF_S = 0.01
-
-
-class _FailedSubmit:
-    """A future-shaped sentinel for a submission that already failed.
-
-    Submission errors (an injected ``shard.submit`` fault) must not abort
-    the whole fan-out — later shards still get submitted, and this shard's
-    error is raised when *its* turn to be consumed comes, entering the
-    same retry loop a failed ``result()`` would.
-    """
-
-    def __init__(self, error: BaseException) -> None:
-        self._error = error
-
-    def result(self):
-        raise self._error
-
 
 # --------------------------------------------------------------------- #
-# Shard workers.  Each resolves the inner backend (a registered name or
-# an instance) inside the pool thread.
+# The evaluate worker.  Every other operation maps a bound method of the
+# inner backend over the shards.
 # --------------------------------------------------------------------- #
 def _values_outcome(backend, measure, population):
     """``("ok", values)`` or ``("error", exc)`` of one shard's measure values."""
@@ -131,12 +102,7 @@ def _values_outcome(backend, measure, population):
         return "error", error
 
 
-def _shard_values_outcome(inner: str, measure, flex_offers):
-    """Value outcome of a single measure over one shard."""
-    return _values_outcome(get_backend(inner), measure, flex_offers)
-
-
-def _shard_evaluate(inner: str, measures, value_mask, flex_offers, skip_unsupported):
+def _shard_evaluate(backend, measures, value_mask, flex_offers, skip_unsupported):
     """One shard's evaluation round: support outcomes plus value outcomes.
 
     Returns, per measure, ``(support_outcome, value_outcome_or_None)``,
@@ -151,7 +117,6 @@ def _shard_evaluate(inner: str, measures, value_mask, flex_offers, skip_unsuppor
     verdict — or ``skip_unsupported=False`` — says the evaluation would
     also run under the reference backend's semantics.
     """
-    backend = get_backend(inner)
     prepared = backend.prepare(flex_offers)
     rows = []
     for measure, wants_values in zip(measures, value_mask):
@@ -172,36 +137,6 @@ def _shard_evaluate(inner: str, measures, value_mask, flex_offers, skip_unsuppor
     return rows
 
 
-def _shard_support(inner: str, measure, flex_offers):
-    """Per-offer support verdicts of one shard."""
-    return get_backend(inner).measure_support(measure, flex_offers)
-
-
-def _shard_per_offer(inner: str, measures, flex_offers):
-    """Per-offer ``{measure_key: value}`` dicts of one shard."""
-    return get_backend(inner).per_offer_values(measures, flex_offers)
-
-
-def _shard_aggregate(inner: str, flex_offers):
-    """One shard's start-aligned column sums (merged by the caller)."""
-    return get_backend(inner).aggregate_columns(flex_offers)
-
-
-def _shard_profiles(inner: str, flex_offers, target: str):
-    """One shard's extreme feasible profiles and their verdicts."""
-    return get_backend(inner).feasible_profiles(flex_offers, target)
-
-
-def _shard_feasibility(inner: str, flex_offers, starts, values):
-    """One shard's Definition 2 feasibility verdicts."""
-    return get_backend(inner).assignment_feasibility(flex_offers, starts, values)
-
-
-def _shard_objectives(inner: str, schedules, reference, metric):
-    """One shard's (schedule-partitioned) imbalance objective values."""
-    return get_backend(inner).batch_objectives(schedules, reference, metric)
-
-
 class ShardedBackend(ComputeBackend):
     """Fan bulk operations across population shards on a worker pool.
 
@@ -219,9 +154,6 @@ class ShardedBackend(ComputeBackend):
         session-scoped ``NumpyBackend`` here so shard workers hit the
         session's cache.  ``None`` picks ``numpy`` when registered, else
         ``reference``.
-    retries:
-        Per-shard retry budget for infrastructure failures; ``0`` fails
-        fast with a typed :class:`~repro.core.errors.BackendError`.
     faults:
         Optional :class:`repro.faults.FaultPlan`; when set the fan-out
         fires the ``shard.submit`` / ``shard.result`` injection sites.
@@ -234,7 +166,6 @@ class ShardedBackend(ComputeBackend):
         shards: Optional[int] = None,
         min_population: int = DEFAULT_MIN_POPULATION,
         inner: Optional[Union[str, ComputeBackend]] = None,
-        retries: int = DEFAULT_RETRIES,
         faults: Optional[FaultPlan] = None,
     ) -> None:
         if shards is None:
@@ -256,17 +187,12 @@ class ShardedBackend(ComputeBackend):
                     "the sharded backend cannot be its own inner backend"
                 )
             get_backend(inner)  # unknown names fail here, not at first use
-        if retries < 0:
-            raise BackendError(f"retries must be >= 0, got {retries}")
         self.shards = shards
         self.min_population = min_population
-        self.retries = retries
         self._faults = faults
         self._inner_spec = inner
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
-        # Self-healing counters, surfaced via resilience_stats().
-        self.retried = 0
 
     # ------------------------------------------------------------------ #
     # Plumbing
@@ -274,15 +200,10 @@ class ShardedBackend(ComputeBackend):
     @property
     def inner(self) -> ComputeBackend:
         """The backend every shard runs on (resolved late, per call)."""
-        return get_backend(self._inner_ref())
-
-    def _inner_ref(self) -> Union[str, ComputeBackend]:
-        """What in-process code resolves the inner backend from."""
-        if self._inner_spec is not None:
-            return self._inner_spec
-        from .dispatch import available_backends
-
-        return "numpy" if "numpy" in available_backends() else "reference"
+        spec = self._inner_spec
+        if spec is None:
+            spec = "numpy" if "numpy" in available_backends() else "reference"
+        return get_backend(spec)
 
     def _executor(self) -> ThreadPoolExecutor:
         """The lazily created, shared worker pool (double-checked lock).
@@ -337,53 +258,28 @@ class ShardedBackend(ComputeBackend):
 
         Results are consumed in submission order, so an exception from
         shard ``i`` surfaces before any later shard's — preserving the
-        reference backend's first-offending-offer error positions.  Around
-        that contract sits the self-healing loop: infrastructure errors
-        (:data:`_RETRYABLE`) re-dispatch just the failed shard up to the
-        retry budget, and application errors propagate untouched on the
-        first attempt.
+        reference backend's first-offending-offer error positions.
         """
-        futures = [self._submit_shard(worker, args) for args in arg_lists]
-        return [
-            self._consume_shard(index, future, worker, args)
-            for index, (future, args) in enumerate(zip(futures, arg_lists))
-        ]
-
-    def _submit_shard(self, worker, args: tuple):
-        """Submit one shard; a retryable failure becomes a deferred error."""
+        futures: list = []
         try:
-            if self._faults is not None:
-                self._faults.fire(SHARD_SUBMIT)
-            return self._executor().submit(worker, *args)
-        except _RETRYABLE as error:
-            return _FailedSubmit(error)
-
-    def _consume_shard(self, index: int, future, worker, args: tuple):
-        """One shard's result, retrying infrastructure failures in place."""
-        attempts = 0
-        while True:
-            try:
-                result = future.result()
+            for args in arg_lists:
+                futures.append(self._submit_shard(worker, args))
+            results = []
+            for future in futures:
+                results.append(future.result())
                 if self._faults is not None:
                     self._faults.fire(SHARD_RESULT)
-                return result
-            except _RETRYABLE as error:
-                attempts += 1
-                if attempts > self.retries:
-                    raise BackendError(
-                        f"shard {index} failed after {attempts} attempt(s): "
-                        f"{error}"
-                    ) from error
-                self.retried += 1
-                time.sleep(_RETRY_BACKOFF_S * attempts)
-                future = self._submit_shard(worker, args)
+            return results
+        finally:
+            # A failed call still waits for the shards it handed over, so
+            # none runs on after the error reaches the caller.
+            wait(futures)
 
-    def resilience_stats(self) -> dict:
-        """Self-healing counters for health blocks and chaos assertions."""
-        return {
-            "retries": self.retries,
-            "retried": self.retried,
-        }
+    def _submit_shard(self, worker, args: tuple):
+        """Hand one shard to the pool (the ``shard.submit`` fault site)."""
+        if self._faults is not None:
+            self._faults.fire(SHARD_SUBMIT)
+        return self._executor().submit(worker, *args)
 
     # ------------------------------------------------------------------ #
     # Measures
@@ -394,16 +290,12 @@ class ShardedBackend(ComputeBackend):
         flex_offers = list(flex_offers)
         if self._delegates(flex_offers):
             return self.inner.measure_values(measure, flex_offers)
-        inner = self._inner_ref()
-        outcomes = self._map(
-            _shard_values_outcome,
-            [(inner, measure, chunk) for chunk in self._partition(flex_offers)],
-        )
         values: list[float] = []
-        for status, payload in outcomes:
-            if status == "error":
-                raise payload
-            values.extend(payload)
+        for shard in self._map(
+            self.inner.measure_values,
+            [(measure, chunk) for chunk in self._partition(flex_offers)],
+        ):
+            values.extend(shard)
         return values
 
     def measure_support(
@@ -412,11 +304,10 @@ class ShardedBackend(ComputeBackend):
         flex_offers = list(flex_offers)
         if self._delegates(flex_offers):
             return self.inner.measure_support(measure, flex_offers)
-        inner = self._inner_ref()
         verdicts: list[bool] = []
         for shard in self._map(
-            _shard_support,
-            [(inner, measure, chunk) for chunk in self._partition(flex_offers)],
+            self.inner.measure_support,
+            [(measure, chunk) for chunk in self._partition(flex_offers)],
         ):
             verdicts.extend(shard)
         return verdicts
@@ -432,7 +323,7 @@ class ShardedBackend(ComputeBackend):
             return self.inner.evaluate_population(
                 measures, flex_offers, skip_unsupported
             )
-        inner = self._inner_ref()
+        inner = self.inner
         chunks = self._partition(flex_offers)
         # One fan-out per call: each shard packs once, then reports support
         # verdicts and value outcomes for every decomposable measure.
@@ -487,11 +378,10 @@ class ShardedBackend(ComputeBackend):
         flex_offers = list(flex_offers)
         if self._delegates(flex_offers):
             return self.inner.per_offer_values(measures, flex_offers)
-        inner = self._inner_ref()
         results: list[dict[str, float]] = []
         for shard in self._map(
-            _shard_per_offer,
-            [(inner, measures, chunk) for chunk in self._partition(flex_offers)],
+            self.inner.per_offer_values,
+            [(measures, chunk) for chunk in self._partition(flex_offers)],
         ):
             results.extend(shard)
         return results
@@ -505,10 +395,9 @@ class ShardedBackend(ComputeBackend):
         members = list(members)
         if self._delegates(members):
             return self.inner.aggregate_columns(members)
-        inner = self._inner_ref()
         shards = self._map(
-            _shard_aggregate,
-            [(inner, chunk) for chunk in self._partition(members)],
+            self.inner.aggregate_columns,
+            [(chunk,) for chunk in self._partition(members)],
         )
         # Re-anchor every shard at the global earliest start and add the
         # shifted column sums — pure integer arithmetic, so the merge equals
@@ -545,12 +434,11 @@ class ShardedBackend(ComputeBackend):
         flex_offers = list(flex_offers)
         if self._delegates(flex_offers):
             return self.inner.feasible_profiles(flex_offers, target)
-        inner = self._inner_ref()
         profiles: list[tuple[int, ...]] = []
         feasible: list[bool] = []
         for shard_profiles, shard_feasible in self._map(
-            _shard_profiles,
-            [(inner, chunk, target) for chunk in self._partition(flex_offers)],
+            self.inner.feasible_profiles,
+            [(chunk, target) for chunk in self._partition(flex_offers)],
         ):
             profiles.extend(shard_profiles)
             feasible.extend(shard_feasible)
@@ -576,19 +464,16 @@ class ShardedBackend(ComputeBackend):
         values = list(values)[:count]
         if self._delegates(flex_offers):
             return self.inner.assignment_feasibility(flex_offers, starts, values)
-        inner = self._inner_ref()
-        offer_chunks = self._partition(flex_offers)
-        start_chunks = self._partition(starts)
-        value_chunks = self._partition(values)
         verdicts: list[bool] = []
         for shard in self._map(
-            _shard_feasibility,
-            [
-                (inner, offers, shard_starts, shard_values)
-                for offers, shard_starts, shard_values in zip(
-                    offer_chunks, start_chunks, value_chunks
+            self.inner.assignment_feasibility,
+            list(
+                zip(
+                    self._partition(flex_offers),
+                    self._partition(starts),
+                    self._partition(values),
                 )
-            ],
+            ),
         ):
             verdicts.extend(shard)
         return verdicts
@@ -616,14 +501,10 @@ class ShardedBackend(ComputeBackend):
         schedules = list(schedules)
         if self._delegates(schedules):
             return self.inner.batch_objectives(schedules, reference, metric)
-        inner = self._inner_ref()
         results: list[float] = []
         for shard in self._map(
-            _shard_objectives,
-            [
-                (inner, chunk, reference, metric)
-                for chunk in self._partition(schedules)
-            ],
+            self.inner.batch_objectives,
+            [(chunk, reference, metric) for chunk in self._partition(schedules)],
         ):
             results.extend(shard)
         return results
@@ -631,7 +512,7 @@ class ShardedBackend(ComputeBackend):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<ShardedBackend shards={self.shards} "
-            f"inner={self._inner_ref()!r} "
+            f"inner={self.inner.name!r} "
             f"min_population={self.min_population}>"
         )
 

@@ -14,7 +14,11 @@ Rules select hits by position (``after``/``count``: fire on hits
 ``after .. after+count-1``) or by seeded probability; both can combine.
 The injected exception defaults to :class:`FaultInjected`, an
 :class:`OSError` subclass, so unconfigured injections follow the same
-suspension/retry paths genuine I/O and worker failures do.
+paths genuine I/O failures do.  A rule may name another
+:class:`Exception` subclass: a builtin, or a dotted name under the
+``repro`` package — a plan can arrive in a request body, so it may
+neither import other modules nor raise ``SystemExit`` and its kin past
+every error boundary.
 """
 
 from __future__ import annotations
@@ -77,9 +81,9 @@ class FaultInjected(OSError):
     """The default injected exception.
 
     Subclasses :class:`OSError` deliberately: the persistence layer
-    suspends on ``OSError`` and the sharded executor retries injected
-    faults, so an unconfigured ``raise`` rule exercises exactly the
-    degraded/self-healing paths a real disk or worker failure would.
+    suspends on ``OSError``, so an unconfigured ``raise`` rule exercises
+    exactly the degraded path a real disk failure would.  Elsewhere it
+    propagates like any server-side failure (the gateway answers 500).
     """
 
 
@@ -93,23 +97,28 @@ def _error_name(error: type) -> str:
 
 
 def _resolve_error(name: Union[str, type]) -> type:
-    """An exception class from its spec string (or pass a class through)."""
+    """An exception class from its spec string (or pass a class through).
+
+    Only :class:`Exception` subclasses qualify, and a dotted name is
+    imported only from the ``repro`` package.  A class given directly must
+    resolve back from its own spec string, so a saved plan loads again.
+    """
     if isinstance(name, type):
-        if not issubclass(name, BaseException):
-            raise ValueError(f"{name!r} is not an exception class")
+        if _resolve_error(_error_name(name)) is not name:
+            raise ValueError(f"{name!r} does not load back from a fault spec")
         return name
     if not isinstance(name, str):
         raise ValueError(f"fault error must be a class or name, got {name!r}")
     if name == "FaultInjected":
         return FaultInjected
     resolved = getattr(builtins, name, None)
-    if resolved is None and "." in name:
+    if resolved is None and name.startswith("repro."):
         module_name, _, attribute = name.rpartition(".")
         try:
             resolved = getattr(importlib.import_module(module_name), attribute)
         except (ImportError, AttributeError):
             resolved = None
-    if not (isinstance(resolved, type) and issubclass(resolved, BaseException)):
+    if not (isinstance(resolved, type) and issubclass(resolved, Exception)):
         raise ValueError(f"unknown fault error class {name!r}")
     return resolved
 

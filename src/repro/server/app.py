@@ -162,7 +162,7 @@ def _gateway_error(failure: Exception) -> GatewayError:
         # Ahead of the FlexError test: a suspended WAL is a *server*
         # condition, not a client mistake.  Only operations that need the
         # degraded component (an explicit checkpoint) land here; regular
-        # serving continues, so the client retries after the circuit
+        # serving continues, so the client tries again after the circuit
         # breaker's next probe.
         return ServiceUnavailableError(str(failure), retry_after=RETRY_AFTER_S)
     if isinstance(failure, StateCorruptError):

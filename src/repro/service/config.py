@@ -37,7 +37,7 @@ from typing import Optional
 from ..aggregation.grouping import GroupingParameters
 from ..backend.cache import DEFAULT_CAPACITY, DEFAULT_CELL_BUDGET
 from ..backend.dispatch import ENV_VAR
-from ..backend.sharded import DEFAULT_MIN_POPULATION, DEFAULT_RETRIES
+from ..backend.sharded import DEFAULT_MIN_POPULATION
 from ..core.errors import FlexError
 from ..faults.plan import FaultPlan
 
@@ -46,7 +46,6 @@ __all__ = [
     "ENV_CELL_VAR",
     "ENV_FAULTS",
     "ENV_MIN_POPULATION",
-    "ENV_RETRIES",
     "ENV_SHARDS",
     "ServiceError",
     "SessionConfig",
@@ -57,8 +56,6 @@ __all__ = [
 ENV_SHARDS = "REPRO_SHARDS"
 #: Populations below this run whole on the sharded backend's inner backend.
 ENV_MIN_POPULATION = "REPRO_SHARD_MIN"
-#: Per-shard retry budget for infrastructure failures.
-ENV_RETRIES = "REPRO_SHARD_RETRIES"
 #: A JSON :meth:`FaultPlan.spec` document.
 ENV_FAULTS = "REPRO_FAULTS"
 #: Session matrix-cache capacity (entries; ``0`` disables it).
@@ -70,14 +67,15 @@ ENV_CELL_VAR = "REPRO_MATRIX_CACHE_CELLS"
 #: option is gone and none of them ever changed an answer: one window
 #: kernel serves every session, shards always run on threads (a saved
 #: ``shard_executor`` or ``cluster``, remote or not, loads as a thread
-#: config), straggler hedging is deleted, and the live-matrix compaction
-#: ratio is a constant.
+#: config), straggler hedging and the shard retry budget are deleted,
+#: and the live-matrix compaction ratio is a constant.
 _RETIRED_FIELDS = (
     "window_kernel",
     "shard_executor",
     "shard_hedge_ms",
     "compact_threshold",
     "cluster",
+    "shard_retries",
 )
 
 
@@ -157,12 +155,11 @@ class SessionConfig:
         Compute-backend name (``reference`` / ``numpy`` / ``sharded`` or
         any registered custom backend).  Default: ``REPRO_BACKEND``, else
         ``numpy`` when available, else ``reference``.
-    shards, shard_min_population, shard_retries:
+    shards, shard_min_population:
         Sharded-backend settings, applied only when ``backend="sharded"``:
-        shard count, the population below which an operation runs whole,
-        and the per-shard retry budget for infrastructure failures.
-        Defaults: ``REPRO_SHARDS`` / ``REPRO_SHARD_MIN`` /
-        ``REPRO_SHARD_RETRIES`` and then the backend's own defaults.
+        the shard count and the population below which an operation runs
+        whole.  Defaults: ``REPRO_SHARDS`` / ``REPRO_SHARD_MIN`` and then
+        the backend's own defaults.
     fault_plan:
         Optional :class:`repro.faults.FaultPlan` (or its ``spec()``
         dict/JSON) injected into the session's backend and persister for
@@ -204,7 +201,6 @@ class SessionConfig:
     backend: Optional[str] = None
     shards: Optional[int] = None
     shard_min_population: Optional[int] = None
-    shard_retries: Optional[int] = None
     fault_plan: Optional[FaultPlan] = None
     cache_entries: Optional[int] = None
     cache_cells: Optional[int] = None
@@ -226,7 +222,6 @@ class SessionConfig:
         for name, variable, minimum, default in (
             ("shards", ENV_SHARDS, 1, os.cpu_count() or 1),
             ("shard_min_population", ENV_MIN_POPULATION, 0, DEFAULT_MIN_POPULATION),
-            ("shard_retries", ENV_RETRIES, 0, DEFAULT_RETRIES),
             ("cache_entries", ENV_CACHE_VAR, 0, DEFAULT_CAPACITY),
             ("cache_cells", ENV_CELL_VAR, 0, DEFAULT_CELL_BUDGET),
         ):

@@ -179,7 +179,6 @@ class FlexSession:
                 shards=config.shards,
                 min_population=config.shard_min_population,
                 inner=inner,
-                retries=config.shard_retries,
                 faults=config.fault_plan,
             )
         return get_backend(config.backend)
@@ -505,9 +504,6 @@ class FlexSession:
         }
         if self.engine.tracker is not None:
             payload["windows"] = self.engine.tracker.summary()
-        resilience = getattr(self._backend, "resilience_stats", None)
-        if callable(resilience):
-            payload["resilience"] = resilience()
         if self.config.fault_plan is not None:
             payload["faults"] = self.config.fault_plan.stats()
         if self._persister is not None:

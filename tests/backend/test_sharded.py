@@ -22,7 +22,7 @@ from repro.backend import (
     get_backend,
     use_backend,
 )
-from repro.backend.sharded import DEFAULT_MIN_POPULATION, DEFAULT_RETRIES
+from repro.backend.sharded import DEFAULT_MIN_POPULATION
 from repro.core import FlexOffer, MeasureError
 from repro.core.errors import BackendError
 from repro.measures import evaluate_set, get_measure
@@ -280,7 +280,6 @@ def test_environment_knobs(monkeypatch):
     backend = ShardedBackend()
     assert backend.shards == (os.cpu_count() or 1)
     assert backend.min_population == DEFAULT_MIN_POPULATION
-    assert backend.retries == DEFAULT_RETRIES
 
 
 def test_malformed_environment_warns_and_defaults(monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import time
 
 import pytest
@@ -11,7 +12,9 @@ import pytest
 from repro.faults import (
     GATEWAY_DISPATCH,
     PERSIST_PROBE,
+    SHARD_RESULT,
     SNAPSHOT_REPLACE,
+    WAL_APPEND,
     WAL_FSYNC,
     FaultPlan,
     FaultRule,
@@ -125,6 +128,83 @@ class TestDispatchFaults:
                 gate.close()
 
         run(scenario())
+
+    def test_a_shard_fault_is_a_500_not_a_400(self):
+        """An injected shard failure is the server's, not the client's: it
+        answers 500 ``internal`` like a ``gateway.dispatch`` fault."""
+
+        async def scenario():
+            config = {
+                "backend": "sharded",
+                "shards": 2,
+                "shard_min_population": 1,
+                "fault_plan": {"rules": [{"site": SHARD_RESULT, "count": None}]},
+            }
+            offers = [dict(OFFER, latest_start=2 + index) for index in range(4)]
+            body = json.dumps({"kind": "evaluate", "offers": offers}).encode()
+            gate = gateway()
+            try:
+                created = await gate.handle(
+                    "PUT", "/sessions/s", json.dumps(config).encode()
+                )
+                assert created.status == 201
+                response = await gate.handle("POST", "/sessions/s/requests", body)
+                assert response.status == 500
+                assert response.payload["error"] == "internal"
+                assert "FaultInjected" in response.payload["detail"]
+            finally:
+                gate.close()
+
+        run(scenario())
+
+
+class TestTenantFaultPlans:
+    """A ``PUT`` body may carry a fault plan; it may not stop the gateway
+    or make it import a module."""
+
+    @staticmethod
+    def put_plan(gate: Gateway, error: str):
+        plan = {"rules": [{"site": WAL_APPEND, "error": error}]}
+        body = json.dumps({"fault_plan": plan}).encode()
+        return gate.handle("PUT", "/sessions/t", body)
+
+    @pytest.mark.parametrize(
+        "error", ["SystemExit", "KeyboardInterrupt", "GeneratorExit"]
+    )
+    def test_a_plan_raising_past_every_error_boundary_is_a_400(
+        self, tmp_path, error
+    ):
+        async def scenario():
+            gate = gateway(persist_root=str(tmp_path))
+            try:
+                refused = await self.put_plan(gate, error)
+                # Nothing was created, so a stream submit has no tenant
+                # whose WAL append could raise it.
+                missing = await gate.handle("POST", "/sessions/t/requests", TICK)
+                return refused, missing.status
+            finally:
+                gate.close()
+
+        refused, missing = run(scenario())
+        assert refused.status == 400
+        assert refused.payload["error"] == "bad-request"
+        assert error in refused.payload["detail"]
+        assert missing == 404
+
+    def test_a_plan_naming_a_module_outside_repro_imports_nothing(
+        self, monkeypatch
+    ):
+        async def scenario():
+            gate = gateway()
+            try:
+                return await self.put_plan(gate, "smtplib.SMTPException")
+            finally:
+                gate.close()
+
+        monkeypatch.delitem(sys.modules, "smtplib", raising=False)
+        refused = run(scenario())
+        assert refused.status == 400
+        assert "smtplib" not in sys.modules
 
 
 class TestDegradedPersistence:

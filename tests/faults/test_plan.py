@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -49,6 +50,14 @@ class TestFaultRule:
             {"probability": -0.1},
             {"error": "NoSuchError"},
             {"error": 42},
+            # A BaseException outside Exception escapes every error
+            # boundary and would stop the process the plan was loaded into.
+            {"error": "SystemExit"},
+            {"error": "KeyboardInterrupt"},
+            {"error": GeneratorExit},
+            # A class whose spec string would not load back: a saved
+            # config carrying the plan would fail to recover.
+            {"error": type("Local", (RuntimeError,), {})},
         ],
     )
     def test_invalid_parameters_are_rejected(self, kwargs):
@@ -86,6 +95,12 @@ class TestFaultRule:
             _resolve_error(int)  # a class, but not an exception
         with pytest.raises(ValueError):
             _resolve_error("no.such.module.Error")
+
+    def test_dotted_names_resolve_only_under_repro(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "smtplib", raising=False)
+        with pytest.raises(ValueError):
+            FaultRule(WAL_FSYNC, error="smtplib.SMTPException")
+        assert "smtplib" not in sys.modules
 
 
 class TestFaultPlan:
@@ -199,7 +214,6 @@ class TestFaultPlan:
             assert GatewayConfig().fault_plan is None
 
     def test_injected_error_is_an_oserror(self):
-        # The persistence layer suspends on OSError and the sharded
-        # executor retries FaultInjected: the default error must reach
-        # both behaviours through their real except clauses.
+        # The persistence layer suspends on OSError: the default error
+        # must reach that behaviour through its real except clause.
         assert issubclass(FaultInjected, OSError)

@@ -430,6 +430,7 @@ def test_config_with_the_retired_process_executor_recovers(tmp_path):
         ("cluster", {"hosts": ["127.0.0.1:1"]}),
         ("cluster", None),
         ("shard_executor", "remote"),
+        ("shard_retries", 2),
     ],
 )
 def test_config_with_a_retired_key_recovers(tmp_path, monkeypatch, key, value):

@@ -25,7 +25,7 @@ import pytest
 import repro
 from repro.backend import NUMPY_AVAILABLE, ShardedBackend, use_backend
 from repro.backend.cache import DEFAULT_CAPACITY, DEFAULT_CELL_BUDGET, MatrixCache
-from repro.backend.sharded import DEFAULT_MIN_POPULATION, DEFAULT_RETRIES
+from repro.backend.sharded import DEFAULT_MIN_POPULATION
 from repro.core import FlexOffer
 from repro.faults import FaultPlan
 from repro.measures import evaluate_set
@@ -45,7 +45,6 @@ VALID = {
     "REPRO_BACKEND": "reference",
     "REPRO_SHARDS": "7",
     "REPRO_SHARD_MIN": "17",
-    "REPRO_SHARD_RETRIES": "5",
     "REPRO_FAULTS": json.dumps(FAULTS),
     "REPRO_MATRIX_CACHE": "7",
     "REPRO_MATRIX_CACHE_CELLS": "1000",
@@ -57,7 +56,6 @@ VALID = {
 MALFORMED = {
     "REPRO_SHARDS": "four",
     "REPRO_SHARD_MIN": "-3",
-    "REPRO_SHARD_RETRIES": "many",
     "REPRO_FAULTS": "{broken",
     "REPRO_MATRIX_CACHE": "off",
     "REPRO_MATRIX_CACHE_CELLS": "lots",
@@ -69,6 +67,7 @@ RETIRED = {
     "REPRO_CLUSTER": "127.0.0.1:7001,127.0.0.1:7002",
     "REPRO_SHARD_HEDGE_MS": "12.5",
     "REPRO_MATRIX_COMPACT": "0.75",
+    "REPRO_SHARD_RETRIES": "5",
 }
 
 #: Every ``SessionConfig`` field, in order.  An option added to (or
@@ -77,7 +76,6 @@ FIELDS = (
     "backend",
     "shards",
     "shard_min_population",
-    "shard_retries",
     "fault_plan",
     "cache_entries",
     "cache_cells",
@@ -121,11 +119,7 @@ def lower_layer_state() -> dict:
     engine.apply(OfferArrived("offer", FlexOffer(0, 2, [(1, 2)])))
     engine.apply(Tick(1))
     state = {
-        "sharded": (
-            backend.shards,
-            backend.min_population,
-            backend.retries,
-        ),
+        "sharded": (backend.shards, backend.min_population),
         "cache": (cache.capacity, cache.cell_budget),
         "engine_windows": engine.tracker.summary(),
     }
@@ -169,7 +163,6 @@ def test_session_config_picks_up_every_valid_variable(monkeypatch):
     assert config.backend == "reference"
     assert config.shards == 7
     assert config.shard_min_population == 17
-    assert config.shard_retries == 5
     assert config.fault_plan.spec() == FaultPlan.from_spec(FAULTS).spec()
     assert (config.cache_entries, config.cache_cells) == (7, 1000)
 
@@ -184,7 +177,6 @@ def test_session_config_warns_on_every_malformed_variable(monkeypatch):
     assert config.shards >= 1
     assert config.fault_plan is None
     assert config.shard_min_population == DEFAULT_MIN_POPULATION
-    assert config.shard_retries == DEFAULT_RETRIES
     assert config.cache_entries == DEFAULT_CAPACITY
     assert config.cache_cells == DEFAULT_CELL_BUDGET
 
